@@ -6,6 +6,8 @@ outward from the center value w(0) = m until the first zero R, then
 u(x) = w(Rx) solves the unit-ball problem at voltage λ = R².  The center
 value m therefore parametrizes the whole solution set single-valuedly, fold
 included, and the bifurcation diagram is just the sampled curve m -> λ(m).
+Each shot also carries the tangent z = ∂w/∂m, which gives the slope dλ/dm
+exactly; a fold is a root of that slope.
 
 Power-law weights f = |x|^α are reduced to the constant-profile problem in
 the effective fractional dimension 2(N+α)/(2+α); a direct weighted shoot
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,13 +30,11 @@ from . import spectral
 from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError)
 from .nonlinearity import Nonlinearity
-from .optimize import golden_section_max, parabolic_vertex
 from .powerlaw import TransformResult, dim_transform
 
 log = logging.getLogger("pullin.branch")
 
 DEFAULT_TOL = 1e-10
-_MAX_SEED_HALVINGS = 12
 
 
 @dataclass(frozen=True)
@@ -83,15 +84,18 @@ class RadialSolution:
 
 @dataclass
 class ShootResult:
-    """Outcome of one outward integration: first zero, voltage, profile."""
+    """Outcome of one outward integration: first zero, voltage, profile and
+    the slope dλ/dm of the voltage along the branch."""
 
     first_zero: float
     lam: float
+    dlam_dm: float
     m: float
     N_eff: float
     alpha: float
     seed_radius: float
-    _sol: object = field(repr=False)
+    _series: tuple = field(repr=False)  # (a1, a2, a3) of the center series
+    _sol: object = field(repr=False)    # _sol.sol(rho) -> rows (w, w')
 
     def profile(self, rho):
         """Unscaled profile w at raw radius rho in [0, first_zero]."""
@@ -99,7 +103,9 @@ class ShootResult:
         arr = np.atleast_1d(np.asarray(rho, dtype=float))
         out = np.empty_like(arr)
         inner = arr < self.seed_radius
-        out[inner] = self.m  # series value differs from m by O(seed^2)
+        s = arr[inner] ** (2.0 + self.alpha)
+        a1, a2, a3 = self._series
+        out[inner] = self.m + s * (a1 + s * (a2 + s * a3))
         if np.any(~inner):
             clipped = np.clip(arr[~inner], self.seed_radius, self.first_zero)
             out[~inner] = self._sol.sol(clipped)[0]
@@ -116,14 +122,45 @@ class ShootResult:
                               _evaluate=evaluate)
 
 
+def _center_series(F: Nonlinearity, N_eff: float, k: float, m: float):
+    """Coefficients of the regular solution near the center in s = r^k:
+    w = m + a1 s + a2 s² + a3 s³ and z = ∂w/∂m = 1 + b1 s + b2 s² + b3 s³.
+
+    Matching powers of s in w'' + (N-1)/r w' = -r^(k-2) F(w) gives
+    a_j = -[s^(j-1)] F(w) / (jk(jk+N-2)); each b_j is ∂a_j/∂m.
+    """
+    F0, F1, F2, F3 = (float(d(m)) for d in (F.value, F.deriv, F.deriv2, F.deriv3))
+    c1, c2, c3 = (j * k * (j * k + N_eff - 2.0) for j in (1.0, 2.0, 3.0))
+    a1 = -F0 / c1
+    a2 = -F1 * a1 / c2
+    a3 = -(F1 * a2 + 0.5 * F2 * a1 * a1) / c3
+    b1 = -F1 / c1
+    b2 = -(F1 * b1 + F2 * a1) / c2
+    b3 = -(F1 * b2 + F2 * (a2 + a1 * b1) + 0.5 * F3 * a1 * a1) / c3
+    return (a1, a2, a3), (b1, b2, b3)
+
+
+def _series_state(coeffs, base: float, s: float, k: float, eps: float):
+    """Value and r-derivative of base + c1 s + c2 s² + c3 s³ at r = eps."""
+    c1, c2, c3 = coeffs
+    return (base + s * (c1 + s * (c2 + s * c3)),
+            k * s / eps * (c1 + s * (2.0 * c2 + 3.0 * s * c3)))
+
+
 def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
           alpha: float = 0.0) -> ShootResult:
-    """First zero of w'' + (N-1)/r w' + r^α F(w) = 0, w(0)=m, w'(0)=0.
+    """First zero R of w'' + (N-1)/r w' + r^α F(w) = 0, w(0)=m, w'(0)=0, the
+    voltage λ = R^(2+α) and its slope dλ/dm along the branch.
 
-    Integration starts at a small seed radius with the second-order series
-    w(ε) = m - F(m) ε^(2+α) / ((2+α)(N+α)); ε is halved until the located
-    voltage is stable to `tol`.  The event bisection of the integrator pins
-    the zero crossing of the final step.
+    One DOP853 integration carries (w, w', z, z') with z = ∂w/∂m, the
+    solution of z'' + (N-1)/r z' + r^α F'(w) z = 0, z(0)=1.  It starts at
+    the radius where the last term of the third-order center series falls
+    to tol (relative to m for w), so the series remainder stays below tol,
+    and it stops at the first zero of w.  That zero, located on the dense
+    interpolant, is only good to about 4e-10: a second, one-step
+    integration from the last accepted step lands on it, and one Newton
+    step R -= w/w' finishes it.  Then dR/dm = -z(R)/w'(R) and
+    dλ/dm = (2+α) R^(1+α) dR/dm.
     """
     if not N_eff >= 1.0:
         raise DomainValidationError(f"dimension must be >= 1, got {N_eff}")
@@ -133,23 +170,24 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
         raise DomainValidationError(
             f"center value must lie in (0, {F.endpoint}), got {m}")
 
-    f_raw, _ = F.fast_callables()
-    Fm = float(f_raw(m))
-    a = alpha
-    k2, kn = 2.0 + a, N_eff + a
+    k = 2.0 + alpha
+    a, b = _center_series(F, N_eff, k, m)
     # while w >= 0, F(w) >= 1 forces the crossing before this radius
-    r_cross = (k2 * kn * m) ** (1.0 / k2) + 1.0
-    r_max = 2.0 * r_cross + 2.0
-    # curvature length at the center; the seed must sit well inside it
-    scale = (k2 * kn * m / Fm) ** (1.0 / k2)
-    eps = min(1e-6 * max(1.0, r_cross), 1e-2 * scale)
+    r_max = 2.0 * (k * (N_eff + alpha) * m) ** (1.0 / k) + 4.0
+    # the remainder of each series is below its last term; the last clause
+    # keeps the seed well inside the curvature length m / |a1|
+    s = min((tol * m / abs(a[2])) ** (1.0 / 3.0),
+            (tol / abs(b[2])) ** (1.0 / 3.0), 0.1 * m / abs(a[0]))
+    eps = s ** (1.0 / k)
+    y0 = _series_state(a, m, s, k, eps) + _series_state(b, 1.0, s, k, eps)
 
-    if a == 0.0:
-        def rhs(r, y):
-            return (y[1], -f_raw(y[0]) - (N_eff - 1.0) / r * y[1])
-    else:
-        def rhs(r, y):
-            return (y[1], -r ** a * f_raw(y[0]) - (N_eff - 1.0) / r * y[1])
+    f_raw, fp_raw = F.fast_callables()
+    c = N_eff - 1.0
+
+    def rhs(r, y):
+        w, dw, z, dz = y
+        ra = r ** alpha
+        return (dw, -ra * f_raw(w) - c / r * dw, dz, -ra * fp_raw(w) * z - c / r * dz)
 
     def crossing(r, y):
         return y[0]
@@ -157,25 +195,23 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
     crossing.terminal = True
     crossing.direction = -1
 
-    lam_prev = None
-    for _ in range(_MAX_SEED_HALVINGS):
-        y0 = (m - Fm * eps ** k2 / (k2 * kn), -Fm * eps ** (1.0 + a) / kn)
-        sol = solve_ivp(rhs, (eps, r_max), y0, method="RK45", rtol=tol,
-                        atol=tol * 1e-2, events=crossing, dense_output=True)
-        if sol.t_events[0].size == 0:
-            raise NoCrossingError(
-                f"no zero of the profile before r = {r_max:.3g} "
-                f"(family {F.label()}, N_eff={N_eff}, m={m}): {sol.message}")
-        R = float(sol.t_events[0][0])
-        lam = R ** k2
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, lam):
-            break
-        lam_prev = lam
-        eps *= 0.5
-    else:
-        log.debug("seed radius loop hit its cap at m=%g (Δλ=%.3g)",
-                  m, abs(lam - lam_prev))
-    return ShootResult(R, lam, m, N_eff, a, eps, sol)
+    atol = tol * 1e-2
+    sol = solve_ivp(rhs, (eps, r_max), y0, method="DOP853", rtol=tol,
+                    atol=atol, events=crossing, dense_output=True)
+    if sol.t_events[0].size == 0:
+        raise NoCrossingError(
+            f"no zero of the profile before r = {r_max:.3g} "
+            f"(family {F.label()}, N_eff={N_eff}, m={m}): {sol.message}")
+    r0, r1 = float(sol.t[-2]), float(sol.t_events[0][0])
+    last = solve_ivp(rhs, (r0, r1), sol.y[:, -2], method="DOP853", rtol=tol,
+                     atol=atol, first_step=r1 - r0)
+    y = last.y[:, -1]
+    R = float(r1 - y[0] / y[1])
+    _, dw, z, _ = y + (R - r1) * np.asarray(rhs(r1, y))
+    dlam_dm = float(k * R ** (1.0 + alpha) * (-z / dw))
+    dense = sol.sol
+    return ShootResult(R, R ** k, dlam_dm, m, N_eff, alpha, eps, a,
+                       SimpleNamespace(sol=lambda rho: dense(rho)[:2]))
 
 
 def default_m_grid(F: Nonlinearity, n_points: int = 400) -> np.ndarray:
@@ -199,7 +235,9 @@ class Branch:
     `m_star` is the center value at the first fold, i.e. the pull-in
     distance, when a fold was found.  Without a fold (singular regimes where
     λ(m) climbs monotonically toward its limit), `fold_found` is False and
-    `lambda_star` is a lower estimate.
+    `lambda_star` is a lower estimate.  `fold_index` is the k of the grid
+    cell [m_k, m_k+1] holding the fold; `stability_skipped` counts the
+    points whose stability eigenvalue could not be bracketed (mu1 is None).
     """
 
     problem: ProblemSpec
@@ -208,6 +246,7 @@ class Branch:
     m_star: float
     fold_found: bool
     fold_index: Optional[int] = None
+    stability_skipped: int = 0
 
     @property
     def m_values(self) -> np.ndarray:
@@ -229,19 +268,15 @@ class Branch:
         return float(np.max(np.abs(np.diff(lam)) / np.maximum(lam[1:], 1e-300)))
 
 
-def _first_local_max(lams: np.ndarray) -> Optional[int]:
-    # plateau ties resolve to the smallest m by taking the first index
-    for i in range(1, len(lams) - 1):
-        if lams[i] >= lams[i - 1] and lams[i] > lams[i + 1]:
-            return i
-    return None
-
-
 def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
                  tol: float = DEFAULT_TOL, stability: bool = False,
                  stability_tol: float = 1e-6, refine_fold: bool = True) -> Branch:
     """Sweep the center-value schedule and extract λ*, the pull-in distance
     and (optionally) the stability eigenvalue at every point.
+
+    The fold is the first grid cell where the shot slope dλ/dm changes sign
+    from + to -; with `refine_fold` it is the brentq root of dλ/dm in that
+    cell, otherwise the cell end with the larger voltage.
 
     Power-law problems are solved through the constant-profile reduction in
     the effective dimension and rescaled back, which preserves center values
@@ -264,30 +299,24 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
 
     shots = [shoot(F, tr.N_eff, m, tol) for m in grid]
     lam_core = np.array([s.lam for s in shots])
+    rising = np.array([s.dlam_dm > 0.0 for s in shots])
+    folds = np.flatnonzero(rising[:-1] & ~rising[1:])
 
-    k = _first_local_max(lam_core)
-    fold_found = k is not None
+    fold_found = folds.size > 0
+    k = int(folds[0]) if fold_found else None
     if fold_found and refine_fold:
-        g = lambda m: shoot(F, tr.N_eff, m, tol).lam
-        lo, hi = grid[k - 1], grid[k + 1]
-        # parabolic estimate of the fold first, then tighten the golden
-        # bracket to the argmax of the known samples and its neighbors
-        vertex = parabolic_vertex(grid[k - 1], grid[k], grid[k + 1],
-                                  lam_core[k - 1], lam_core[k], lam_core[k + 1])
-        xs = [lo, grid[k], hi]
-        ys = [lam_core[k - 1], lam_core[k], lam_core[k + 1]]
-        if lo < vertex < hi and abs(vertex - grid[k]) > 1e-12 * hi:
-            xs.append(vertex)
-            ys.append(g(vertex))
-            order = np.argsort(xs)
-            xs, ys = list(np.asarray(xs)[order]), list(np.asarray(ys)[order])
-        b = int(np.argmax(ys))
-        m_star, lam_star_core = golden_section_max(
-            g, xs[max(b - 1, 0)], xs[min(b + 1, len(xs) - 1)],
-            tol=1e-9 * max(1.0, hi))
-        lam_star_core = max(lam_star_core, float(np.max(lam_core)))
+        known = {grid[k]: shots[k], grid[k + 1]: shots[k + 1]}
+
+        def slope(m):
+            if m not in known:
+                known[m] = shoot(F, tr.N_eff, m, tol)
+            return known[m].dlam_dm
+
+        m_star = brentq(slope, grid[k], grid[k + 1], xtol=tol * max(1.0, grid[k + 1]))
+        lam_star_core = max(known[m_star].lam, float(np.max(lam_core)))
     elif fold_found:
-        m_star, lam_star_core = grid[k], float(lam_core[k])
+        j = k if lam_core[k] >= lam_core[k + 1] else k + 1
+        m_star, lam_star_core = grid[j], float(lam_core[j])
     else:
         i_max = int(np.argmax(lam_core))
         m_star, lam_star_core = grid[i_max], float(lam_core[i_max])
@@ -295,17 +324,18 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
                  "pull-in voltage %.6g is a lower estimate", lam_star_core * tr.voltage_factor)
 
     points = []
+    skipped = 0
     for m, lam0, shot in zip(grid, lam_core, shots):
         mu = None
         if stability:
             try:
                 mu = spectral.mu1(tr.N_eff, F, lam0, shot.solution(), stability_tol)
             except BracketError:
-                log.debug("stability fill skipped at m=%g (potential too large)", m)
+                skipped += 1
         points.append(BranchPoint(m, lam0 * tr.voltage_factor, mu))
 
     return Branch(problem, points, lam_star_core * tr.voltage_factor,
-                  float(m_star), fold_found, k)
+                  float(m_star), fold_found, k, skipped)
 
 
 def _physical_solution(problem: ProblemSpec, shot: ShootResult,

@@ -203,7 +203,13 @@ def cmd_branch(args):
         "fold_found": b.fold_found,
     }
     rows = [{"m": p.m, "lambda": p.lam, "mu1": p.mu1} for p in b.points]
-    return result, rows, []
+    warnings_ = []
+    if not b.fold_found:
+        warnings_.append("no fold: λ* is a lower estimate")
+    if b.stability_skipped:
+        warnings_.append(f"stability fill skipped at {b.stability_skipped} of "
+                         f"{len(b.points)} points (mu1 is null there)")
+    return result, rows, warnings_
 
 
 def _report_dict(rep: bounds.BoundReport) -> dict:

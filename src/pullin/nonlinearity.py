@@ -103,6 +103,16 @@ class Nonlinearity:
             return self.p * (self.p + 1.0) * (1.0 - u) ** (-(self.p + 2.0))
         return self.p * (self.p - 1.0) * (1.0 + u) ** (self.p - 2.0)
 
+    def deriv3(self, u):
+        """F'''(u)."""
+        self._check_domain(u)
+        p = self.p
+        if self.family is Family.EXPONENTIAL:
+            return np.exp(u)
+        if self.family is Family.MEMS_INVERSE_POWER:
+            return p * (p + 1.0) * (p + 2.0) * (1.0 - u) ** (-(p + 3.0))
+        return p * (p - 1.0) * (p - 2.0) * (1.0 + u) ** (p - 3.0)
+
     def deriv_inverse(self, z: float) -> float:
         """The unique v >= 0 with F'(v) = z, clamped to 0 for z < F'(0).
 

@@ -61,17 +61,3 @@ def grid_then_golden_min(f: Callable[[float], float], lo: float, hi: float,
     b = xs[min(i + 1, n_grid - 1)]
     return golden_section_min(f, a, b, tol)
 
-
-def parabolic_vertex(x0: float, x1: float, x2: float,
-                     y0: float, y1: float, y2: float) -> float:
-    """Abscissa of the vertex of the parabola through three points.
-
-    Falls back to the middle abscissa when the points are collinear.
-    """
-    d1 = (x1 - x0) * (y1 - y2)
-    d2 = (x1 - x2) * (y1 - y0)
-    denom = 2.0 * (d1 - d2)
-    if denom == 0.0:
-        return x1
-    num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-    return x1 - num / denom

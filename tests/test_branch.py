@@ -230,3 +230,86 @@ def test_transformed_minimal_solution_profile():
     r = np.linspace(0.1, 1.0, 20)
     assert u.at(r) == pytest.approx(w.at(r ** 2.0), abs=1e-9)
     assert u.m == pytest.approx(w.m, abs=1e-9)
+
+
+def _disc_lambda(m):
+    a = np.expm1(np.asarray(m) / 2.0)
+    return 8.0 * a / (1.0 + a) ** 2
+
+
+def test_disc_shots_meet_tolerance_on_default_grid():
+    tol = 1e-10
+    grid = pullin.default_m_grid(EXP, 61)
+    lam = np.array([shoot(EXP, 2.0, m, tol).lam for m in grid])
+    ref = _disc_lambda(grid)
+    assert np.all(np.abs(lam - ref) <= tol * np.maximum(1.0, ref))
+
+
+@pytest.mark.parametrize("m", [0.05, 1.0, 2.0 * math.log(2.0), 3.0, 12.0])
+def test_shot_slope_matches_closed_form(m):
+    # disc: dλ/dm = 4(1-a)/(1+a)^2 with e^(m/2) = 1+a
+    a = math.expm1(m / 2.0)
+    assert shoot(EXP, 2.0, m).dlam_dm == pytest.approx(
+        4.0 * (1.0 - a) / (1.0 + a) ** 2, abs=1e-9)
+    # interval: λ = 2c²/cosh²c with cosh c = e^(m/2)
+    c = math.acosh(math.exp(m / 2.0))
+    slope = 2.0 * c * (math.cosh(c) - c * math.sinh(c)) / (math.cosh(c) ** 2 * math.sinh(c))
+    assert shoot(EXP, 1.0, m).dlam_dm == pytest.approx(slope, abs=1e-9)
+
+
+def test_weighted_shot_slope_matches_reduction():
+    tr = pullin.dim_transform(3.0, 1.0)
+    for m in (0.1, 0.5, 0.9):
+        direct = shoot(MEMS, 3.0, m, alpha=1.0).dlam_dm
+        reduced = tr.voltage_factor * shoot(MEMS, tr.N_eff, m).dlam_dm
+        assert direct == pytest.approx(reduced, rel=1e-6, abs=1e-9)
+
+
+def test_shoot_integrates_at_most_twice(monkeypatch):
+    calls = []
+    real = pullin.branch.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pullin.branch, "solve_ivp", counting)
+    for F, N, m in ((MEMS, 2.0, 0.3), (MEMS, 2.0, 0.9999), (EXP, 10.0, 40.0)):
+        calls.clear()
+        shoot(F, N, m)
+        assert len(calls) <= 2
+
+
+def test_profile_inside_seed_radius_follows_the_series():
+    # disc: w(ρ) = 2 log((1+a)/(1+a ρ²/R²)) exactly
+    m = 1.0
+    sr = shoot(EXP, 2.0, m)
+    a = math.expm1(m / 2.0)
+    rho = np.array([0.0, 0.25, 0.5, 0.99, 1.01, 2.0]) * sr.seed_radius
+    exact = 2.0 * np.log((1.0 + a) / (1.0 + a * (rho / sr.first_zero) ** 2))
+    assert np.all(sr.profile(rho[1:4]) < m)
+    assert sr.profile(rho) == pytest.approx(exact, abs=1e-11)
+
+
+def test_exp_n10_branch_has_no_fold():
+    # Joseph-Lundgren: from N = 10 the exponential branch rises monotonically
+    # to the singular voltage 2(N-2) = 16
+    b = solve_branch(ProblemSpec(10.0, EXP), pullin.default_m_grid(EXP, 160))
+    assert b.fold_found is False
+    assert b.fold_index is None
+    assert b.lambda_star == pytest.approx(16.0, rel=1e-2)
+
+
+def test_fold_is_a_root_of_the_slope():
+    b = solve_branch(ProblemSpec(2.0, MEMS), np.geomspace(1e-3, 1.0 - 1e-4, 48))
+    k = b.fold_index
+    assert b.m_values[k] < b.m_star < b.m_values[k + 1]
+    assert abs(shoot(MEMS, 2.0, b.m_star).dlam_dm) < 1e-8
+
+
+def test_branch_counts_skipped_stability_fills():
+    grid = np.geomspace(0.05, 1.0 - 1e-4, 5)
+    b = solve_branch(ProblemSpec(2.0, MEMS), grid, stability=True)
+    assert b.stability_skipped == sum(p.mu1 is None for p in b.points)
+    assert b.stability_skipped >= 1  # the potential blows up as m -> 1
+    assert solve_branch(ProblemSpec(2.0, MEMS), grid).stability_skipped == 0

@@ -129,3 +129,28 @@ def test_float_formatting_is_12_significant_digits():
     assert cli._fmt_float(0.789229267914) == "0.789229267914"
     assert cli._fmt_float(float("inf")) == '"inf"'
     assert cli._fmt_float(float("nan")) == '"nan"'
+
+
+def test_branch_warnings_name_degraded_results(capsys):
+    code, out, _ = run_cli(capsys, "branch", "--family", "mems", "--N", "9",
+                           "--m-points", "25", "--m-max", "0.9")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["fold_found"] is False
+    assert doc["warnings"] == ["no fold: λ* is a lower estimate"]
+
+    code, out, _ = run_cli(capsys, "branch", "--family", "mems", "--N", "2",
+                           "--m-points", "5", "--m-min", "0.05", "--stability")
+    assert code == 0
+    doc = json.loads(out)
+    skipped = sum(p["mu1"] is None for p in doc["result"]["points"])
+    assert skipped >= 1
+    assert doc["warnings"] == [
+        f"stability fill skipped at {skipped} of 5 points (mu1 is null there)"]
+
+
+def test_branch_without_degraded_results_has_no_warnings(capsys):
+    code, out, _ = run_cli(capsys, "branch", "--family", "exp", "--N", "2",
+                           "--m-points", "16", "--m-max", "5.0")
+    assert code == 0
+    assert json.loads(out)["warnings"] == []

@@ -135,3 +135,20 @@ def test_voltage_constants_against_oracles(F):
             else 51.0 ** (1.0 - F.p) / (F.p - 1.0)
         oracle = head + tail
     assert C == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.label())
+def test_derivatives_against_sympy(F):
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    if F.family.value == "exponential":
+        expr = sympy.exp(u)
+    elif F.is_singular:
+        expr = (1 - u) ** (-sympy.Float(F.p))
+    else:
+        expr = (1 + u) ** sympy.Float(F.p)
+    points = [0.0, 0.3, 0.9] if F.is_singular else [0.0, 0.7, 5.0]
+    for order, method in enumerate((F.value, F.deriv, F.deriv2, F.deriv3)):
+        d = sympy.diff(expr, u, order)
+        for x in points:
+            assert method(x) == pytest.approx(float(d.subs(u, x)), rel=1e-12)
