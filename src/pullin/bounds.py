@@ -61,11 +61,11 @@ class DomainStats:
 
 def ball_stats(N: float, alpha: float = 0.0, tol: float = 1e-10) -> DomainStats:
     """DomainStats of the unit ball with weight |x|^alpha."""
-    lam1 = spectral.lambda1_ball(N, tol).eigenvalue
-    fphi = 1.0 if alpha == 0.0 else spectral.profile_weight_ratio(N, alpha, tol)
+    pair = spectral.lambda1_ball(N, tol)
+    fphi = 1.0 if alpha == 0.0 else pair.weight_ratio(alpha)
     inf_f = 1.0 if alpha <= 0.0 else 0.0
     sup_f = 1.0 if alpha >= 0.0 else math.inf
-    return DomainStats(lam1, volume_unit_ball(N), N, inf_f, sup_f, fphi)
+    return DomainStats(pair.eigenvalue, volume_unit_ball(N), N, inf_f, sup_f, fphi)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError)
 from .nonlinearity import Nonlinearity
 from .powerlaw import TransformResult, dim_transform
+from .radial import center_series, series_state, series_value
 
 log = logging.getLogger("pullin.branch")
 
@@ -103,9 +104,7 @@ class ShootResult:
         arr = np.atleast_1d(np.asarray(rho, dtype=float))
         out = np.empty_like(arr)
         inner = arr < self.seed_radius
-        s = arr[inner] ** (2.0 + self.alpha)
-        a1, a2, a3 = self._series
-        out[inner] = self.m + s * (a1 + s * (a2 + s * a3))
+        out[inner] = series_value(self._series, self.m, arr[inner] ** (2.0 + self.alpha))
         if np.any(~inner):
             clipped = np.clip(arr[~inner], self.seed_radius, self.first_zero)
             out[~inner] = self._sol.sol(clipped)[0]
@@ -120,31 +119,6 @@ class ShootResult:
         evaluate = lambda rr: self.profile(np.asarray(rr, dtype=float) * R)
         return RadialSolution(r, u, self.m, self.lam, self.N_eff, self.alpha,
                               _evaluate=evaluate)
-
-
-def _center_series(F: Nonlinearity, N_eff: float, k: float, m: float):
-    """Coefficients of the regular solution near the center in s = r^k:
-    w = m + a1 s + a2 s² + a3 s³ and z = ∂w/∂m = 1 + b1 s + b2 s² + b3 s³.
-
-    Matching powers of s in w'' + (N-1)/r w' = -r^(k-2) F(w) gives
-    a_j = -[s^(j-1)] F(w) / (jk(jk+N-2)); each b_j is ∂a_j/∂m.
-    """
-    F0, F1, F2, F3 = (float(d(m)) for d in (F.value, F.deriv, F.deriv2, F.deriv3))
-    c1, c2, c3 = (j * k * (j * k + N_eff - 2.0) for j in (1.0, 2.0, 3.0))
-    a1 = -F0 / c1
-    a2 = -F1 * a1 / c2
-    a3 = -(F1 * a2 + 0.5 * F2 * a1 * a1) / c3
-    b1 = -F1 / c1
-    b2 = -(F1 * b1 + F2 * a1) / c2
-    b3 = -(F1 * b2 + F2 * (a2 + a1 * b1) + 0.5 * F3 * a1 * a1) / c3
-    return (a1, a2, a3), (b1, b2, b3)
-
-
-def _series_state(coeffs, base: float, s: float, k: float, eps: float):
-    """Value and r-derivative of base + c1 s + c2 s² + c3 s³ at r = eps."""
-    c1, c2, c3 = coeffs
-    return (base + s * (c1 + s * (c2 + s * c3)),
-            k * s / eps * (c1 + s * (2.0 * c2 + 3.0 * s * c3)))
 
 
 def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
@@ -171,7 +145,7 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
             f"center value must lie in (0, {F.endpoint}), got {m}")
 
     k = 2.0 + alpha
-    a, b = _center_series(F, N_eff, k, m)
+    a, b = center_series(F, N_eff, k, m)
     # while w >= 0, F(w) >= 1 forces the crossing before this radius
     r_max = 2.0 * (k * (N_eff + alpha) * m) ** (1.0 / k) + 4.0
     # the remainder of each series is below its last term; the last clause
@@ -179,7 +153,7 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
     s = min((tol * m / abs(a[2])) ** (1.0 / 3.0),
             (tol / abs(b[2])) ** (1.0 / 3.0), 0.1 * m / abs(a[0]))
     eps = s ** (1.0 / k)
-    y0 = _series_state(a, m, s, k, eps) + _series_state(b, 1.0, s, k, eps)
+    y0 = series_state(a, m, s, k, eps) + series_state(b, 1.0, s, k, eps)
 
     f_raw, fp_raw = F.fast_callables()
     c = N_eff - 1.0
@@ -329,7 +303,7 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
         mu = None
         if stability:
             try:
-                mu = spectral.mu1(tr.N_eff, F, lam0, shot.solution(), stability_tol)
+                mu = spectral.mu1(tr.N_eff, F, lam0, shot, stability_tol)
             except BracketError:
                 skipped += 1
         points.append(BranchPoint(m, lam0 * tr.voltage_factor, mu))
@@ -356,8 +330,14 @@ def _physical_solution(problem: ProblemSpec, shot: ShootResult,
 def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
                      tol: float = DEFAULT_TOL) -> RadialSolution:
     """Stable-branch solution at voltage lam: the smallest center value with
-    λ(m) = lam, located by inverse interpolation on the branch plus a
-    bracketed root refinement on fresh shots."""
+    λ(m) = lam.
+
+    The branch cell holding lam brackets the root, and inverse interpolation
+    in that cell starts Newton steps on λ(m) - lam with the exact slope
+    dλ/dm of each shot; a step that would leave the bracket is replaced by
+    bisection.  The iteration stops once λ(m) matches lam to tol (relative)
+    or the bracket has shrunk to 1e-12, and the last shot is the answer.
+    """
     if branch.problem != problem:
         raise DomainValidationError("branch was computed for a different problem")
     if not 0.0 < lam < branch.lambda_star:
@@ -370,28 +350,32 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
     ms = np.array([p.m for p in stable])
     lams = np.array([p.lam / tr.voltage_factor for p in stable])
 
-    g = lambda m: shoot(problem.F, tr.N_eff, m, tol).lam - lam0
-
     j = int(np.searchsorted(lams, lam0))
     if j >= len(ms):
-        lo, hi = ms[-1], branch.m_star if branch.fold_found else ms[-1]
-        if not branch.fold_found or hi <= lo or g(hi) < 0.0:
-            raise BeyondPullInError(
-                f"voltage {lam} not bracketed by the stable branch")
+        if not branch.fold_found or branch.m_star <= ms[-1]:
+            raise BeyondPullInError(f"voltage {lam} not bracketed by the stable branch")
+        fold = shoot(problem.F, tr.N_eff, branch.m_star, tol)
+        if fold.lam < lam0:
+            raise BeyondPullInError(f"voltage {lam} not bracketed by the stable branch")
+        (lo, lam_lo), (hi, lam_hi) = (ms[-1], lams[-1]), (branch.m_star, fold.lam)
     elif j == 0:
-        lo, hi = min(1e-8, ms[0] * 1e-3), ms[0]
+        (lo, lam_lo), (hi, lam_hi) = (0.0, 0.0), (ms[0], lams[0])
     else:
-        lo, hi = ms[j - 1], ms[j]
+        (lo, lam_lo), (hi, lam_hi) = (ms[j - 1], lams[j - 1]), (ms[j], lams[j])
 
-    try:
-        m_root = brentq(g, lo, hi, xtol=1e-12)
-    except ValueError:
-        # stored branch voltages and fresh shots can disagree by the shooting
-        # tolerance; widen the bracket by one cell on each side and retry
-        lo = ms[max(j - 2, 0)] if j >= 2 else lo * 0.5
-        hi = ms[min(j + 1, len(ms) - 1)]
-        m_root = brentq(g, lo, hi, xtol=1e-12)
-    return _physical_solution(problem, shoot(problem.F, tr.N_eff, m_root, tol))
+    m = lo + (hi - lo) * (lam0 - lam_lo) / (lam_hi - lam_lo)
+    for _ in range(100):
+        shot = shoot(problem.F, tr.N_eff, m, tol)
+        g = shot.lam - lam0
+        if g < 0.0:
+            lo = m
+        else:
+            hi = m
+        if abs(g) <= tol * lam0 or hi - lo <= 1e-12 * max(1.0, m):
+            return _physical_solution(problem, shot)
+        newton = m - g / shot.dlam_dm if shot.dlam_dm > 0.0 else hi
+        m = newton if lo < newton < hi else 0.5 * (lo + hi)
+    raise BracketError(f"no center value with λ(m) = {lam} found in [{lo}, {hi}]")
 
 
 @dataclass

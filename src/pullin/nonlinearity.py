@@ -135,7 +135,11 @@ class Nonlinearity:
         """Unchecked scalar (F, F') for integrator hot loops.
 
         Domain safety inside the shooting solver is maintained by the
-        monotone-decreasing profile invariant, not by per-call checks.
+        monotone-decreasing profile invariant, not by per-call checks.  The
+        trial stages of a step past the profile's zero may still probe
+        u < -1; there the power-growth pair reads 0 instead of the NaN of a
+        fractional power of a negative base, and the step is rejected or
+        cut off at the zero all the same.
         """
         if self.family is Family.EXPONENTIAL:
             return np.exp, np.exp
@@ -143,8 +147,8 @@ class Nonlinearity:
         if self.family is Family.MEMS_INVERSE_POWER:
             return (lambda u: (1.0 - u) ** (-p),
                     lambda u: p * (1.0 - u) ** (-(p + 1.0)))
-        return (lambda u: (1.0 + u) ** p,
-                lambda u: p * (1.0 + u) ** (p - 1.0))
+        return (lambda u: max(1.0 + u, 0.0) ** p,
+                lambda u: p * max(1.0 + u, 0.0) ** (p - 1.0))
 
     # -- derived constants -----------------------------------------------------
 

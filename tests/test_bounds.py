@@ -303,3 +303,18 @@ def test_ball_stats_power_weight():
     assert stats.inf_f == 0.0
     assert stats.sup_f == 1.0
     assert 0.0 < stats.f_phi_integral < 1.0
+
+
+def test_ball_stats_solves_the_eigenproblem_once(monkeypatch):
+    calls = []
+    real = pullin.spectral._principal_eigenvalue
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pullin.spectral, "_principal_eigenvalue", counting)
+    stats = ball_stats(3.0, alpha=1.5)
+    assert len(calls) == 1
+    ratio = pullin.profile_weight_ratio(3.0, 1.5)
+    assert stats.f_phi_integral == pytest.approx(ratio, abs=1e-12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from scipy.integrate import solve_bvp
 
 import pullin
 from pullin import (BeyondPullInError, DomainValidationError, ProblemSpec,
-                    exponential, mems_inverse_power, minimal_solution, shoot,
-                    solve_branch)
+                    exponential, mems_inverse_power, minimal_solution,
+                    power_growth, shoot, solve_branch)
 from pullin.optimize import golden_section_max
 
 MEMS = mems_inverse_power(2.0)
@@ -313,3 +314,28 @@ def test_branch_counts_skipped_stability_fills():
     assert b.stability_skipped == sum(p.mu1 is None for p in b.points)
     assert b.stability_skipped >= 1  # the potential blows up as m -> 1
     assert solve_branch(ProblemSpec(2.0, MEMS), grid).stability_skipped == 0
+
+
+def test_power_growth_shot_emits_no_runtime_warning():
+    # DOP853 trial stages past the zero probe w < -1, where a fractional
+    # power of 1 + w is undefined
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sr = shoot(power_growth(4.5), 1.2, 40.0, tol=1e-10)
+    assert math.isfinite(sr.lam) and sr.lam > 0.0
+
+
+def test_minimal_solution_takes_few_shots(monkeypatch, mems_disc_branch):
+    calls = []
+    real = pullin.branch.shoot
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pullin.branch, "shoot", counting)
+    for lam in (1e-4, 0.2, 0.5, 0.7):
+        calls.clear()
+        u = minimal_solution(ProblemSpec(2.0, MEMS), lam, mems_disc_branch)
+        assert u.lam == pytest.approx(lam, rel=1e-10)
+        assert len(calls) <= 4

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jn_zeros
 
 import pullin
-from pullin import (BracketError, DomainValidationError, lambda1_ball,
-                    mems_inverse_power, mu1, profile_weight_ratio)
+from pullin import (BracketError, DomainValidationError, exponential,
+                    lambda1_ball, mems_inverse_power, mu1, profile_weight_ratio,
+                    shoot)
 from pullin.branch import RadialSolution
 
 
@@ -130,3 +132,52 @@ def test_mu1_overflow_guard():
     huge = RadialSolution(r, u, 0.999999, 1.0, 2.0)
     with pytest.raises(BracketError):
         mu1(2.0, F, 1e3, huge)
+
+
+def test_principal_eigenvalue_meets_its_default_tolerance():
+    refs = {1.0: math.pi ** 2 / 4.0, 2.0: _first_j0_zero() ** 2, 3.0: math.pi ** 2}
+    for N, ref in refs.items():
+        assert abs(lambda1_ball(N).eigenvalue - ref) <= 1e-10
+
+
+def test_eigenpair_evaluates_the_shot_inside_the_seed_radius():
+    # N=3: psi = sin(pi r) / (pi r)
+    pair = lambda1_ball(3.0)
+    r = np.array([0.0, 1e-4, 1e-2, 0.3, 0.7, 1.0])
+    exact = np.sinc(r)
+    assert pair.at(r) == pytest.approx(exact, abs=1e-9)
+    assert pair.at(0.3) == pytest.approx(float(np.sinc(0.3)), abs=1e-9)
+
+
+def test_mu1_vanishes_at_the_closed_form_disc_fold():
+    # u = 2 log(2 / (1 + r^2)) solves -Δu = 2 e^u on the disc: the fold
+    m = 2.0 * math.log(2.0)
+    r = np.linspace(0.0, 1.0, 33)
+    fold = RadialSolution(r, 2.0 * np.log(2.0 / (1.0 + r * r)), m, 2.0, 2.0)
+    assert abs(mu1(2.0, exponential(), 2.0, fold, tol=1e-8)) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [0.2, 0.6876])  # stable, unstable
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_mu1_delivers_its_tolerance(m, tol):
+    F = mems_inverse_power(2.0)
+    u = shoot(F, 2.0, m).solution()
+    ref = mu1(2.0, F, u.lam, u, tol=1e-12)
+    assert (ref > 0) == (m < 0.445)
+    assert abs(mu1(2.0, F, u.lam, u, tol=tol) - ref) <= tol * max(1.0, abs(ref))
+
+
+def test_mu1_reads_only_center_value_and_voltage():
+    F = mems_inverse_power(2.0)
+    u = shoot(F, 2.0, 0.3).solution()
+    r = np.linspace(0.0, 1.0, 5)
+    coarse = RadialSolution(r, np.zeros_like(r), u.m, u.lam, 2.0)
+    assert mu1(2.0, F, u.lam, coarse) == mu1(2.0, F, u.lam, u)
+
+
+@pytest.mark.parametrize("mu", [50.0, 2000.0, 20000.0])
+def test_eigen_shot_counts_every_zero(mu):
+    # λ = 0, N = 2: psi = J0(sqrt(mu) r), whose zeros in (0, 1] are the
+    # Bessel zeros below sqrt(mu)
+    zeros, _, _ = pullin.spectral._shoot_mode(2.0, exponential(), 0.0, 0.0, mu, 1e-7)
+    assert zeros == int(np.sum(jn_zeros(0, 60) < math.sqrt(mu)))
