@@ -7,15 +7,14 @@ bounds, and the power-law-weight reduction to fractional dimension.
 """
 
 from .bounds import (BoundReport, DomainStats, ball_stats, energy_norm_bound,
-                     eigenvalue_lower_bound, exp_distance_lower,
-                     exp_supnorm_bound, exp_supnorm_constant,
-                     log_weight_integral, mems_ball_supnorm_bound,
-                     mems_ball_supnorm_closed_form, mems_distance_lower,
+                     eigenvalue_lower_bound, exp_supnorm_bound,
+                     exp_supnorm_constant, log_weight_integral,
+                     mems_ball_supnorm_bound, mems_ball_supnorm_closed_form,
                      mems_profile_constant, mems_supnorm_bound,
-                     mems_supnorm_constant, power_distance_lower,
-                     power_supnorm_bound, power_supnorm_constant,
-                     pullin_distance_lower, pullin_voltage_upper,
-                     radial_decay_constant, stability_necessary_check)
+                     mems_supnorm_constant, power_supnorm_bound,
+                     power_supnorm_constant, pullin_distance_lower,
+                     pullin_voltage_upper, radial_decay_constant,
+                     stability_necessary_check)
 from .branch import (Branch, BranchPoint, ProblemSpec, RadialSolution,
                      SampledProfile, ShootResult, default_m_grid, dudlambda,
                      minimal_solution, shoot, solve_branch)

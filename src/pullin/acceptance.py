@@ -286,14 +286,8 @@ def check_oracle_equivalence() -> tuple[bool, str]:
     for N, p in ((3.0, 2.0), (4.0, 3.0)):
         lo, hi = bounds._power_window(N, p)
         ts = np.linspace(lo + 1e-9, hi - 1e-9, 100000)
-        vals = [bounds.power_supnorm_constant(N, p).value]
-        obj = np.array([(2 * t * p - p - t * t) ** (-p / t)
-                        * (2 * t - 1) ** ((2 * t - 1) / (2 * t + p - 1) + p / t)
-                        * (2 * p) ** (p / t)
-                        / (N ** (p / (2 * t + p - 1))
-                           * (4 * t + 2 * p - 2 - N * p) ** ((2 * t - 1) / (2 * t + p - 1)))
-                        for t in ts])
-        scans.append((vals[0], float(np.min(obj))))
+        scans.append((bounds.power_supnorm_constant(N, p).value,
+                      float(np.min(bounds._power_constant_objective(ts, N, p)))))
     for mins, scan in scans:
         worst_min = max(worst_min, abs(mins / scan - 1.0))
     ok = worst_const <= 1e-6 and worst_min <= 1e-4
@@ -346,7 +340,8 @@ def run(names: Optional[list[str]] = None,
         t0 = time.perf_counter()
         passed, detail = fn()
         dt = time.perf_counter() - t0
-        results.append(CriterionResult(name, passed, detail, dt))
+        # numpy comparisons give numpy bools; the CLI serializes plain ones
+        results.append(CriterionResult(name, bool(passed), detail, dt))
         if printer is not None:
             printer(f"[{'PASS' if passed else 'FAIL'}] {name} ({dt:.1f}s): {detail}")
     return results

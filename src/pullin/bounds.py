@@ -23,7 +23,7 @@ from . import spectral
 from .errors import DomainValidationError, QuadratureError
 from .geometry import volume_unit_ball
 from .nonlinearity import Family, Nonlinearity, require_mems_default
-from .optimize import golden_section_max, golden_section_min, grid_then_golden_min
+from .optimize import grid_then_golden_min
 
 #: upper end of the t-window of every inverse-square energy estimate
 T_MAX_MEMS = 2.0 + math.sqrt(6.0)
@@ -121,41 +121,6 @@ def pullin_distance_lower(F: Nonlinearity, stats: DomainStats) -> BoundReport:
         detail=f"{F.label()}: inverse of F' at max({z1:.6g}, {z2:.6g})")
 
 
-def mems_distance_lower(p: float, stats: DomainStats) -> BoundReport:
-    """Named inverse-power specialization, kept in its reference min-form:
-    1 - min( p/(p+1)·(sup f/inf f)^(1/(p+1)), (p/(p+1)·sup f/mean f)^(1/(p+1)) ).
-
-    With constant weight this is 1 - p/(p+1) = 1/(p+1)."""
-    if p <= 0:
-        raise DomainValidationError("inverse-power exponent must be positive")
-    q = 1.0 / (p + 1.0)
-    t1 = (p / (p + 1.0)) * (stats.sup_f / stats.inf_f) ** q if stats.inf_f > 0 else math.inf
-    t2 = ((p / (p + 1.0)) * stats.sup_f / stats.f_phi_integral) ** q \
-        if stats.f_phi_integral > 0 else math.inf
-    return BoundReport("mems_distance_lower", 1.0 - min(t1, t2),
-                       detail=f"inverse-power p={p:g} closed form")
-
-
-def exp_distance_lower(stats: DomainStats) -> BoundReport:
-    """Exponential specialization: max(1 + log(inf f/sup f), log(mean f/sup f))."""
-    t1 = 1.0 + math.log(stats.inf_f / stats.sup_f) if stats.inf_f > 0 else -math.inf
-    t2 = math.log(stats.f_phi_integral / stats.sup_f) if stats.f_phi_integral > 0 else -math.inf
-    return BoundReport("exp_distance_lower", max(t1, t2),
-                       detail="exponential closed form (unclamped)")
-
-
-def power_distance_lower(p: float, stats: DomainStats) -> BoundReport:
-    """Power-growth specialization:
-    max( p/(p-1)·(inf f/sup f)^(1/(p-1)), ((p-1)/p·mean f/sup f)^(1/(p-1)) ) - 1."""
-    if p <= 1:
-        raise DomainValidationError("power-growth exponent must exceed 1")
-    q = 1.0 / (p - 1.0)
-    t1 = (p / (p - 1.0)) * (stats.inf_f / stats.sup_f) ** q
-    t2 = ((p - 1.0) / p * stats.f_phi_integral / stats.sup_f) ** q
-    return BoundReport("power_distance_lower", max(t1, t2) - 1.0,
-                       detail=f"power-growth p={p:g} closed form (unclamped)")
-
-
 def stability_necessary_check(F: Nonlinearity, stats: DomainStats,
                               lambda_star: float, u_star_norm: float) -> bool:
     """Necessary condition for a classical extremal:
@@ -172,15 +137,11 @@ def stability_necessary_check(F: Nonlinearity, stats: DomainStats,
 # sup-norm bounds on general domains: exponential family
 # ---------------------------------------------------------------------------
 
-def _finite(objective):
-    """Objectives blow up at the window edges; map overflow to +inf."""
-    def wrapped(t):
-        try:
-            v = objective(t)
-        except (OverflowError, QuadratureError):
-            return math.inf
-        return v if math.isfinite(v) else math.inf
-    return wrapped
+def _open_window(lo: float, hi: float, n_points: int = 2000) -> np.ndarray:
+    """Scan grid of the open window (lo, hi): the ends are inset by 1e-9,
+    scaled by the window width when that is larger."""
+    pad = max(1e-9, 1e-9 * (hi - lo))
+    return np.linspace(lo + pad, hi - pad, n_points)
 
 
 def _exp_constant_objective(t: float, N: float) -> float:
@@ -200,7 +161,8 @@ def exp_supnorm_constant(N: float) -> BoundReport:
     if lo >= hi:
         return BoundReport("exp_supnorm_constant", math.nan, valid=False,
                            reason=f"empty optimization window at N={N:g}")
-    t, val = grid_then_golden_min(_finite(lambda t: _exp_constant_objective(t, N)), lo, hi)
+    t, val = grid_then_golden_min(lambda t: _exp_constant_objective(t, N),
+                                  _open_window(lo, hi))
     valid = 3.0 <= N <= 9.0
     return BoundReport("exp_supnorm_constant", val, optimizer=t, valid=valid,
                        reason="" if valid else f"dimension {N:g} outside [3, 9]")
@@ -239,7 +201,7 @@ def exp_supnorm_bound(stats: DomainStats,
             return ((4.0 / (2.0 - t)) ** (1.0 / t)
                     * (stats.volume / (2.0 * math.pi)) ** (1.0 / (2.0 * t + 1.0))
                     * lam_val ** (2.0 * t / (2.0 * t + 1.0)))
-        t, val = grid_then_golden_min(_finite(objective), 0.0, 2.0, n_grid=400)
+        t, val = grid_then_golden_min(objective, _open_window(0.0, 2.0, 400))
         value = stats.lambda1 / math.e * val
         return BoundReport(
             "exp_supnorm_bound", value, optimizer=t, valid=contained_in_half_ball,
@@ -294,7 +256,8 @@ def mems_supnorm_constant(N: float) -> BoundReport:
     if lo >= hi:
         return BoundReport("mems_supnorm_constant", math.nan, valid=False,
                            reason=f"empty optimization window at N={N:g}")
-    t, val = grid_then_golden_min(_finite(lambda t: _mems_constant_objective(t, N)), lo, hi)
+    t, val = grid_then_golden_min(lambda t: _mems_constant_objective(t, N),
+                                  _open_window(lo, hi))
     valid = 3.0 <= N <= 7.0
     return BoundReport("mems_supnorm_constant", val, optimizer=t, valid=valid,
                        reason="" if valid else f"dimension {N:g} outside [3, 7]")
@@ -326,6 +289,14 @@ def _power_window(N: float, p: float) -> tuple[float, float]:
     return max(t_minus, t_np), t_plus
 
 
+def _power_constant_objective(t: float, N: float, p: float) -> float:
+    return ((2.0 * t * p - p - t * t) ** (-p / t)
+            * (2.0 * t - 1.0) ** ((2.0 * t - 1.0) / (2.0 * t + p - 1.0) + p / t)
+            * (2.0 * p) ** (p / t)
+            / (N ** (p / (2.0 * t + p - 1.0))
+               * (4.0 * t + 2.0 * p - 2.0 - N * p) ** ((2.0 * t - 1.0) / (2.0 * t + p - 1.0))))
+
+
 def power_supnorm_constant(N: float, p: float) -> BoundReport:
     """Minimized constant of the power-growth sup-norm bound (stated for
     N = 3 or 4, p > 1)."""
@@ -335,15 +306,8 @@ def power_supnorm_constant(N: float, p: float) -> BoundReport:
     if lo >= hi:
         return BoundReport("power_supnorm_constant", math.nan, valid=False,
                            reason=f"empty optimization window at N={N:g}, p={p:g}")
-
-    def objective(t):
-        return ((2.0 * t * p - p - t * t) ** (-p / t)
-                * (2.0 * t - 1.0) ** ((2.0 * t - 1.0) / (2.0 * t + p - 1.0) + p / t)
-                * (2.0 * p) ** (p / t)
-                / (N ** (p / (2.0 * t + p - 1.0))
-                   * (4.0 * t + 2.0 * p - 2.0 - N * p) ** ((2.0 * t - 1.0) / (2.0 * t + p - 1.0))))
-
-    t, val = grid_then_golden_min(_finite(objective), lo, hi)
+    t, val = grid_then_golden_min(lambda t: _power_constant_objective(t, N, p),
+                                  _open_window(lo, hi))
     valid = N in (3.0, 4.0)
     return BoundReport("power_supnorm_constant", val, optimizer=t, valid=valid,
                        reason="" if valid else f"stated only for N in {{3, 4}}, got {N:g}")
@@ -464,8 +428,7 @@ def _mems_radial_root(t: float, N: float, lambda1: float) -> float:
     return brentq(lambda m: G(m) - rhs_val, 0.0, hi, xtol=1e-10)
 
 
-def mems_ball_supnorm_bound(N: float, lambda1: Optional[float] = None,
-                            t_points: int = 48) -> BoundReport:
+def mems_ball_supnorm_bound(N: float, lambda1: Optional[float] = None) -> BoundReport:
     """Sup-norm bound for inverse-square extremals on the unit ball from the
     radial integral inequality, optimized over the window
     max(0, (N-3)/2) < t < 2+sqrt(6).
@@ -482,15 +445,12 @@ def mems_ball_supnorm_bound(N: float, lambda1: Optional[float] = None,
     if lambda1 is None:
         lambda1 = spectral.lambda1_ball(N).eigenvalue
     lo, hi = max(0.0, (N - 3.0) / 2.0), T_MAX_MEMS
+    # this scan keeps its own inset: the 1e-9 inset of `_open_window` moves
+    # the N=3 optimizer from 3.53596294391 to 3.53596297147
     pad = 1e-6 * (hi - lo)
-    ts = np.linspace(lo + pad, hi - pad, t_points)
-    roots = np.array([_mems_radial_root(t, N, lambda1) for t in ts])
-    i = int(np.argmin(roots))
-    t_best, root_best = golden_section_min(
+    t_best, root_best = grid_then_golden_min(
         lambda t: _mems_radial_root(t, N, lambda1),
-        ts[max(i - 1, 0)], ts[min(i + 1, t_points - 1)], tol=1e-8)
-    if root_best >= roots[i]:
-        t_best, root_best = float(ts[i]), float(roots[i])
+        np.linspace(lo + pad, hi - pad, 48), tol=1e-8)
     pinned = root_best < 1.0 - 1e-9
     return BoundReport(
         "mems_ball_supnorm_bound", root_best if pinned else 1.0,
@@ -527,11 +487,8 @@ def mems_ball_supnorm_closed_form(N: float,
         return total ** (-1.0 / (2.0 * t + 1.0))
 
     lo = 1e-6 if N == 1.0 else 0.5
-    ts = np.linspace(lo, T_MAX_MEMS - 1e-6, 400)
-    vals = np.array([one_minus_bound(t) for t in ts])
-    i = int(np.argmax(vals))
-    t_best, v_best = golden_section_max(one_minus_bound,
-                                        ts[max(i - 1, 0)], ts[min(i + 1, 399)],
-                                        tol=1e-10)
-    return BoundReport("mems_ball_supnorm_closed_form", 1.0 - v_best,
+    # maximize 1 - bound: minimize its negative
+    t_best, neg = grid_then_golden_min(lambda t: -one_minus_bound(t),
+                                       np.linspace(lo, T_MAX_MEMS - 1e-6, 400))
+    return BoundReport("mems_ball_supnorm_closed_form", 1.0 + neg,
                        optimizer=t_best)

@@ -23,7 +23,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from . import spectral
@@ -31,7 +30,7 @@ from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError)
 from .nonlinearity import Nonlinearity
 from .powerlaw import TransformResult, dim_transform
-from .radial import center_series, series_state, series_value
+from .radial import center_series, radial_rhs, series_state, shot_evaluator
 
 log = logging.getLogger("pullin.branch")
 
@@ -72,15 +71,10 @@ class RadialSolution:
     N_eff: float
     alpha: float = 0.0
     _evaluate: Optional[Callable] = field(default=None, repr=False, compare=False)
-    _pchip: Optional[PchipInterpolator] = field(default=None, repr=False, compare=False)
 
     def at(self, r):
-        """Profile value(s) at radius r in [0, 1] (monotone interpolation)."""
-        if self._evaluate is not None:
-            return self._evaluate(r)
-        if self._pchip is None:
-            self._pchip = PchipInterpolator(self.r, self.u)
-        return self._pchip(r)
+        """Profile value(s) at radius r in [0, 1], from the shot itself."""
+        return self._evaluate(r)
 
 
 @dataclass
@@ -100,25 +94,23 @@ class ShootResult:
 
     def profile(self, rho):
         """Unscaled profile w at raw radius rho in [0, first_zero]."""
-        scalar = np.ndim(rho) == 0
-        arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        out = np.empty_like(arr)
-        inner = arr < self.seed_radius
-        out[inner] = series_value(self._series, self.m, arr[inner] ** (2.0 + self.alpha))
-        if np.any(~inner):
-            clipped = np.clip(arr[~inner], self.seed_radius, self.first_zero)
-            out[~inner] = self._sol.sol(clipped)[0]
-        return float(out[0]) if scalar else out
+        return shot_evaluator(self._series, self.m, 2.0 + self.alpha, self.seed_radius,
+                              self.first_zero, self._sol.sol, 0)(rho)
 
     def solution(self, n_points: int = 513) -> RadialSolution:
         """Rescale to the unit ball: u(r) = w(R r), voltage λ = R^(2+α)."""
-        R = self.first_zero
-        r = np.linspace(0.0, 1.0, n_points)
-        u = self.profile(r * R)
-        u[0], u[-1] = self.m, 0.0
-        evaluate = lambda rr: self.profile(np.asarray(rr, dtype=float) * R)
-        return RadialSolution(r, u, self.m, self.lam, self.N_eff, self.alpha,
-                              _evaluate=evaluate)
+        return _rescaled(self, 1.0, self.lam, self.alpha, n_points)
+
+
+def _rescaled(shot: ShootResult, exponent: float, lam: float, alpha: float,
+              n_points: int = 513) -> RadialSolution:
+    """The unit-ball solution u(r) = w(R r^exponent) at voltage lam."""
+    R = shot.first_zero
+    evaluate = lambda rr: shot.profile(R * np.asarray(rr, dtype=float) ** exponent)
+    r = np.linspace(0.0, 1.0, n_points)
+    u = evaluate(r)
+    u[0], u[-1] = shot.m, 0.0
+    return RadialSolution(r, u, shot.m, lam, shot.N_eff, alpha, _evaluate=evaluate)
 
 
 def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
@@ -155,13 +147,7 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
     eps = s ** (1.0 / k)
     y0 = series_state(a, m, s, k, eps) + series_state(b, 1.0, s, k, eps)
 
-    f_raw, fp_raw = F.fast_callables()
-    c = N_eff - 1.0
-
-    def rhs(r, y):
-        w, dw, z, dz = y
-        ra = r ** alpha
-        return (dw, -ra * f_raw(w) - c / r * dw, dz, -ra * fp_raw(w) * z - c / r * dz)
+    rhs = radial_rhs(F, N_eff, alpha=alpha)
 
     def crossing(r, y):
         return y[0]
@@ -312,21 +298,6 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
                   float(m_star), fold_found, k, skipped)
 
 
-def _physical_solution(problem: ProblemSpec, shot: ShootResult,
-                       n_points: int = 513) -> RadialSolution:
-    """Map the constant-profile solution back through r -> r^(1+α/2)."""
-    tr = problem.transform()
-    core = shot.solution(n_points)
-    if problem.alpha == 0.0:
-        return core
-    r = np.linspace(0.0, 1.0, n_points)
-    u = core.at(r ** tr.radius_exponent)
-    u[0], u[-1] = core.m, 0.0
-    evaluate = lambda rr: core.at(np.asarray(rr, dtype=float) ** tr.radius_exponent)
-    return RadialSolution(r, u, core.m, core.lam * tr.voltage_factor,
-                          tr.N_eff, problem.alpha, _evaluate=evaluate)
-
-
 def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
                      tol: float = DEFAULT_TOL) -> RadialSolution:
     """Stable-branch solution at voltage lam: the smallest center value with
@@ -372,7 +343,8 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
         else:
             hi = m
         if abs(g) <= tol * lam0 or hi - lo <= 1e-12 * max(1.0, m):
-            return _physical_solution(problem, shot)
+            return _rescaled(shot, tr.radius_exponent,
+                             shot.lam * tr.voltage_factor, problem.alpha)
         newton = m - g / shot.dlam_dm if shot.dlam_dm > 0.0 else hi
         m = newton if lo < newton < hi else 0.5 * (lo + hi)
     raise BracketError(f"no center value with λ(m) = {lam} found in [{lo}, {hi}]")

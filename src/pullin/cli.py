@@ -203,13 +203,18 @@ def cmd_branch(args):
         "fold_found": b.fold_found,
     }
     rows = [{"m": p.m, "lambda": p.lam, "mu1": p.mu1} for p in b.points]
+    return result, rows, _branch_warnings(b)
+
+
+def _branch_warnings(b: branch.Branch) -> list[str]:
+    """The degraded results of a branch sweep, one line each."""
     warnings_ = []
     if not b.fold_found:
         warnings_.append("no fold: λ* is a lower estimate")
     if b.stability_skipped:
         warnings_.append(f"stability fill skipped at {b.stability_skipped} of "
                          f"{len(b.points)} points (mu1 is null there)")
-    return result, rows, warnings_
+    return warnings_
 
 
 def _report_dict(rep: bounds.BoundReport) -> dict:
@@ -237,28 +242,24 @@ def cmd_bounds(args):
               "reports": [_report_dict(r) for r in reports]}
     rows = [{"name": r.name, "value": r.value, "optimizer": r.optimizer,
              "valid": r.valid, "reason": r.reason} for r in reports]
-    return result, rows, []
+    return result, rows, [f"{r.name}: {r.reason}" for r in reports if not r.valid]
 
 
 def cmd_constants(args):
     table = args.table
     entries = []
-    if table == "exp":
+    constants = {"exp": bounds.exp_supnorm_constant,
+                 "mems": bounds.mems_supnorm_constant,
+                 "power": bounds.power_supnorm_constant}
+    if table in constants:
+        params = {}
+        if table == "power":
+            if args.p is None:
+                raise DomainValidationError("--table power requires --p")
+            params = {"p": args.p}
         for N in _parse_range(args.N_range):
-            rep = bounds.exp_supnorm_constant(N)
-            entries.append({"N": N, "value": rep.value, "optimizer": rep.optimizer,
-                            "valid": rep.valid})
-    elif table == "mems":
-        for N in _parse_range(args.N_range):
-            rep = bounds.mems_supnorm_constant(N)
-            entries.append({"N": N, "value": rep.value, "optimizer": rep.optimizer,
-                            "valid": rep.valid})
-    elif table == "power":
-        if args.p is None:
-            raise DomainValidationError("--table power requires --p")
-        for N in _parse_range(args.N_range):
-            rep = bounds.power_supnorm_constant(N, args.p)
-            entries.append({"N": N, "p": args.p, "value": rep.value,
+            rep = constants[table](N, **params)
+            entries.append({"N": N, **params, "value": rep.value,
                             "optimizer": rep.optimizer, "valid": rep.valid})
     elif table == "decay":
         try:
@@ -297,8 +298,6 @@ def cmd_asymptotics(args):
         raise DomainValidationError("asymptotics requires --lambda")
     env = powerlaw.asymptotic_envelopes(F, args.N, args.lam)
     prob = branch.ProblemSpec(args.N, F, 0.0)
-    # the branch is only the seed for the minimal-solution inversion, which
-    # refines by root bracketing anyway; a moderate schedule is plenty
     grid = branch.default_m_grid(F, args.m_points)
     b = branch.solve_branch(prob, grid, tol=args.tol)
     u = branch.minimal_solution(prob, args.lam, b, tol=args.tol)
@@ -312,7 +311,7 @@ def cmd_asymptotics(args):
                    for ri, lo, ui, up in zip(r, lower, uvals, upper)],
     }
     rows = result["points"]
-    return result, rows, []
+    return result, rows, _branch_warnings(b)
 
 
 def cmd_verify(args):

@@ -1,9 +1,10 @@
 """Derivative-free 1-D optimization: golden-section search plus grid scans.
 
-Every optimized constant in this library is the extremum of a smooth scalar
-function on an open interval.  The standard recipe is a coarse grid scan to
-localize the extremum (guarding against multiple local extrema) followed by a
-golden-section polish on the bracketing grid cells.
+Every optimized constant and scan-optimized bound in this library is the
+extremum of a smooth scalar function on an open interval.  The one recipe is
+`grid_then_golden_min`: a coarse scan on the caller's grid localizes the
+extremum (guarding against multiple local extrema), and a golden-section
+polish on the bracketing grid cells refines it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from typing import Callable
 
 import numpy as np
+
+from .errors import QuadratureError
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -43,21 +46,28 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float,
     return x, -neg
 
 
-def grid_then_golden_min(f: Callable[[float], float], lo: float, hi: float,
-                         n_grid: int = 2000, inset: float = 1e-9,
+def grid_then_golden_min(f: Callable[[float], float], grid,
                          tol: float = 1e-10) -> tuple[float, float]:
-    """Coarse scan of the open interval (lo, hi), then golden-section polish.
+    """Minimize f over the scan points `grid`, then polish by golden section
+    over the two grid cells around the grid minimum; returns the better of
+    the polished point and the grid point.
 
-    Endpoints are inset by `inset` (absolute, scaled by the interval width when
-    that is larger) since the objectives typically blow up at the boundary.
+    The objectives typically blow up at the window edges, so an overflow
+    (OverflowError, QuadratureError) or a non-finite value reads as +inf.
     """
-    pad = max(inset, inset * (hi - lo))
-    xs = np.linspace(lo + pad, hi - pad, n_grid)
-    vals = np.array([f(x) for x in xs])
+    def finite(x):
+        try:
+            v = f(x)
+        except (OverflowError, QuadratureError):
+            return math.inf
+        return v if math.isfinite(v) else math.inf
+
+    vals = np.array([finite(x) for x in grid])
     if not np.any(np.isfinite(vals)):
         raise ValueError("objective not finite anywhere on the scan grid")
-    i = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n_grid - 1)]
-    return golden_section_min(f, a, b, tol)
-
+    i = int(np.argmin(vals))
+    x, v = golden_section_min(finite, grid[max(i - 1, 0)],
+                              grid[min(i + 1, len(grid) - 1)], tol)
+    if v >= vals[i]:
+        return float(grid[i]), float(vals[i])
+    return x, v

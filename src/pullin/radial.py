@@ -1,14 +1,17 @@
-"""Center series of the regular radial solution.
+"""The radial integration core: center series, right-hand side and profile
+evaluator of a radial shot.
 
-Both radial integrators start from these series: `branch.shoot` for the
+Both radial integrators are built from these pieces: `branch.shoot` for the
 profile w and its tangent z = ∂w/∂m, and the eigen-shots of `spectral` for
 the profile u and the eigenfunction psi of the linearized operator.  The
 removable singularity of (N-1)/r at r = 0 rules out starting at the center,
 so each integration starts at a small seed radius where the series is still
-exact to the integrator tolerance.
+exact to the integrator tolerance, and the evaluator reads the series there.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .nonlinearity import Nonlinearity
 
@@ -52,3 +55,44 @@ def series_state(coeffs, base: float, s: float, k: float, eps: float):
     c1, c2, c3 = coeffs
     return (series_value(coeffs, base, s),
             k * s / eps * (c1 + s * (2.0 * c2 + 3.0 * s * c3)))
+
+
+def radial_rhs(F: Nonlinearity, N: float, lam: float = 1.0, mu: float = 0.0,
+               alpha: float = 0.0):
+    """Right-hand side for the state (w, w', y, y') of
+
+        w'' + (N-1)/r w' + λ r^α F(w) = 0,
+        y'' + (N-1)/r y' + r^α (μ + λ F'(w)) y = 0,
+
+    the system whose center series `center_series` gives with k = 2 + α.
+    The defaults λ = 1, μ = 0 give the tangent equation of `branch.shoot`,
+    α = 0 the eigen-shots of `spectral`; each default enters only as an
+    exact factor or term (1·x, r^0 = 1, 0 + x).  The arithmetic runs on
+    Python floats, which give the same bits as numpy scalars, only faster.
+    """
+    f, fp = F.fast_callables()
+    c, lam, mu = N - 1.0, float(lam), float(mu)
+
+    def rhs(r, y):
+        w, dw, v, dv = y.tolist()
+        r = float(r)
+        ra = r ** alpha
+        return (dw, -ra * lam * f(w) - c / r * dw,
+                dv, -ra * (mu + lam * fp(w)) * v - c / r * dv)
+
+    return rhs
+
+
+def shot_evaluator(coeffs, base: float, k: float, eps: float, r_end: float,
+                   dense, row: int):
+    """Evaluator of one component of a radial shot at radii r in [0, r_end]:
+    the center series base + c1 s + c2 s² + c3 s³ in s = r^k below the seed
+    radius eps, row `row` of the dense output `dense` on [eps, r_end].
+    Returns a float for scalar r, an array otherwise."""
+    def at(r):
+        r = np.asarray(r, dtype=float)
+        out = np.where(r < eps, series_value(coeffs, base, r ** k),
+                       dense(np.clip(r, eps, r_end))[row])
+        return float(out) if out.ndim == 0 else out
+
+    return at

@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from .errors import BracketError, DomainValidationError, QuadratureError
 from .geometry import volume_unit_ball
 from .nonlinearity import Nonlinearity, exponential
-from .radial import center_series, series_state, series_value
+from .radial import center_series, radial_rhs, series_state, shot_evaluator
 
 _MAX_POTENTIAL = 2e5  # beyond this the shot eigenfunction overflows double range
 # eigen-shots run at rtol = _SHOT_RTOL * tol; at rtol = tol the integrator
@@ -102,29 +102,13 @@ def _shoot_mode(N: float, F: Nonlinearity, lam: float, m: float, mu: float,
     eps = math.sqrt(s)
     y0 = series_state(a, m, s, 2.0, eps) + series_state(b, 1.0, s, 2.0, eps)
 
-    f_raw, fp_raw = F.fast_callables()
-    c = N - 1.0
-
-    def rhs(r, y):
-        u, du, psi, dpsi = y
-        return (du, -lam * f_raw(u) - c / r * du,
-                dpsi, -(mu + lam * fp_raw(u)) * psi - c / r * dpsi)
-
-    sol = solve_ivp(rhs, (eps, 1.0), y0, method="DOP853", rtol=rtol,
-                    atol=rtol * 1e-2, dense_output=dense)
+    sol = solve_ivp(radial_rhs(F, N, lam, mu), (eps, 1.0), y0, method="DOP853",
+                    rtol=rtol, atol=rtol * 1e-2, dense_output=dense)
     if not sol.success:
         raise BracketError(f"eigen shot failed at mu={mu}: {sol.message}")
     psi = sol.y[2]
     zeros = int(np.count_nonzero(np.signbit(psi[1:]) != np.signbit(psi[:-1])))
-    if not dense:
-        return zeros, float(psi[-1]), None
-
-    def psi_at(r):
-        r = np.asarray(r, dtype=float)
-        out = np.where(r < eps, series_value(b, 1.0, r * r),
-                       sol.sol(np.clip(r, eps, 1.0))[2])
-        return float(out) if out.ndim == 0 else out
-
+    psi_at = shot_evaluator(b, 1.0, 2.0, eps, 1.0, sol.sol, 2) if dense else None
     return zeros, float(psi[-1]), psi_at
 
 

@@ -6,13 +6,13 @@ from scipy.special import gamma as sp_gamma
 
 import pullin
 from pullin import (DomainValidationError, DomainStats, ball_stats,
-                    energy_norm_bound, exp_distance_lower, exp_supnorm_bound,
+                    energy_norm_bound, exp_supnorm_bound,
                     exp_supnorm_constant, eigenvalue_lower_bound,
                     exponential, log_weight_integral, mems_ball_supnorm_bound,
-                    mems_ball_supnorm_closed_form, mems_distance_lower,
+                    mems_ball_supnorm_closed_form,
                     mems_inverse_power, mems_profile_constant,
                     mems_supnorm_bound, mems_supnorm_constant,
-                    power_distance_lower, power_growth, power_supnorm_constant,
+                    power_growth, power_supnorm_constant,
                     pullin_distance_lower, pullin_voltage_upper,
                     radial_decay_constant, stability_necessary_check,
                     volume_unit_ball)
@@ -85,6 +85,35 @@ def test_distance_lower_clamps_for_flat_ratio():
     assert pullin_distance_lower(MEMS, stats).value == 0.0
 
 
+# reference closed forms of the distance bound for each family, kept in
+# their unclamped min/max form as oracles for the generic route
+
+
+def mems_distance_lower(p, stats):
+    """1 - min( p/(p+1)·(sup f/inf f)^(1/(p+1)), (p/(p+1)·sup f/mean f)^(1/(p+1)) );
+    with constant weight this is 1 - p/(p+1) = 1/(p+1)."""
+    q = 1.0 / (p + 1.0)
+    t1 = (p / (p + 1.0)) * (stats.sup_f / stats.inf_f) ** q if stats.inf_f > 0 else math.inf
+    t2 = ((p / (p + 1.0)) * stats.sup_f / stats.f_phi_integral) ** q \
+        if stats.f_phi_integral > 0 else math.inf
+    return 1.0 - min(t1, t2)
+
+
+def exp_distance_lower(stats):
+    """max(1 + log(inf f/sup f), log(mean f/sup f))."""
+    t1 = 1.0 + math.log(stats.inf_f / stats.sup_f) if stats.inf_f > 0 else -math.inf
+    t2 = math.log(stats.f_phi_integral / stats.sup_f) if stats.f_phi_integral > 0 else -math.inf
+    return max(t1, t2)
+
+
+def power_distance_lower(p, stats):
+    """max( p/(p-1)·(inf f/sup f)^(1/(p-1)), ((p-1)/p·mean f/sup f)^(1/(p-1)) ) - 1."""
+    q = 1.0 / (p - 1.0)
+    t1 = (p / (p - 1.0)) * (stats.inf_f / stats.sup_f) ** q
+    t2 = ((p - 1.0) / p * stats.f_phi_integral / stats.sup_f) ** q
+    return max(t1, t2) - 1.0
+
+
 def test_named_distance_variants_match_generic():
     # the generic route clamps at zero (inverting F' below its slope at 0);
     # the named variants keep the reference unclamped closed forms
@@ -97,7 +126,7 @@ def test_named_distance_variants_match_generic():
                          (exp_distance_lower(stats), EXP),
                          (power_distance_lower(2.0, stats), power_growth(2.0))):
             generic = pullin_distance_lower(F, stats).value
-            assert generic == pytest.approx(max(named.value, 0.0), abs=1e-12)
+            assert generic == pytest.approx(max(named, 0.0), abs=1e-12)
 
 
 def test_stability_necessary_check_cases():

@@ -154,3 +154,38 @@ def test_branch_without_degraded_results_has_no_warnings(capsys):
                            "--m-points", "16", "--m-max", "5.0")
     assert code == 0
     assert json.loads(out)["warnings"] == []
+
+
+def test_asymptotics_warns_that_the_branch_voltage_is_a_lower_estimate(capsys):
+    # exp N=10 is singular: its branch climbs toward 16 without a fold
+    code, out, _ = run_cli(capsys, "asymptotics", "--family", "exp", "--N", "10",
+                           "--lambda", "8")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["lambda_star_branch"] == pytest.approx(16.0, rel=1e-6)
+    assert doc["warnings"] == ["no fold: λ* is a lower estimate"]
+
+
+def test_bounds_warns_for_each_invalid_report(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--family", "exp", "--N", "2",
+                           "--alpha", "1.5")
+    assert code == 0
+    doc = json.loads(out)
+    invalid = [r for r in doc["result"]["reports"] if not r["valid"]]
+    assert [r["name"] for r in invalid] == ["exp_supnorm_bound"]
+    assert doc["warnings"] == [
+        "exp_supnorm_bound: requires the domain to lie inside a ball of radius 1/2"]
+
+    code, out, _ = run_cli(capsys, "bounds", "--family", "mems", "--N", "3")
+    assert code == 0
+    assert json.loads(out)["warnings"] == []
+
+
+def test_verify_serializes_numpy_pass_flags(capsys):
+    # this criterion's pass flag comes from a numpy comparison
+    code, out, err = run_cli(capsys, "verify", "--criteria", "oracle_equivalence")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["passed"] is True
+    assert doc["result"]["criteria"][0]["passed"] is True
+    assert "[PASS] oracle_equivalence" in err
