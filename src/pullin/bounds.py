@@ -316,6 +316,9 @@ def power_supnorm_constant(N: float, p: float) -> BoundReport:
 def power_supnorm_bound(stats: DomainStats, p: float) -> BoundReport:
     """Sup-norm bound for the power-growth extremal:
     (p-1)^(p-1)·λ₁·K_{N,p}/(p^p (N-2)) · (|Ω|/ω_N)^(2/N)."""
+    if not stats.N > 2.0:
+        return BoundReport("power_supnorm_bound", math.nan, valid=False,
+                           reason=f"needs N > 2, got N={stats.N:g}")
     const = power_supnorm_constant(stats.N, p)
     if math.isnan(const.value):
         return BoundReport("power_supnorm_bound", math.nan, valid=False,

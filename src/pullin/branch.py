@@ -9,6 +9,12 @@ included, and the bifurcation diagram is just the sampled curve m -> λ(m).
 Each shot also carries the tangent z = ∂w/∂m, which gives the slope dλ/dm
 exactly; a fold is a root of that slope.
 
+Shots run in the profile variable τ, with w = m(1 - τ²) and the radius r
+as an unknown, so the zero of w is the fixed endpoint τ = 1.  That lets one
+vectorized DOP853 run (Hairer-Nørsett-Wanner) shoot a whole grid of center
+values as lanes, under the error norm of the worst lane; `shoot` is the
+one-lane run.
+
 Power-law weights f = |x|^α are reduced to the constant-profile problem in
 the effective fractional dimension 2(N+α)/(2+α); a direct weighted shoot
 (λ = R^(2+α)) is also provided for cross-validation.
@@ -22,7 +28,7 @@ from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from . import spectral
@@ -30,7 +36,7 @@ from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError)
 from .nonlinearity import Nonlinearity
 from .powerlaw import TransformResult, dim_transform
-from .radial import center_series, radial_rhs, series_state, shot_evaluator
+from .radial import center_series, series_state, series_value, shot_evaluator
 
 log = logging.getLogger("pullin.branch")
 
@@ -113,20 +119,119 @@ def _rescaled(shot: ShootResult, exponent: float, lam: float, alpha: float,
     return RadialSolution(r, u, shot.m, lam, shot.N_eff, alpha, _evaluate=evaluate)
 
 
+class _LaneDOP853(DOP853):
+    """DOP853 whose error norm is that of the worst lane.
+
+    The state holds the rows (r, w', z, z') of n lanes.  scipy's norm is the
+    RMS over all 4n components, which lets one lane's error grow by up to
+    √n; the norm of the worst lane keeps `tol` a promise for every shot.
+    """
+
+    def _estimate_error_norm(self, K, h, scale):
+        err5 = (np.dot(K.T, self.E5) / scale).reshape(4, -1)
+        err3 = (np.dot(K.T, self.E3) / scale).reshape(4, -1)
+        e5, e3 = np.sum(err5 * err5, axis=0), np.sum(err3 * err3, axis=0)
+        denom = 4.0 * (e5 + 0.01 * e3)
+        norm = np.divide(e5, np.sqrt(denom), out=np.zeros_like(e5), where=denom > 0.0)
+        return abs(h) * float(np.max(norm))
+
+
+def _shoot_lanes(F: Nonlinearity, N_eff: float, ms: np.ndarray, tol: float,
+                 alpha: float = 0.0, dense: bool = False):
+    """Shoot every center value in `ms` in one DOP853 run.
+
+    The independent variable is τ ∈ [τ₀, 1] with w = m(1 - τ²) in every
+    lane, so the first zero of w is the fixed endpoint τ = 1.  Each lane
+    carries (r, w', z, z'), with z = ∂w/∂m the solution of
+    z'' + (N-1)/r z' + r^α F'(w) z = 0, z(0) = 1, and d/dτ = (dr/dτ) d/dr
+    with dr/dτ = -2mτ/w'.  Near the center (α = 0) w' ~ r and m - w ~ r², so
+    dr/dτ stays finite, where dr/dσ in σ = τ² would blow up like σ^(-1/2).
+    Since w stays in [0, m], F and F' need no domain check.
+
+    Each lane's seed s = r^(2+α) is where the last term of its third-order
+    center series falls to tol (relative to m for w), so the series
+    remainder stays below tol.  All lanes then start at the smallest
+    σ₀ = τ₀² among them: each takes the s where its series reads
+    w = m(1 - σ₀), which only shrinks its remainder.
+
+    Returns (R, dλ/dm, seed radii, center series (3, n), solver result),
+    with dλ/dm = (2+α) R^(1+α) (-z(R)/w'(R)).
+    """
+    k = 2.0 + alpha
+    series = [center_series(F, N_eff, k, m) for m in ms]
+    a = np.array([ai for ai, _ in series]).T
+    b = np.array([bi for _, bi in series]).T
+    # the last clause keeps the seed well inside the curvature length m / |a1|
+    s = np.minimum.reduce([(tol * ms / np.abs(a[2])) ** (1.0 / 3.0),
+                           (tol / np.abs(b[2])) ** (1.0 / 3.0), 0.1 * ms / np.abs(a[0])])
+    sigma0 = float(np.min(-series_value(a, 0.0, s) / ms))
+    # Newton on the cubic from its linear root, where a1 s dominates (two
+    # steps reach rounding level on the default grids)
+    drop = ms * sigma0
+    s = -drop / a[0]
+    for _ in range(6):
+        s -= series_value(a, drop, s) / (a[0] + s * (2.0 * a[1] + 3.0 * s * a[2]))
+    eps = s ** (1.0 / k)
+    y0 = np.concatenate((eps, series_state(a, ms, s, k, eps)[1],
+                         *series_state(b, 1.0, s, k, eps)))
+
+    c = N_eff - 1.0
+
+    def rhs(tau, y):
+        r, dw, z, dz = y.reshape(4, -1)
+        w = ms * (1.0 - tau * tau)
+        dr = -2.0 * tau * ms / dw
+        f, fp = F.unchecked(0, w), F.unchecked(1, w)
+        if alpha:
+            ra = r ** alpha
+            f, fp = ra * f, ra * fp
+        cr = c / r
+        return np.concatenate((dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr))
+
+    sol = solve_ivp(rhs, (np.sqrt(sigma0), 1.0), y0, method=_LaneDOP853, rtol=tol,
+                    atol=tol * 1e-2, dense_output=dense)
+    if not sol.success:
+        raise NoCrossingError(
+            f"shooting run failed (family {F.label()}, N_eff={N_eff}, "
+            f"m in [{ms[0]}, {ms[-1]}]): {sol.message}")
+    R, dw, z, _ = sol.y[:, -1].reshape(4, -1)
+    return R, k * R ** (1.0 + alpha) * (-z / dw), eps, a, sol
+
+
+def _rows_at_radius(sol, m: float):
+    """rho -> rows (w, w') of a one-lane run at raw radius rho.
+
+    r(τ) increases, so the accepted step whose radii bracket rho gives a
+    linear first guess for τ, and Newton steps with dr/dτ = -2mτ/w' on the
+    dense output finish it; then w = m(1 - τ²).
+    """
+    taus, radii = sol.t, sol.y[0]
+
+    def rows(rho):
+        rho = np.asarray(rho, dtype=float)
+        i = np.clip(np.searchsorted(radii, rho), 1, len(taus) - 1)
+        tau = taus[i - 1] + ((taus[i] - taus[i - 1]) * (rho - radii[i - 1])
+                             / (radii[i] - radii[i - 1]))
+        for _ in range(8):
+            r, dw = sol.sol(tau)[:2]
+            step = (r - rho) * dw / (2.0 * m * tau)
+            tau = np.clip(tau + step, taus[0], 1.0)
+            # from a linear guess the fourth step is at rounding level; w'
+            # then moves by a relative 1e-14 at most
+            if np.all(np.abs(step) <= 1e-14 * tau):
+                break
+        return np.array([m * (1.0 - tau * tau), dw])
+
+    return rows
+
+
 def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
           alpha: float = 0.0) -> ShootResult:
     """First zero R of w'' + (N-1)/r w' + r^α F(w) = 0, w(0)=m, w'(0)=0, the
     voltage λ = R^(2+α) and its slope dλ/dm along the branch.
 
-    One DOP853 integration carries (w, w', z, z') with z = ∂w/∂m, the
-    solution of z'' + (N-1)/r z' + r^α F'(w) z = 0, z(0)=1.  It starts at
-    the radius where the last term of the third-order center series falls
-    to tol (relative to m for w), so the series remainder stays below tol,
-    and it stops at the first zero of w.  That zero, located on the dense
-    interpolant, is only good to about 4e-10: a second, one-step
-    integration from the last accepted step lands on it, and one Newton
-    step R -= w/w' finishes it.  Then dR/dm = -z(R)/w'(R) and
-    dλ/dm = (2+α) R^(1+α) dR/dm.
+    The one-lane run of the shooting core (see `_shoot_lanes`), with dense
+    output for the profile.
     """
     if not N_eff >= 1.0:
         raise DomainValidationError(f"dimension must be >= 1, got {N_eff}")
@@ -136,42 +241,12 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
         raise DomainValidationError(
             f"center value must lie in (0, {F.endpoint}), got {m}")
 
-    k = 2.0 + alpha
-    a, b = center_series(F, N_eff, k, m)
-    # while w >= 0, F(w) >= 1 forces the crossing before this radius
-    r_max = 2.0 * (k * (N_eff + alpha) * m) ** (1.0 / k) + 4.0
-    # the remainder of each series is below its last term; the last clause
-    # keeps the seed well inside the curvature length m / |a1|
-    s = min((tol * m / abs(a[2])) ** (1.0 / 3.0),
-            (tol / abs(b[2])) ** (1.0 / 3.0), 0.1 * m / abs(a[0]))
-    eps = s ** (1.0 / k)
-    y0 = series_state(a, m, s, k, eps) + series_state(b, 1.0, s, k, eps)
-
-    rhs = radial_rhs(F, N_eff, alpha=alpha)
-
-    def crossing(r, y):
-        return y[0]
-
-    crossing.terminal = True
-    crossing.direction = -1
-
-    atol = tol * 1e-2
-    sol = solve_ivp(rhs, (eps, r_max), y0, method="DOP853", rtol=tol,
-                    atol=atol, events=crossing, dense_output=True)
-    if sol.t_events[0].size == 0:
-        raise NoCrossingError(
-            f"no zero of the profile before r = {r_max:.3g} "
-            f"(family {F.label()}, N_eff={N_eff}, m={m}): {sol.message}")
-    r0, r1 = float(sol.t[-2]), float(sol.t_events[0][0])
-    last = solve_ivp(rhs, (r0, r1), sol.y[:, -2], method="DOP853", rtol=tol,
-                     atol=atol, first_step=r1 - r0)
-    y = last.y[:, -1]
-    R = float(r1 - y[0] / y[1])
-    _, dw, z, _ = y + (R - r1) * np.asarray(rhs(r1, y))
-    dlam_dm = float(k * R ** (1.0 + alpha) * (-z / dw))
-    dense = sol.sol
-    return ShootResult(R, R ** k, dlam_dm, m, N_eff, alpha, eps, a,
-                       SimpleNamespace(sol=lambda rho: dense(rho)[:2]))
+    R, slope, eps, a, sol = _shoot_lanes(F, N_eff, np.array([float(m)]), tol, alpha,
+                                         dense=True)
+    R = float(R[0])
+    return ShootResult(R, R ** (2.0 + alpha), float(slope[0]), m, N_eff, alpha,
+                       float(eps[0]), tuple(float(aj) for aj in a[:, 0]),
+                       SimpleNamespace(sol=_rows_at_radius(sol, float(m))))
 
 
 def default_m_grid(F: Nonlinearity, n_points: int = 400) -> np.ndarray:
@@ -234,9 +309,10 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
     """Sweep the center-value schedule and extract λ*, the pull-in distance
     and (optionally) the stability eigenvalue at every point.
 
-    The fold is the first grid cell where the shot slope dλ/dm changes sign
-    from + to -; with `refine_fold` it is the brentq root of dλ/dm in that
-    cell, otherwise the cell end with the larger voltage.
+    The whole grid is shot in one lane run.  The fold is the first grid
+    cell where the slope dλ/dm changes sign from + to -; with `refine_fold`
+    it is the brentq root of dλ/dm in that cell (one-lane runs), otherwise
+    the cell end with the larger voltage.
 
     Power-law problems are solved through the constant-profile reduction in
     the effective dimension and rescaled back, which preserves center values
@@ -257,23 +333,24 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
             raise DomainValidationError(
                 f"m_grid must lie inside (0, {F.endpoint})")
 
-    shots = [shoot(F, tr.N_eff, m, tol) for m in grid]
-    lam_core = np.array([s.lam for s in shots])
-    rising = np.array([s.dlam_dm > 0.0 for s in shots])
+    R, slopes, *_ = _shoot_lanes(F, tr.N_eff, grid, tol)
+    lam_core = R ** 2.0
+    rising = slopes > 0.0
     folds = np.flatnonzero(rising[:-1] & ~rising[1:])
 
     fold_found = folds.size > 0
     k = int(folds[0]) if fold_found else None
     if fold_found and refine_fold:
-        known = {grid[k]: shots[k], grid[k + 1]: shots[k + 1]}
+        known = {grid[j]: (lam_core[j], slopes[j]) for j in (k, k + 1)}
 
         def slope(m):
             if m not in known:
-                known[m] = shoot(F, tr.N_eff, m, tol)
-            return known[m].dlam_dm
+                R_m, slope_m, *_ = _shoot_lanes(F, tr.N_eff, np.array([m]), tol)
+                known[m] = (float(R_m[0]) ** 2.0, float(slope_m[0]))
+            return known[m][1]
 
         m_star = brentq(slope, grid[k], grid[k + 1], xtol=tol * max(1.0, grid[k + 1]))
-        lam_star_core = max(known[m_star].lam, float(np.max(lam_core)))
+        lam_star_core = max(known[m_star][0], float(np.max(lam_core)))
     elif fold_found:
         j = k if lam_core[k] >= lam_core[k + 1] else k + 1
         m_star, lam_star_core = grid[j], float(lam_core[j])
@@ -283,16 +360,15 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
         log.info("no fold bracketed by the schedule (λ still rising); "
                  "pull-in voltage %.6g is a lower estimate", lam_star_core * tr.voltage_factor)
 
-    points = []
+    points = [BranchPoint(m, lam0 * tr.voltage_factor) for m, lam0 in zip(grid, lam_core)]
     skipped = 0
-    for m, lam0, shot in zip(grid, lam_core, shots):
-        mu = None
-        if stability:
+    if stability:
+        for point, lam0 in zip(points, lam_core):
             try:
-                mu = spectral.mu1(tr.N_eff, F, lam0, shot, stability_tol)
+                # mu1 reads only the center value of the point
+                point.mu1 = spectral.mu1(tr.N_eff, F, lam0, point, stability_tol)
             except BracketError:
                 skipped += 1
-        points.append(BranchPoint(m, lam0 * tr.voltage_factor, mu))
 
     return Branch(problem, points, lam_star_core * tr.voltage_factor,
                   float(m_star), fold_found, k, skipped)

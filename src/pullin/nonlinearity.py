@@ -79,39 +79,38 @@ class Nonlinearity:
     def value(self, u):
         """F(u).  Rejects arguments outside [0, endpoint)."""
         self._check_domain(u)
-        if self.family is Family.EXPONENTIAL:
-            return np.exp(u)
-        if self.family is Family.MEMS_INVERSE_POWER:
-            return (1.0 - u) ** (-self.p)
-        return (1.0 + u) ** self.p
+        return self.unchecked(0, u)
 
     def deriv(self, u):
         """F'(u)."""
         self._check_domain(u)
-        if self.family is Family.EXPONENTIAL:
-            return np.exp(u)
-        if self.family is Family.MEMS_INVERSE_POWER:
-            return self.p * (1.0 - u) ** (-(self.p + 1.0))
-        return self.p * (1.0 + u) ** (self.p - 1.0)
+        return self.unchecked(1, u)
 
     def deriv2(self, u):
         """F''(u) (nonnegative: all families are convex)."""
         self._check_domain(u)
-        if self.family is Family.EXPONENTIAL:
-            return np.exp(u)
-        if self.family is Family.MEMS_INVERSE_POWER:
-            return self.p * (self.p + 1.0) * (1.0 - u) ** (-(self.p + 2.0))
-        return self.p * (self.p - 1.0) * (1.0 + u) ** (self.p - 2.0)
+        return self.unchecked(2, u)
 
     def deriv3(self, u):
         """F'''(u)."""
         self._check_domain(u)
-        p = self.p
+        return self.unchecked(3, u)
+
+    def unchecked(self, order: int, u):
+        """The derivative of F of the given order at u (scalar or array),
+        without the domain check: e^u, p(p+1)...(p+order-1) (1-u)^-(p+order)
+        or p(p-1)...(p-order+1) (1+u)^(p-order).  For callers that keep u in
+        [0, endpoint) by construction."""
         if self.family is Family.EXPONENTIAL:
             return np.exp(u)
+        p, c = self.p, 1.0
         if self.family is Family.MEMS_INVERSE_POWER:
-            return p * (p + 1.0) * (p + 2.0) * (1.0 - u) ** (-(p + 3.0))
-        return p * (p - 1.0) * (p - 2.0) * (1.0 + u) ** (p - 3.0)
+            for j in range(order):
+                c *= p + j
+            return c * (1.0 - u) ** (-(p + order))
+        for j in range(order):
+            c *= p - j
+        return c * (1.0 + u) ** (p - order)
 
     def deriv_inverse(self, z: float) -> float:
         """The unique v >= 0 with F'(v) = z, clamped to 0 for z < F'(0).
@@ -132,14 +131,13 @@ class Nonlinearity:
         return (z / self.p) ** (1.0 / (self.p - 1.0)) - 1.0
 
     def fast_callables(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        """Unchecked scalar (F, F') for integrator hot loops.
+        """Unchecked scalar (F, F') for the eigen-shots' hot loop (the
+        branch lanes use `unchecked` on arrays).
 
-        Domain safety inside the shooting solver is maintained by the
-        monotone-decreasing profile invariant, not by per-call checks.  The
-        trial stages of a step past the profile's zero may still probe
-        u < -1; there the power-growth pair reads 0 instead of the NaN of a
-        fractional power of a negative base, and the step is rejected or
-        cut off at the zero all the same.
+        An eigen-shot integrates the profile up to r = 1 whatever (λ, u(0))
+        the caller gives, so its trial stages may probe u < -1; there the
+        power-growth pair reads 0 instead of the NaN of a fractional power
+        of a negative base.
         """
         if self.family is Family.EXPONENTIAL:
             return np.exp, np.exp

@@ -1,12 +1,15 @@
 """The radial integration core: center series, right-hand side and profile
 evaluator of a radial shot.
 
-Both radial integrators are built from these pieces: `branch.shoot` for the
-profile w and its tangent z = ∂w/∂m, and the eigen-shots of `spectral` for
-the profile u and the eigenfunction psi of the linearized operator.  The
-removable singularity of (N-1)/r at r = 0 rules out starting at the center,
-so each integration starts at a small seed radius where the series is still
-exact to the integrator tolerance, and the evaluator reads the series there.
+Both radial integrators are built from these pieces.  `branch` shoots the
+profile w with its tangent z = ∂w/∂m in the profile variable (its own
+right-hand side, one lane per center value) and reads the center series
+inside the seed radius; the eigen-shots of `spectral` integrate the profile
+u and the eigenfunction psi of the linearized operator in the radius with
+`radial_rhs`.  The removable singularity of (N-1)/r at r = 0 rules out
+starting at the center, so each integration starts at a small seed radius
+where the series is still exact to the integrator tolerance, and the
+evaluator reads the series there.
 """
 
 from __future__ import annotations
@@ -57,28 +60,24 @@ def series_state(coeffs, base: float, s: float, k: float, eps: float):
             k * s / eps * (c1 + s * (2.0 * c2 + 3.0 * s * c3)))
 
 
-def radial_rhs(F: Nonlinearity, N: float, lam: float = 1.0, mu: float = 0.0,
-               alpha: float = 0.0):
-    """Right-hand side for the state (w, w', y, y') of
+def radial_rhs(F: Nonlinearity, N: float, lam: float, mu: float):
+    """Right-hand side for the state (u, u', y, y') of the eigen-shot
 
-        w'' + (N-1)/r w' + λ r^α F(w) = 0,
-        y'' + (N-1)/r y' + r^α (μ + λ F'(w)) y = 0,
+        u'' + (N-1)/r u' + λ F(u) = 0,
+        y'' + (N-1)/r y' + (μ + λ F'(u)) y = 0,
 
-    the system whose center series `center_series` gives with k = 2 + α.
-    The defaults λ = 1, μ = 0 give the tangent equation of `branch.shoot`,
-    α = 0 the eigen-shots of `spectral`; each default enters only as an
-    exact factor or term (1·x, r^0 = 1, 0 + x).  The arithmetic runs on
-    Python floats, which give the same bits as numpy scalars, only faster.
+    the system whose center series `center_series` gives with k = 2.  The
+    arithmetic runs on Python floats, which give the same bits as numpy
+    scalars, only faster.
     """
     f, fp = F.fast_callables()
     c, lam, mu = N - 1.0, float(lam), float(mu)
 
     def rhs(r, y):
-        w, dw, v, dv = y.tolist()
+        u, du, v, dv = y.tolist()
         r = float(r)
-        ra = r ** alpha
-        return (dw, -ra * lam * f(w) - c / r * dw,
-                dv, -ra * (mu + lam * fp(w)) * v - c / r * dv)
+        return (du, -lam * f(u) - c / r * du,
+                dv, -(mu + lam * fp(u)) * v - c / r * dv)
 
     return rhs
 

@@ -193,11 +193,11 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
     """Principal eigenvalue of the linearized operator -Δ - λ F'(u), to within
     tol * max(1, |mu1|).
 
-    Reads only the center value `u.m` of the solution (a `RadialSolution` or
-    a `ShootResult`) and `lam`: the profile is integrated again together
-    with each trial eigenfunction, so the potential λF'(u) is exact to the
-    integrator tolerance.  Positive on the stable branch, zero at the fold,
-    negative beyond it.
+    Reads only the center value `u.m` of the solution (a `RadialSolution`,
+    a `ShootResult` or a `BranchPoint`) and `lam`: the profile is integrated
+    again together with each trial eigenfunction, so the potential λF'(u)
+    is exact to the integrator tolerance.  Positive on the stable branch,
+    zero at the fold, negative beyond it.
     """
     if lam < 0:
         raise DomainValidationError(f"voltage must be nonnegative, got {lam}")

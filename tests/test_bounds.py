@@ -230,6 +230,16 @@ def test_power_constant_window_endpoints():
     assert not power_supnorm_constant(5.0, 2.0).valid
 
 
+@pytest.mark.parametrize("N", [1.0, 1.5, 2.0])
+def test_power_supnorm_bound_needs_dimension_above_two(N):
+    # the formula divides by N - 2: inf (with a RuntimeWarning) at N = 2,
+    # a negative "bound" below it
+    rep = pullin.power_supnorm_bound(unit_stats(N, 5.0), 2.0)
+    assert math.isnan(rep.value)
+    assert not rep.valid
+    assert "N > 2" in rep.reason
+
+
 def test_energy_norm_bound_frozen():
     assert energy_norm_bound(EXP, 1.0, 1.0) == pytest.approx(4.0, rel=1e-14)
     # 4(2t+1)/(4t+2-t^2) at t=1 equals 12/5

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_bvp
+from scipy.integrate import DOP853, solve_bvp
 
 import pullin
 from pullin import (BeyondPullInError, DomainValidationError, ProblemSpec,
@@ -279,6 +279,55 @@ def test_shoot_integrates_at_most_twice(monkeypatch):
         calls.clear()
         shoot(F, N, m)
         assert len(calls) <= 2
+
+
+def test_branch_grid_is_one_integration(monkeypatch):
+    methods = []
+    real = pullin.branch.solve_ivp
+
+    def counting(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pullin.branch, "solve_ivp", counting)
+    solve_branch(ProblemSpec(2.0, MEMS), pullin.default_m_grid(MEMS, 61), refine_fold=False)
+    # one run, under the error norm of the worst lane
+    assert methods == [pullin.branch._LaneDOP853]
+
+
+def test_lane_error_norm_is_the_worst_lane():
+    # scipy's RMS over all components would divide one lane's error by
+    # sqrt(n) when n - 1 quiet lanes share the run
+    rng = np.random.default_rng(0)
+    K1, scale1 = rng.standard_normal((13, 4)), 1.0 + rng.random(4)
+    n = 50
+    K, scale = np.zeros((13, 4, n)), np.ones((4, n))
+    K[:, :, 7], scale[:, 7] = K1, scale1
+    solver = lambda size: pullin.branch._LaneDOP853(
+        lambda t, y: np.zeros_like(y), 0.0, np.zeros(size), 1.0)
+    one = solver(4)._estimate_error_norm(K1, 0.1, scale1)
+    assert one == pytest.approx(DOP853._estimate_error_norm(solver(4), K1, 0.1, scale1),
+                                rel=1e-14)
+    assert solver(4 * n)._estimate_error_norm(
+        K.reshape(13, 4 * n), 0.1, scale.reshape(4 * n)) == pytest.approx(one, rel=1e-14)
+
+
+def test_lane_keeps_its_own_tolerance_in_a_grid():
+    # the norm of the worst lane: a near-singular neighbour changes the
+    # steps, not what an easy lane delivers
+    tol = 1e-10
+    alone = shoot(MEMS, 2.0, 0.3, tol)
+    R, slope, *_ = pullin.branch._shoot_lanes(MEMS, 2.0, np.array([0.3, 0.9999]), tol)
+    assert abs(R[0] ** 2 - alone.lam) <= tol * max(1.0, alone.lam)
+    assert abs(slope[0] - alone.dlam_dm) <= 1e-9
+
+
+def test_every_lane_of_a_dense_disc_grid_meets_tolerance():
+    tol = 1e-10
+    grid = pullin.default_m_grid(EXP, 400)
+    b = solve_branch(ProblemSpec(2.0, EXP), grid, tol=tol)
+    ref = _disc_lambda(grid)
+    assert np.all(np.abs(b.lambda_values - ref) <= tol * np.maximum(1.0, ref))
 
 
 def test_profile_inside_seed_radius_follows_the_series():
