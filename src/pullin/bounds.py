@@ -11,13 +11,13 @@ volume, and weight statistics directly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import betainc, betaincc, betaln, gammaincc
 
 from . import spectral
 from .errors import DomainValidationError, QuadratureError
@@ -27,6 +27,7 @@ from .optimize import grid_then_golden_min
 
 #: upper end of the t-window of every inverse-square energy estimate
 T_MAX_MEMS = 2.0 + math.sqrt(6.0)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -171,17 +172,14 @@ def exp_supnorm_constant(N: float) -> BoundReport:
 def log_weight_integral(p: float, R: float) -> float:
     """Integral of (-log r)^p · r over (0, R], for p >= 0 and 0 < R <= 1.
 
-    Satisfies the by-parts recursion Λ(p, R) = R²/2·(-log R)^p + p/2·Λ(p-1, R).
+    With r = e^(-x/2) it is the upper incomplete gamma function
+    2^(-(p+1)) Γ(p+1, -2 log R) (DLMF §8.2).  Satisfies the by-parts
+    recursion Λ(p, R) = R²/2·(-log R)^p + p/2·Λ(p-1, R).
     """
     if p < 0 or not 0.0 < R <= 1.0:
         raise DomainValidationError(f"need p >= 0 and 0 < R <= 1, got ({p}, {R})")
-    with np.errstate(over="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(lambda r: (-math.log(r)) ** p * r, 0.0, R,
-                        epsabs=1e-14, epsrel=1e-12, limit=200)
-    if not math.isfinite(val) or err > max(1e-10, 1e-8 * abs(val)):
-        raise QuadratureError(f"log-weight integral failed for p={p}, R={R}")
-    return val
+    scale = math.exp(math.lgamma(p + 1.0) - (p + 1.0) * math.log(2.0))
+    return scale * float(gammaincc(p + 1.0, -2.0 * math.log(R)))
 
 
 def exp_supnorm_bound(stats: DomainStats,
@@ -396,12 +394,40 @@ def _mems_radial_rhs(t: float, N: float) -> float:
     return _mems_energy_base(t) ** ((2.0 * t + 3.0) / t) / N
 
 
+def _mems_radial_integral(m: float, a: float, q: float, C: float) -> float:
+    """∫₀¹ s^(a-1) (1 - m + C s)^(-q) ds, for 0 <= m < 1 and C > 0.
+
+    With c = 1 - m and b = q - a > 0 this is the incomplete beta function
+    c^(a-q) C^(-a) B(a, b) I_X(a, b) at X = C/(c + C) (DLMF §8.17), which
+    resolves the boundary layer at s = 0 that appears when c is small; its
+    prefactor is formed in logarithms and reads +inf past double range.
+    Only b <= 0 is left to quadrature, where the factor s^(a-1) with
+    a >= q damps the layer; a quadrature error estimate above 1e-8 of the
+    value raises QuadratureError."""
+    c = 1.0 - m
+    b = q - a
+    if b > 0.0:
+        # the complement at X >= 1/2 keeps 1 - X = c/(c + C) exact
+        X = C / (c + C)
+        frac = betainc(a, b, X) if X < 0.5 else betaincc(b, a, c / (c + C))
+        log_val = ((a - q) * math.log(c) - a * math.log(C) + betaln(a, b)
+                   + math.log(frac))
+        return math.exp(log_val) if log_val < _LOG_FLOAT_MAX else math.inf
+    val, err = quad(lambda s: s ** (a - 1.0) / (c + C * s) ** q, 0.0, 1.0,
+                    epsabs=0.0, epsrel=1e-10, limit=500)
+    if not math.isfinite(val) or err > 1e-8 * abs(val):
+        raise QuadratureError(
+            f"radial integral failed at m={m}, a={a}, q={q} (estimate {err:.2g})")
+    return val
+
+
 def _mems_radial_root(t: float, N: float, lambda1: float) -> float:
     """Largest sup-norm consistent with the radial integral inequality at
     this t: solve G(m; t) = RHS(t) for m, where G is increasing in m.
 
-    Substituting s = R^ρ (ρ the R-exponent) flattens the near-singular
-    integrand that appears when 1 - m is small."""
+    In s = R^ρ (ρ the R-exponent), G(m) = (1/ρ) ∫₀¹ s^(a-1) (1 - m + C s)^(-q) ds
+    with a = N/ρ; the integral is an incomplete beta function except for
+    N >= 3, t <= 3(N-2)/4 (see `_mems_radial_integral`)."""
     try:
         with np.errstate(over="ignore"):
             rhs_val = _mems_radial_rhs(float(t), N)
@@ -414,14 +440,10 @@ def _mems_radial_root(t: float, N: float, lambda1: float) -> float:
     rho = (4.0 * t + 6.0 - 2.0 * N) / q
     if rho <= 0:
         return 1.0
-    s_pow = N / rho - 1.0
+    a = N / rho
 
     def G(m):
-        integrand = lambda s: s ** s_pow / (1.0 - m + C * s) ** q
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=500)
-        return val / rho
+        return _mems_radial_integral(m, a, q, C) / rho
 
     hi = 1.0 - 1e-9
     if G(hi) <= rhs_val:

@@ -14,8 +14,11 @@ evaluator reads the series there.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import DomainValidationError
 from .nonlinearity import Nonlinearity
 
 
@@ -34,6 +37,8 @@ def center_series(F: Nonlinearity, N: float, k: float, m: float,
     eigenfunction of -Δ - λF'(w) at the trial eigenvalue μ.  Matching powers
     of s gives a_j = -λ [s^(j-1)] F(w) / (jk(jk+N-2)) and
     b_j = -[s^(j-1)] (μ + λF'(w)) y / (jk(jk+N-2)), so a_j carries λ^j.
+    Raises DomainValidationError when a coefficient overflows double range
+    (for the exponential from m ≈ 236 on).
     """
     F0, F1, F2, F3 = (float(d(m)) for d in (F.value, F.deriv, F.deriv2, F.deriv3))
     c1, c2, c3 = (j * k * (j * k + N - 2.0) for j in (1.0, 2.0, 3.0))
@@ -44,6 +49,9 @@ def center_series(F: Nonlinearity, N: float, k: float, m: float,
     b1 = -v0 / c1
     b2 = -(v0 * b1 + lam * F2 * a1) / c2
     b3 = -(v0 * b2 + lam * F2 * (a2 + a1 * b1) + lam * 0.5 * F3 * a1 * a1) / c3
+    if not all(map(math.isfinite, (a1, a2, a3, b1, b2, b3))):
+        raise DomainValidationError(
+            f"center series of {F.label()} overflows double range at m={m:g}")
     return (a1, a2, a3), (b1, b2, b3)
 
 

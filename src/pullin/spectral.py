@@ -1,13 +1,16 @@
-"""Radial Sturm-Liouville solver in real dimension N.
+"""Radial Sturm-Liouville problems in real dimension N.
 
-Computes the principal Dirichlet eigenvalue of the radial Laplacian on the
-unit ball, eigenfunction weight integrals, and the principal eigenvalue of
-the linearized operator -Δ - λ F'(u) that decides stability of a solution
-branch.  Every eigen-shot integrates the profile u together with the trial
-eigenfunction psi in one DOP853 run, so the potential λF'(u) is exact to the
-integrator tolerance; λ = 0 gives the plain Laplacian.  The principal mode
-is pinned down by counting interior zeros of the shot eigenfunction (Sturm),
-so a poor initial bracket can never silently return a higher mode.
+The principal Dirichlet eigenpair of the Laplacian on the unit ball is in
+closed form: λ₁ = j²_{ν,1}, the square of the first zero of the Bessel
+function J_ν with ν = N/2 - 1, and psi(r) = Γ(ν+1) (2/(j r))^ν J_ν(j r)
+(Watson, *Bessel Functions*, §15); its eigenfunction weight integrals are
+quadratures of that evaluator.  The principal eigenvalue of the linearized
+operator -Δ - λ F'(u) that decides stability of a solution branch has no
+closed form: every eigen-shot integrates the profile u together with the
+trial eigenfunction psi in one DOP853 run, so the potential λF'(u) is exact
+to the integrator tolerance.  The principal mode is pinned down by counting
+interior zeros of the shot eigenfunction (Sturm), so a poor initial bracket
+can never silently return a higher mode.
 """
 
 from __future__ import annotations
@@ -19,18 +22,17 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
+from scipy.special import hyp0f1, jv
 
 from .errors import BracketError, DomainValidationError, QuadratureError
 from .geometry import volume_unit_ball
-from .nonlinearity import Nonlinearity, exponential
+from .nonlinearity import Nonlinearity
 from .radial import center_series, radial_rhs, series_state, shot_evaluator
 
 _MAX_POTENTIAL = 2e5  # beyond this the shot eigenfunction overflows double range
 # eigen-shots run at rtol = _SHOT_RTOL * tol; at rtol = tol the integrator
 # error alone moves λ₁(N=3) by 1.35e-10, past a tol of 1e-10
 _SHOT_RTOL = 0.1
-# any family will do at λ = 0: u stays at u(0) and the potential vanishes
-_NO_SOURCE = exponential()
 
 
 @dataclass
@@ -49,7 +51,7 @@ class EigenPair:
     _psi_at: Callable = field(repr=False, compare=False)
 
     def at(self, r):
-        """psi at radius r in [0, 1], from the shot itself (not the samples)."""
+        """psi at radius r in [0, 1], from its evaluator (not the samples)."""
         return self._psi_at(r)
 
     def weight_ratio(self, alpha: float) -> float:
@@ -113,14 +115,13 @@ def _shoot_mode(N: float, F: Nonlinearity, lam: float, m: float, mu: float,
 
 
 def _principal_eigenvalue(N: float, F: Nonlinearity, lam: float, m: float,
-                          lo: float, hi: float, tol: float, relative: bool):
+                          lo: float, hi: float, tol: float):
     """Smallest mu with psi(1; mu) = 0.
 
-    lo moves down until its shot has no interior zero and psi(1) > 0, hi up
+    lo < 0 doubles until its shot has no interior zero and psi(1) > 0, hi
     until it has not.  Bisection then lowers hi until its shot has exactly
     one interior zero, which puts hi in (mu_1, mu_2]: there psi(1; mu) has
-    mu_1 as its only root, and brentq finds it to within tol, or to within
-    tol * max(1, |mu_1|) when `relative`.
+    mu_1 as its only root, and brentq finds it to within tol * max(1, |mu_1|).
     """
     rtol = _SHOT_RTOL * tol
     shots = {}
@@ -138,7 +139,7 @@ def _principal_eigenvalue(N: float, F: Nonlinearity, lam: float, m: float,
     for _ in range(80):
         if below(lo):
             break
-        lo = lo * 2.0 if lo < 0 else lo / 2.0 if lo > 1e-12 else -1.0
+        lo *= 2.0
     else:
         raise BracketError("could not find a lower eigenvalue bracket")
     for _ in range(80):
@@ -158,29 +159,54 @@ def _principal_eigenvalue(N: float, F: Nonlinearity, lam: float, m: float,
     else:
         raise BracketError("could not separate the principal eigenvalue")
 
-    root = brentq(lambda mu: shot(mu)[1], lo, hi, xtol=0.5 * tol,
-                  rtol=0.5 * tol if relative else 4.0 * np.finfo(float).eps)
-    return root
+    return brentq(lambda mu: shot(mu)[1], lo, hi, xtol=0.5 * tol, rtol=0.5 * tol)
+
+
+def _first_bessel_zero(nu: float) -> float:
+    """First positive zero j_{ν,1} of J_ν, for ν >= -1/2.
+
+    J_ν is positive on (0, j_{ν,1}) and j_{ν,1} > ν + 1, so unit steps up
+    from max(1, ν + 1) meet the first sign change; consecutive zeros lie
+    more than 3 apart, so no step skips one."""
+    lo = max(1.0, nu + 1.0)
+    while jv(nu, lo + 1.0) > 0.0:
+        lo += 1.0
+    return brentq(lambda x: jv(nu, x), lo, lo + 1.0, xtol=1e-15)
+
+
+def _ball_eigenfunction(nu: float, j: float) -> Callable:
+    """Evaluator of psi(r) = Γ(ν+1) (2/(j r))^ν J_ν(j r) = ₀F₁(; ν+1; -(j r)²/4)
+    (DLMF 10.16.9), psi(0) = 1, for scalar or array r.  The ₀F₁ form needs
+    no series at r = 0 and cannot overflow for large ν."""
+    def at(r):
+        x = j * np.asarray(r, dtype=float)
+        out = hyp0f1(nu + 1.0, -0.25 * x * x)
+        return float(out) if out.ndim == 0 else out
+
+    return at
 
 
 def lambda1_ball(N: float, tol: float = 1e-10) -> EigenPair:
     """Principal Dirichlet eigenvalue of -Δ on the unit ball in dimension N,
     to within tol.
 
-    Reference points: N=1 gives pi^2/4, N=2 the square of the first zero of
-    the Bessel function J0, N=3 gives pi^2.
+    λ₁ = j²_{ν,1} with ν = N/2 - 1, the first Bessel zero found by brentq
+    on J_ν to rounding level, so every tol is met; the eigenfunction and
+    its normalization are closed forms too.  Reference points: N=1 gives
+    pi^2/4, N=2 the square of the first zero of the Bessel function J0,
+    N=3 gives pi^2.
     """
     if N < 1:
         raise DomainValidationError(f"dimension must be >= 1, got {N}")
-    lam = _principal_eigenvalue(N, _NO_SOURCE, 0.0, 0.0, 1.0, 4.0 * N * N,
-                                tol, relative=False)
-    _, _, psi_at = _shoot_mode(N, _NO_SOURCE, 0.0, 0.0, lam, _SHOT_RTOL * tol,
-                               dense=True)
+    nu = N / 2.0 - 1.0
+    j = _first_bessel_zero(nu)
+    psi_at = _ball_eigenfunction(nu, j)
     r = np.linspace(0.0, 1.0, 1025)
     psi = psi_at(r)
     psi[-1] = 0.0  # Dirichlet end, exact by construction
-    c = 1.0 / (N * volume_unit_ball(N) * _radial_moment(psi_at, N - 1.0))
-    return EigenPair(lam, r, psi, N, c, psi_at)
+    # ∫₀¹ r^(N-1) psi dr = Γ(ν+1) (2/j)^ν J_{ν+1}(j) / j = ₀F₁(; ν+2; -j²/4) / N
+    c = 1.0 / (volume_unit_ball(N) * float(hyp0f1(nu + 2.0, -0.25 * j * j)))
+    return EigenPair(j * j, r, psi, N, c, psi_at)
 
 
 def profile_weight_ratio(N: float, alpha: float, tol: float = 1e-10) -> float:
@@ -207,5 +233,5 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
         raise BracketError(
             f"linearization potential {q_max:.3g} exceeds {_MAX_POTENTIAL:.0g}; "
             "the shot eigenfunction would overflow")
-    return _principal_eigenvalue(N, F, lam, u.m, -(q_max + 1.0), 4.0 * N * N + 10.0,
-                                 tol, relative=True)
+    return _principal_eigenvalue(N, F, lam, u.m, -(q_max + 1.0),
+                                 4.0 * N * N + 10.0, tol)

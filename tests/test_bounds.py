@@ -1,14 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as sp_gamma
 
 import pullin
-from pullin import (DomainValidationError, DomainStats, ball_stats,
-                    energy_norm_bound, exp_supnorm_bound,
-                    exp_supnorm_constant, eigenvalue_lower_bound,
-                    exponential, log_weight_integral, mems_ball_supnorm_bound,
+from pullin import (DomainValidationError, DomainStats, QuadratureError,
+                    ball_stats, energy_norm_bound, exp_supnorm_bound,
+                    exp_supnorm_constant, eigenvalue_lower_bound, exponential,
+                    lambda1_ball, log_weight_integral, mems_ball_supnorm_bound,
                     mems_ball_supnorm_closed_form,
                     mems_inverse_power, mems_profile_constant,
                     mems_supnorm_bound, mems_supnorm_constant,
@@ -16,7 +17,8 @@ from pullin import (DomainValidationError, DomainStats, ball_stats,
                     pullin_distance_lower, pullin_voltage_upper,
                     radial_decay_constant, stability_necessary_check,
                     volume_unit_ball)
-from pullin.bounds import T_MAX_MEMS, _mems_radial_rhs
+from pullin.bounds import (T_MAX_MEMS, _mems_radial_integral, _mems_radial_root,
+                           _mems_radial_rhs)
 
 MEMS = mems_inverse_power(2.0)
 EXP = exponential()
@@ -193,6 +195,16 @@ def test_log_weight_integral_recursion(p, R):
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [0.0, 1.25, 2.0, 3.0, 11.0])
+@pytest.mark.parametrize("R", [1e-6, 0.3, 1.0])
+def test_log_weight_integral_incomplete_gamma_oracle(p, R):
+    # Λ(p, R) = 2^-(p+1) Γ(p+1, -2 log R)
+    with mpmath.workdps(30):
+        ref = float(mpmath.gammainc(p + 1, -2 * mpmath.log(R))
+                    / mpmath.mpf(2) ** (p + 1))
+    assert log_weight_integral(p, R) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 def test_mems_constant_and_cube_bound():
     rep = mems_supnorm_constant(3.0)
     assert rep.valid
@@ -346,14 +358,85 @@ def test_ball_stats_power_weight():
 
 def test_ball_stats_solves_the_eigenproblem_once(monkeypatch):
     calls = []
-    real = pullin.spectral._principal_eigenvalue
+    real = pullin.spectral.lambda1_ball
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pullin.spectral, "_principal_eigenvalue", counting)
+    monkeypatch.setattr(pullin.spectral, "lambda1_ball", counting)
     stats = ball_stats(3.0, alpha=1.5)
     assert len(calls) == 1
     ratio = pullin.profile_weight_ratio(3.0, 1.5)
     assert stats.f_phi_integral == pytest.approx(ratio, abs=1e-12)
+
+
+def _radial_integral_parameters(t, N):
+    lam1 = lambda1_ball(N).eigenvalue
+    q = 2.0 * t + 3.0
+    rho = (4.0 * t + 6.0 - 2.0 * N) / q
+    return N / rho, q, mems_profile_constant(t, N, lam1)
+
+
+def _radial_integral_oracle(m, a, q, C):
+    # c^(a-q) C^(-a) B_X(a, b), the incomplete beta form of
+    # ∫₀¹ s^(a-1) (c + C s)^(-q) ds at X = C/(c + C)
+    with mpmath.workdps(40):
+        a, q, C = mpmath.mpf(a), mpmath.mpf(q), mpmath.mpf(C)
+        c = 1 - mpmath.mpf(m)
+        return float(c ** (a - q) * C ** (-a) * mpmath.betainc(a, q - a, 0, C / (c + C)))
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
+def test_radial_integral_resolves_the_boundary_layer(m):
+    # N = 1, t = 0.05: C ≈ 3e11, so the integrand has a layer of width
+    # (1 - m)/C at s = 0
+    a, q, C = _radial_integral_parameters(0.05, 1.0)
+    assert C > 1e10
+    assert _mems_radial_integral(m, a, q, C) == \
+        pytest.approx(_radial_integral_oracle(m, a, q, C), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("N", [1.0, 2.0, 3.0, 5.0, 7.0])
+def test_radial_integral_near_the_singularity(N):
+    lo = max(0.0, 3.0 * (N - 2.0) / 4.0)  # b = q - a > 0 above this t
+    for t in np.linspace(lo + 0.05, T_MAX_MEMS - 0.05, 5):
+        a, q, C = _radial_integral_parameters(float(t), N)
+        m = 1.0 - 1e-9
+        assert _mems_radial_integral(m, a, q, C) == \
+            pytest.approx(_radial_integral_oracle(m, a, q, C), rel=1e-12, abs=0.0)
+
+
+def test_radial_integral_quadrature_branch():
+    # N = 5, t = 1.5: a = 15 > q = 6, left to quadrature
+    a, q, C = _radial_integral_parameters(1.5, 5.0)
+    assert a > q
+    with mpmath.workdps(30):
+        ref = float(mpmath.quad(lambda s: s ** (a - 1) / (mpmath.mpf(0.5) + C * s) ** q,
+                                [0, 1]))
+    assert _mems_radial_integral(0.5, a, q, C) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_radial_integral_quadrature_reports_a_bad_error_estimate(monkeypatch):
+    a, q, C = _radial_integral_parameters(1.5, 5.0)
+    monkeypatch.setattr(pullin.bounds, "quad", lambda *args, **kwargs: (1.0, 0.5))
+    with pytest.raises(QuadratureError):
+        _mems_radial_integral(0.5, a, q, C)
+
+
+def test_radial_root_in_dimension_7_against_mpmath():
+    # the N = 7 optimum: the root lies 4.2e-5 below 1, inside the layer
+    t, N = 4.30264932, 7.0
+    lam1 = lambda1_ball(N).eigenvalue
+    a, q, C = _radial_integral_parameters(t, N)
+    rho = N / a
+    rhs = _mems_radial_rhs(t, N)
+    with mpmath.workdps(40):
+        def residual(m):
+            c = 1 - m
+            return (c ** (a - q) * mpmath.mpf(C) ** (-a)
+                    * mpmath.betainc(a, q - a, 0, C / (c + C)) / rho - rhs)
+        ref = float(mpmath.findroot(residual, (mpmath.mpf("0.9999"), mpmath.mpf("0.99999")),
+                                    solver="anderson"))
+    assert ref == pytest.approx(0.9999583885, abs=1e-10)
+    assert _mems_radial_root(t, N, lam1) == pytest.approx(ref, abs=1e-9)

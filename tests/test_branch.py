@@ -374,6 +374,14 @@ def test_power_growth_shot_emits_no_runtime_warning():
     assert math.isfinite(sr.lam) and sr.lam > 0.0
 
 
+def test_center_series_overflow_is_a_domain_error():
+    # e^300 puts the third series coefficient past double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainValidationError, match="overflows"):
+            shoot(EXP, 1.0, 300.0)
+
+
 def test_minimal_solution_takes_few_shots(monkeypatch, mems_disc_branch):
     calls = []
     real = pullin.branch.shoot

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -181,3 +182,29 @@ def test_eigen_shot_counts_every_zero(mu):
     # Bessel zeros below sqrt(mu)
     zeros, _, _ = pullin.spectral._shoot_mode(2.0, exponential(), 0.0, 0.0, mu, 1e-7)
     assert zeros == int(np.sum(jn_zeros(0, 60) < math.sqrt(mu)))
+
+
+@pytest.mark.parametrize("N", [1.0, 1.2, 1.5, 2.7, 4.5, 10.0])
+def test_lambda1_is_the_square_of_the_first_bessel_zero(N):
+    # λ₁ = j²_{ν,1}, ν = N/2 - 1; mpmath's besseljzero needs ν >= 0
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(N) / 2 - 1
+        j = (mpmath.besseljzero(nu, 1) if nu >= 0
+             else mpmath.findroot(lambda x: mpmath.besselj(nu, x), 2.0))
+        ref = float(j * j)
+    assert abs(lambda1_ball(N).eigenvalue - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("N", [1.0, 1.5, 5.0])
+def test_ball_eigenfunction_normalization_and_bessel_form(N):
+    pair = lambda1_ball(N)
+    nu, j = N / 2.0 - 1.0, math.sqrt(pair.eigenvalue)
+    moment, _ = quad(lambda r: r ** (N - 1.0) * pair.at(r), 0.0, 1.0,
+                     epsabs=0.0, epsrel=1e-13)
+    assert pair.normalization * N * pullin.volume_unit_ball(N) * moment == \
+        pytest.approx(1.0, rel=1e-12)
+    for r in (0.0, 1e-9, 0.2, 0.8):
+        x = mpmath.mpf(j * r)
+        ref = 1.0 if r == 0.0 else float(
+            mpmath.gamma(nu + 1) * (2 / x) ** nu * mpmath.besselj(nu, x))
+        assert pair.at(r) == pytest.approx(ref, rel=1e-13, abs=1e-15)
