@@ -23,6 +23,7 @@ the effective fractional dimension 2(N+α)/(2+α); a direct weighted shoot
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
@@ -177,16 +178,35 @@ def _shoot_lanes(F: Nonlinearity, N_eff: float, ms: np.ndarray, tol: float,
 
     c = N_eff - 1.0
 
-    def rhs(tau, y):
-        r, dw, z, dz = y.reshape(4, -1)
-        w = ms * (1.0 - tau * tau)
-        dr = -2.0 * tau * ms / dw
-        f, fp = F.unchecked(0, w), F.unchecked(1, w)
-        if alpha:
-            ra = r ** alpha
-            f, fp = ra * f, ra * fp
-        cr = c / r
-        return np.concatenate((dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr))
+    if len(ms) == 1:
+        # the same formula on Python floats: one lane's numpy arithmetic
+        # costs more in call overhead than the formula itself
+        m = float(ms[0])
+        f1, fp1 = F.fast_callables()
+
+        def rhs(tau, y):
+            r, dw, z, dz = y.tolist()
+            tau = float(tau)
+            w = m * (1.0 - tau * tau)
+            dr = -2.0 * tau * m / dw
+            f, fp = f1(w), fp1(w)
+            if alpha:
+                ra = r ** alpha
+                f, fp = ra * f, ra * fp
+            cr = c / r
+            return (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
+    else:
+        def rhs(tau, y):
+            r, dw, z, dz = y.reshape(4, -1)
+            w = ms * (1.0 - tau * tau)
+            dr = -2.0 * tau * ms / dw
+            f, fp = F.unchecked(0, w), F.unchecked(1, w)
+            if alpha:
+                ra = r ** alpha
+                f, fp = ra * f, ra * fp
+            cr = c / r
+            return np.concatenate((dr, -(f + cr * dw) * dr, dz * dr,
+                                   -(fp * z + cr * dz) * dr))
 
     sol = solve_ivp(rhs, (np.sqrt(sigma0), 1.0), y0, method=_LaneDOP853, rtol=tol,
                     atol=tol * 1e-2, dense_output=dense)
@@ -269,10 +289,11 @@ class Branch:
     `lambda_star` is the supremum of the voltage over the (refined) branch;
     `m_star` is the center value at the first fold, i.e. the pull-in
     distance, when a fold was found.  Without a fold (singular regimes where
-    λ(m) climbs monotonically toward its limit), `fold_found` is False and
-    `lambda_star` is a lower estimate.  `fold_index` is the k of the grid
-    cell [m_k, m_k+1] holding the fold; `stability_skipped` counts the
-    points whose stability eigenvalue could not be bracketed (mu1 is None).
+    λ(m) climbs monotonically toward its limit), `fold_found` is False,
+    `m_star` is NaN and `lambda_star` is a lower estimate.  `fold_index` is
+    the k of the grid cell [m_k, m_k+1] holding the fold;
+    `stability_skipped` counts the points whose stability eigenvalue could
+    not be bracketed (mu1 is None).
     """
 
     problem: ProblemSpec
@@ -355,8 +376,7 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
         j = k if lam_core[k] >= lam_core[k + 1] else k + 1
         m_star, lam_star_core = grid[j], float(lam_core[j])
     else:
-        i_max = int(np.argmax(lam_core))
-        m_star, lam_star_core = grid[i_max], float(lam_core[i_max])
+        m_star, lam_star_core = math.nan, float(np.max(lam_core))
         log.info("no fold bracketed by the schedule (λ still rising); "
                  "pull-in voltage %.6g is a lower estimate", lam_star_core * tr.voltage_factor)
 

@@ -199,7 +199,7 @@ def cmd_branch(args):
     result = {
         "points": [{"m": p.m, "lambda": p.lam, "mu1": p.mu1} for p in b.points],
         "lambda_star": b.lambda_star,
-        "m_star": b.m_star,
+        "m_star": b.m_star if b.fold_found else None,
         "fold_found": b.fold_found,
     }
     rows = [{"m": p.m, "lambda": p.lam, "mu1": p.mu1} for p in b.points]

@@ -131,8 +131,12 @@ class Nonlinearity:
         return (z / self.p) ** (1.0 / (self.p - 1.0)) - 1.0
 
     def fast_callables(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        """Unchecked scalar (F, F') for the eigen-shots' hot loop (the
-        branch lanes use `unchecked` on arrays).
+        """Unchecked scalar (F, F') for the right-hand sides that run on
+        Python floats: the eigen-shots and the one-lane shooting run (a
+        run of several lanes uses `unchecked` on arrays).  The exponential
+        pair is `np.exp`, which gives the bits it gives on an array; the
+        powers are C `pow`, which may differ from numpy's vectorized power
+        in the last bit.
 
         An eigen-shot integrates the profile up to r = 1 whatever (λ, u(0))
         the caller gives, so its trial stages may probe u < -1; there the

@@ -3,13 +3,13 @@ evaluator of a radial shot.
 
 Both radial integrators are built from these pieces.  `branch` shoots the
 profile w with its tangent z = ∂w/∂m in the profile variable (its own
-right-hand side, one lane per center value) and reads the center series
-inside the seed radius; the eigen-shots of `spectral` integrate the profile
-u and the eigenfunction psi of the linearized operator in the radius with
-`radial_rhs`.  The removable singularity of (N-1)/r at r = 0 rules out
-starting at the center, so each integration starts at a small seed radius
-where the series is still exact to the integrator tolerance, and the
-evaluator reads the series there.
+right-hand side, one lane per center value, on Python floats when there is
+one lane) and reads the center series inside the seed radius; the
+eigen-shots of `spectral` integrate the profile u and the eigenfunction psi
+of the linearized operator in the radius with `radial_rhs`.  The removable
+singularity of (N-1)/r at r = 0 rules out starting at the center, so each
+integration starts at a small seed radius where the series is still exact
+to the integrator tolerance, and the evaluator reads the series there.
 """
 
 from __future__ import annotations

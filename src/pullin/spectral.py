@@ -33,6 +33,8 @@ _MAX_POTENTIAL = 2e5  # beyond this the shot eigenfunction overflows double rang
 # eigen-shots run at rtol = _SHOT_RTOL * tol; at rtol = tol the integrator
 # error alone moves λ₁(N=3) by 1.35e-10, past a tol of 1e-10
 _SHOT_RTOL = 0.1
+# relative widening of the Rayleigh bounds on μ₁, which meet at m = 0
+_RAYLEIGH_MARGIN = 1e-6
 
 
 @dataclass
@@ -116,12 +118,15 @@ def _shoot_mode(N: float, F: Nonlinearity, lam: float, m: float, mu: float,
 
 def _principal_eigenvalue(N: float, F: Nonlinearity, lam: float, m: float,
                           lo: float, hi: float, tol: float):
-    """Smallest mu with psi(1; mu) = 0.
+    """Smallest mu with psi(1; mu) = 0, from the trial bracket [lo, hi].
 
-    lo < 0 doubles until its shot has no interior zero and psi(1) > 0, hi
-    until it has not.  Bisection then lowers hi until its shot has exactly
-    one interior zero, which puts hi in (mu_1, mu_2]: there psi(1; mu) has
-    mu_1 as its only root, and brentq finds it to within tol * max(1, |mu_1|).
+    The shots check both ends, which may have either sign: lo moves down by
+    |lo| + 1 until its shot has no interior zero and psi(1) > 0, hi moves
+    up by |hi| + 1 until it has not.  Bisection then lowers hi until its
+    shot has exactly one interior zero, which puts hi in (mu_1, mu_2]:
+    there psi(1; mu) has mu_1 as its only root, and brentq finds it to
+    within tol * max(1, |mu_1|).  From the Rayleigh bracket of `mu1` the
+    checks cost one shot per end.
     """
     rtol = _SHOT_RTOL * tol
     shots = {}
@@ -139,13 +144,13 @@ def _principal_eigenvalue(N: float, F: Nonlinearity, lam: float, m: float,
     for _ in range(80):
         if below(lo):
             break
-        lo *= 2.0
+        lo -= abs(lo) + 1.0
     else:
         raise BracketError("could not find a lower eigenvalue bracket")
     for _ in range(80):
         if not below(hi):
             break
-        hi *= 2.0
+        hi += abs(hi) + 1.0
     else:
         raise BracketError("could not find an upper eigenvalue bracket")
     for _ in range(200):
@@ -223,7 +228,9 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
     a `ShootResult` or a `BranchPoint`) and `lam`: the profile is integrated
     again together with each trial eigenfunction, so the potential λF'(u)
     is exact to the integrator tolerance.  Positive on the stable branch,
-    zero at the fold, negative beyond it.
+    zero at the fold, negative beyond it.  The search starts from the
+    Rayleigh bracket λ₁ - λF'(m) < μ₁ < λ₁ - λF'(0) (Courant-Hilbert,
+    *Methods of Mathematical Physics* I, ch. VI).
     """
     if lam < 0:
         raise DomainValidationError(f"voltage must be nonnegative, got {lam}")
@@ -233,5 +240,9 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
         raise BracketError(
             f"linearization potential {q_max:.3g} exceeds {_MAX_POTENTIAL:.0g}; "
             "the shot eigenfunction would overflow")
-    return _principal_eigenvalue(N, F, lam, u.m, -(q_max + 1.0),
-                                 4.0 * N * N + 10.0, tol)
+    # Rayleigh: λ₁ - max V < μ₁ < λ₁ - min V for the potential V = λF'(u),
+    # strict but tight as m -> 0, hence the margin
+    lam1 = _first_bessel_zero(N / 2.0 - 1.0) ** 2
+    lo, hi = lam1 - q_max, lam1 - lam * float(F.deriv(0.0))
+    margin = _RAYLEIGH_MARGIN * max(abs(lo), abs(hi), 1.0)
+    return _principal_eigenvalue(N, F, lam, u.m, lo - margin, hi + margin, tol)

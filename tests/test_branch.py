@@ -396,3 +396,33 @@ def test_minimal_solution_takes_few_shots(monkeypatch, mems_disc_branch):
         u = minimal_solution(ProblemSpec(2.0, MEMS), lam, mems_disc_branch)
         assert u.lam == pytest.approx(lam, rel=1e-10)
         assert len(calls) <= 4
+
+
+def test_branch_without_fold_has_no_pullin_distance(capsys):
+    import json
+
+    from pullin import cli
+    b = solve_branch(ProblemSpec(10.0, EXP), pullin.default_m_grid(EXP, 50))
+    assert b.fold_found is False
+    assert math.isnan(b.m_star)
+    assert cli.main(["branch", "--family", "exp", "--N", "10", "--m-points", "50"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["fold_found"] is False
+    assert res["m_star"] is None
+
+
+@pytest.mark.parametrize("F, ms", [(EXP, (0.3, 1.0, 2.5)),
+                                   (MEMS, (0.1, 0.4, 0.8)),
+                                   (power_growth(3.0), (0.2, 1.0, 3.0))])
+@pytest.mark.parametrize("N", [1.0, 2.5, 5.0])
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_one_lane_shot_matches_its_lane(F, ms, N, alpha):
+    # a one-lane run takes the scalar right-hand side, a grid run the
+    # vectorized one; both solve the same equations to tol
+    from pullin.branch import _shoot_lanes
+    tol = 1e-10
+    R, slopes, *_ = _shoot_lanes(F, N, np.array(ms), tol, alpha)
+    for j, m in enumerate(ms):
+        sr = shoot(F, N, m, tol, alpha)
+        assert sr.lam == pytest.approx(R[j] ** (2.0 + alpha), rel=10 * tol)
+        assert sr.dlam_dm == pytest.approx(slopes[j], rel=10 * tol)

@@ -208,3 +208,23 @@ def test_ball_eigenfunction_normalization_and_bessel_form(N):
         ref = 1.0 if r == 0.0 else float(
             mpmath.gamma(nu + 1) * (2 / x) ** nu * mpmath.besselj(nu, x))
         assert pair.at(r) == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("tol, most", [(1e-6, 6), (1e-8, 7)])
+def test_mu1_starts_from_the_rayleigh_bracket(monkeypatch, tol, most):
+    # λ₁ - λF'(m) < μ₁ < λ₁ - λF'(0) leaves brentq a bracket of width
+    # λ(F'(m) - F'(0)); a bracket from -(λF'(m) + 1) and 4N² + 10 takes
+    # 9 and 10 shots here
+    from pullin import spectral
+    calls = []
+    shoot_mode = spectral._shoot_mode
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return shoot_mode(*args, **kwargs)
+
+    F = mems_inverse_power(2.0)
+    u = shoot(F, 2.0, 0.2).solution()
+    monkeypatch.setattr(spectral, "_shoot_mode", counted)
+    assert mu1(2.0, F, u.lam, u, tol=tol) > 0
+    assert len(calls) <= most
