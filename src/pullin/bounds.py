@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import betainc, betaincc, betaln, gammaincc
+from scipy.special import betainc, betaincc, betaln, gammaincc, gammaln
 
 from . import spectral
 from .errors import DomainValidationError, QuadratureError
@@ -178,8 +178,19 @@ def log_weight_integral(p: float, R: float) -> float:
     """
     if p < 0 or not 0.0 < R <= 1.0:
         raise DomainValidationError(f"need p >= 0 and 0 < R <= 1, got ({p}, {R})")
-    scale = math.exp(math.lgamma(p + 1.0) - (p + 1.0) * math.log(2.0))
-    return scale * float(gammaincc(p + 1.0, -2.0 * math.log(R)))
+    return float(_log_weight(p, R))
+
+
+def _log_weight(p, R: float):
+    """`log_weight_integral` for a float or an array of p, without the
+    domain checks.  A float keeps the `math` scalar functions: `gammaln`
+    and `np.exp` differ from them in the last bits, which moves the golden
+    polish on the flat N = 2 exponential objective by 3e-8."""
+    if np.ndim(p) == 0:
+        scale = math.exp(math.lgamma(p + 1.0) - (p + 1.0) * math.log(2.0))
+    else:
+        scale = np.exp(gammaln(p + 1.0) - (p + 1.0) * math.log(2.0))
+    return scale * gammaincc(p + 1.0, -2.0 * math.log(R))
 
 
 def exp_supnorm_bound(stats: DomainStats,
@@ -193,9 +204,12 @@ def exp_supnorm_bound(stats: DomainStats,
     """
     N = stats.N
     if N == 2.0:
+        R = math.sqrt(stats.volume / math.pi)
+        if not 0.0 < R <= 1.0:
+            raise DomainValidationError(f"need 0 < R <= 1 for the log weight, got R={R}")
+
         def objective(t):
-            lam_arg = (2.0 * t + 1.0) / (2.0 * t)
-            lam_val = log_weight_integral(lam_arg, math.sqrt(stats.volume / math.pi))
+            lam_val = _log_weight((2.0 * t + 1.0) / (2.0 * t), R)
             return ((4.0 / (2.0 - t)) ** (1.0 / t)
                     * (stats.volume / (2.0 * math.pi)) ** (1.0 / (2.0 * t + 1.0))
                     * lam_val ** (2.0 * t / (2.0 * t + 1.0)))
@@ -367,7 +381,8 @@ def radial_decay_constant(tau: float, N: float) -> float:
     2, and a Newtonian-potential expression for N >= 3.  Defined for
     τ > max(1, N/2); non-integer dimensions below 3 have no stated form.
     """
-    if tau <= max(1.0, N / 2.0):
+    # np.min only for an array: on a float it costs microseconds per call
+    if (np.min(tau) if np.ndim(tau) else tau) <= max(1.0, N / 2.0):
         raise DomainValidationError(
             f"need tau > max(1, N/2) = {max(1.0, N / 2.0)}, got {tau}")
     if N == 1.0:
@@ -473,9 +488,20 @@ def mems_ball_supnorm_bound(N: float, lambda1: Optional[float] = None) -> BoundR
     # this scan keeps its own inset: the 1e-9 inset of `_open_window` moves
     # the N=3 optimizer from 3.53596294391 to 3.53596297147
     pad = 1e-6 * (hi - lo)
+
+    def roots(t):
+        # one brentq root per point; a failed quadrature at one point reads
+        # as +inf there and leaves the others
+        out = []
+        for x in np.atleast_1d(t):
+            try:
+                out.append(_mems_radial_root(x, N, lambda1))
+            except QuadratureError:
+                out.append(math.inf)
+        return np.array(out) if np.ndim(t) else out[0]
+
     t_best, root_best = grid_then_golden_min(
-        lambda t: _mems_radial_root(t, N, lambda1),
-        np.linspace(lo + pad, hi - pad, 48), tol=1e-8)
+        roots, np.linspace(lo + pad, hi - pad, 48), tol=1e-8)
     pinned = root_best < 1.0 - 1e-9
     return BoundReport(
         "mems_ball_supnorm_bound", root_best if pinned else 1.0,
@@ -497,19 +523,16 @@ def mems_ball_supnorm_closed_form(N: float,
         lambda1 = spectral.lambda1_ball(N).eigenvalue
 
     def one_minus_bound(t):
-        t = float(t)
-        try:
-            C = mems_profile_constant(t, N, lambda1)
-            big = _mems_energy_base(t) ** ((2.0 * t + 3.0) / t)
-        except OverflowError:
-            return 0.0
-        if not math.isfinite(big):
-            return 0.0
+        C = mems_profile_constant(t, N, lambda1)
+        big = _mems_energy_base(t) ** ((2.0 * t + 3.0) / t)
         if N == 1.0:
             total = 2.0 * C * (t + 1.0) * big + C ** (-(2.0 + 2.0 * t))
-            return total ** (-1.0 / (2.0 * t + 2.0))
-        total = (t + 1.0) * (2.0 * t + 1.0) * C * C * big + (2.0 * t + 2.0) * C ** (1.0 - 2.0 * t)
-        return total ** (-1.0 / (2.0 * t + 1.0))
+            val = total ** (-1.0 / (2.0 * t + 2.0))
+        else:
+            total = ((t + 1.0) * (2.0 * t + 1.0) * C * C * big
+                     + (2.0 * t + 2.0) * C ** (1.0 - 2.0 * t))
+            val = total ** (-1.0 / (2.0 * t + 1.0))
+        return np.where(np.isfinite(big), val, 0.0)
 
     lo = 1e-6 if N == 1.0 else 0.5
     # maximize 1 - bound: minimize its negative

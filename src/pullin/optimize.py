@@ -4,7 +4,8 @@ Every optimized constant and scan-optimized bound in this library is the
 extremum of a smooth scalar function on an open interval.  The one recipe is
 `grid_then_golden_min`: a coarse scan on the caller's grid localizes the
 extremum (guarding against multiple local extrema), and a golden-section
-polish on the bracketing grid cells refines it.
+polish on the bracketing grid cells refines it.  The scan is one call of the
+objective on the whole grid array; the polish calls it on single points.
 """
 
 from __future__ import annotations
@@ -46,25 +47,32 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float,
     return x, -neg
 
 
-def grid_then_golden_min(f: Callable[[float], float], grid,
+def grid_then_golden_min(f: Callable, grid,
                          tol: float = 1e-10) -> tuple[float, float]:
     """Minimize f over the scan points `grid`, then polish by golden section
     over the two grid cells around the grid minimum; returns the better of
     the polished point and the grid point.
 
-    The objectives typically blow up at the window edges, so an overflow
-    (OverflowError, QuadratureError) or a non-finite value reads as +inf.
+    f takes the whole grid as one array and returns an array of values; the
+    polish (Kiefer's golden section) calls it on single points.  The
+    objectives typically blow up at the window edges, so a non-finite grid
+    value (overflow, NaN, ±inf) reads as +inf without a floating-point
+    warning, and so does an OverflowError or QuadratureError in the polish.
     """
+    grid = np.asarray(grid, dtype=float)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(grid), dtype=float)
+    vals = np.where(np.isfinite(vals), vals, math.inf)
+    if not np.any(np.isfinite(vals)):
+        raise ValueError("objective not finite anywhere on the scan grid")
+
     def finite(x):
         try:
-            v = f(x)
+            v = float(f(x))
         except (OverflowError, QuadratureError):
             return math.inf
         return v if math.isfinite(v) else math.inf
 
-    vals = np.array([finite(x) for x in grid])
-    if not np.any(np.isfinite(vals)):
-        raise ValueError("objective not finite anywhere on the scan grid")
     i = int(np.argmin(vals))
     x, v = golden_section_min(finite, grid[max(i - 1, 0)],
                               grid[min(i + 1, len(grid) - 1)], tol)

@@ -210,7 +210,13 @@ def lambda1_ball(N: float, tol: float = 1e-10) -> EigenPair:
     psi = psi_at(r)
     psi[-1] = 0.0  # Dirichlet end, exact by construction
     # ∫₀¹ r^(N-1) psi dr = Γ(ν+1) (2/j)^ν J_{ν+1}(j) / j = ₀F₁(; ν+2; -j²/4) / N
-    c = 1.0 / (volume_unit_ball(N) * float(hyp0f1(nu + 2.0, -0.25 * j * j)))
+    volume = volume_unit_ball(N)
+    moment = float(hyp0f1(nu + 2.0, -0.25 * j * j))
+    if not moment > 0.0:
+        raise DomainValidationError(
+            f"normalization 0F1(; nu+2; -j^2/4) of the ball eigenfunction "
+            f"underflows double range at N={N:g}")
+    c = 1.0 / (volume * moment)
     return EigenPair(j * j, r, psi, N, c, psi_at)
 
 

@@ -18,7 +18,8 @@ from pullin import (DomainValidationError, DomainStats, QuadratureError,
                     radial_decay_constant, stability_necessary_check,
                     volume_unit_ball)
 from pullin.bounds import (T_MAX_MEMS, _mems_radial_integral, _mems_radial_root,
-                           _mems_radial_rhs)
+                           _mems_radial_rhs, _open_window, _power_window)
+from pullin.optimize import golden_section_min
 
 MEMS = mems_inverse_power(2.0)
 EXP = exponential()
@@ -440,3 +441,88 @@ def test_radial_root_in_dimension_7_against_mpmath():
                                     solver="anderson"))
     assert ref == pytest.approx(0.9999583885, abs=1e-10)
     assert _mems_radial_root(t, N, lam1) == pytest.approx(ref, abs=1e-9)
+
+
+# the constant scans: one array call per grid, the parent's per-point scan as
+# an oracle; per family the objective's name, the constant, its window and the
+# objective's extra arguments (p = 2 for power growth)
+
+CONSTANTS = {
+    "exp": ("_exp_constant_objective", exp_supnorm_constant,
+            lambda N: ((N - 2.0) / 4.0, 2.0), ()),
+    "mems": ("_mems_constant_objective", mems_supnorm_constant,
+             lambda N: (3.0 * (N - 2.0) / 4.0, T_MAX_MEMS), ()),
+    "power": ("_power_constant_objective", lambda N: power_supnorm_constant(N, 2.0),
+              lambda N: _power_window(N, 2.0), (2.0,)),
+}
+TABLE_DIMENSIONS = [float(n) for n in range(3, 10)]
+
+
+@pytest.mark.parametrize("family", CONSTANTS)
+def test_each_constant_scans_its_grid_in_one_array_call(monkeypatch, family):
+    name, constant, _, _ = CONSTANTS[family]
+    objective = getattr(pullin.bounds, name)
+    for N in TABLE_DIMENSIONS:
+        shapes = []
+
+        def wrapped(t, *args):
+            shapes.append(np.shape(t))
+            return objective(t, *args)
+
+        monkeypatch.setattr(pullin.bounds, name, wrapped)
+        if math.isnan(constant(N).value):
+            assert shapes == []  # empty window: no scan
+            continue
+        assert shapes.count((2000,)) == 1
+        assert len(shapes) > 1 and all(s == () for s in shapes if s != (2000,))
+
+
+def per_point_scan(f, grid, tol=1e-10):
+    """`grid_then_golden_min` as it was before the grid became one array
+    call: one objective call per grid point, then the same golden polish."""
+    def finite(x):
+        try:
+            v = f(x)
+        except (OverflowError, QuadratureError):
+            return math.inf
+        return v if math.isfinite(v) else math.inf
+
+    vals = np.array([finite(x) for x in grid])
+    i = int(np.argmin(vals))
+    x, v = golden_section_min(finite, grid[max(i - 1, 0)],
+                              grid[min(i + 1, len(grid) - 1)], tol)
+    if v >= vals[i]:
+        return float(grid[i]), float(vals[i])
+    return x, v
+
+
+@pytest.mark.parametrize("family", CONSTANTS)
+def test_constants_match_the_per_point_scan(family):
+    name, constant, window, extra = CONSTANTS[family]
+    objective = getattr(pullin.bounds, name)
+    for N in TABLE_DIMENSIONS:
+        rep = constant(N)
+        lo, hi = window(N)
+        if lo >= hi:
+            assert math.isnan(rep.value)
+            continue
+        t, val = per_point_scan(lambda t: objective(t, N, *extra),
+                                _open_window(lo, hi))
+        assert rep.value == pytest.approx(val, rel=1e-14, abs=0.0)
+        assert rep.optimizer == pytest.approx(t, rel=1e-8, abs=0.0)
+
+
+def test_exp_bound_in_dimension_2_matches_the_per_point_scan():
+    stats = ball_stats(2.0)
+    R = math.sqrt(stats.volume / math.pi)
+
+    def objective(t):
+        lam_val = log_weight_integral((2.0 * t + 1.0) / (2.0 * t), R)
+        return ((4.0 / (2.0 - t)) ** (1.0 / t)
+                * (stats.volume / (2.0 * math.pi)) ** (1.0 / (2.0 * t + 1.0))
+                * lam_val ** (2.0 * t / (2.0 * t + 1.0)))
+
+    t, val = per_point_scan(objective, _open_window(0.0, 2.0, 400))
+    rep = exp_supnorm_bound(stats)
+    assert rep.value == pytest.approx(stats.lambda1 / math.e * val, rel=1e-14, abs=0.0)
+    assert rep.optimizer == pytest.approx(t, rel=1e-8, abs=0.0)

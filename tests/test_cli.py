@@ -189,3 +189,11 @@ def test_verify_serializes_numpy_pass_flags(capsys):
     assert doc["result"]["passed"] is True
     assert doc["result"]["criteria"][0]["passed"] is True
     assert "[PASS] oracle_equivalence" in err
+
+
+@pytest.mark.parametrize("N", ["340", "342"])
+def test_bounds_past_double_range_exits_2(capsys, N):
+    code, out, err = run_cli(capsys, "bounds", "--family", "exp", "--N", N)
+    assert code == 2
+    assert "invalid input" in err and "double range" in err
+    assert "Traceback" not in err

@@ -5,7 +5,7 @@ import logging
 import sys
 from pathlib import Path
 
-from pullin import branch, exponential, spectral
+from pullin import bounds, branch, exponential, spectral
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -32,3 +32,16 @@ def test_tracer_installs_and_restores_its_hooks():
     assert all(getattr(*key) is fn for key, fn in before.items())
     assert tracer.counts["branch.shoot.calls"] == 1
     assert tracer.counts["branch.integrator_calls"] == 1
+
+
+def test_tracer_passes_array_objectives_through():
+    # every scan objective takes the whole grid as one array; the tracer's
+    # objective wrapper must hand it on unchanged and count it once
+    untraced = bounds.exp_supnorm_constant(3.0)
+    tracer = tracing.Tracer(tracing.CapCounter()).install()
+    try:
+        traced = bounds.exp_supnorm_constant(3.0)
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert 0 < tracer.counts["optimize.objective_evals"] <= 60

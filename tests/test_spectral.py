@@ -228,3 +228,25 @@ def test_mu1_starts_from_the_rayleigh_bracket(monkeypatch, tol, most):
     monkeypatch.setattr(spectral, "_shoot_mode", counted)
     assert mu1(2.0, F, u.lam, u, tol=tol) > 0
     assert len(calls) <= most
+
+
+def test_lambda1_in_high_dimension_is_the_closed_form():
+    # N = 300 is inside double range: eigenvalue and normalization are the
+    # closed forms themselves
+    from scipy.special import hyp0f1
+    pair = lambda1_ball(300.0)
+    with mpmath.workdps(30):
+        ref = float(mpmath.besseljzero(149, 1) ** 2)
+    assert abs(pair.eigenvalue - ref) <= 1e-13 * ref
+    assert pair.normalization == 1.0 / (pullin.volume_unit_ball(300.0)
+                                        * float(hyp0f1(151.0, -0.25 * pair.eigenvalue)))
+    assert math.isfinite(pair.normalization) and pair.normalization > 0.0
+
+
+@pytest.mark.parametrize("N, quantity", [(340.0, "0F1"), (342.0, "Gamma"),
+                                         (400.0, "Gamma")])
+def test_lambda1_names_what_leaves_double_range(N, quantity):
+    # the normalization ₀F₁(; ν+2; -j²/4) underflows to 0 from N = 333 on,
+    # Γ(N/2 + 1) of the ball volume overflows from N = 342 on
+    with pytest.raises(DomainValidationError, match=quantity):
+        lambda1_ball(N)
