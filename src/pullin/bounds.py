@@ -174,22 +174,19 @@ def log_weight_integral(p: float, R: float) -> float:
 
     With r = e^(-x/2) it is the upper incomplete gamma function
     2^(-(p+1)) Γ(p+1, -2 log R) (DLMF §8.2).  Satisfies the by-parts
-    recursion Λ(p, R) = R²/2·(-log R)^p + p/2·Λ(p-1, R).
+    recursion Λ(p, R) = R²/2·(-log R)^p + p/2·Λ(p-1, R).  Reads +inf
+    where Γ(p+1)/2^(p+1) leaves double range (p >= 200 or so).
     """
     if p < 0 or not 0.0 < R <= 1.0:
         raise DomainValidationError(f"need p >= 0 and 0 < R <= 1, got ({p}, {R})")
-    return float(_log_weight(p, R))
+    with np.errstate(over="ignore"):
+        return float(_log_weight(p, R))
 
 
 def _log_weight(p, R: float):
     """`log_weight_integral` for a float or an array of p, without the
-    domain checks.  A float keeps the `math` scalar functions: `gammaln`
-    and `np.exp` differ from them in the last bits, which moves the golden
-    polish on the flat N = 2 exponential objective by 3e-8."""
-    if np.ndim(p) == 0:
-        scale = math.exp(math.lgamma(p + 1.0) - (p + 1.0) * math.log(2.0))
-    else:
-        scale = np.exp(gammaln(p + 1.0) - (p + 1.0) * math.log(2.0))
+    domain checks."""
+    scale = np.exp(gammaln(p + 1.0) - (p + 1.0) * math.log(2.0))
     return scale * gammaincc(p + 1.0, -2.0 * math.log(R))
 
 
@@ -381,8 +378,7 @@ def radial_decay_constant(tau: float, N: float) -> float:
     2, and a Newtonian-potential expression for N >= 3.  Defined for
     τ > max(1, N/2); non-integer dimensions below 3 have no stated form.
     """
-    # np.min only for an array: on a float it costs microseconds per call
-    if (np.min(tau) if np.ndim(tau) else tau) <= max(1.0, N / 2.0):
+    if np.min(tau) <= max(1.0, N / 2.0):
         raise DomainValidationError(
             f"need tau > max(1, N/2) = {max(1.0, N / 2.0)}, got {tau}")
     if N == 1.0:

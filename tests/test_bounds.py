@@ -517,6 +517,9 @@ def test_exp_bound_in_dimension_2_matches_the_per_point_scan():
     R = math.sqrt(stats.volume / math.pi)
 
     def objective(t):
+        # on a Python float an overflow at small t raises OverflowError,
+        # which the scan reads as +inf
+        t = float(t)
         lam_val = log_weight_integral((2.0 * t + 1.0) / (2.0 * t), R)
         return ((4.0 / (2.0 - t)) ** (1.0 / t)
                 * (stats.volume / (2.0 * math.pi)) ** (1.0 / (2.0 * t + 1.0))

@@ -191,9 +191,9 @@ def test_verify_serializes_numpy_pass_flags(capsys):
     assert "[PASS] oracle_equivalence" in err
 
 
-@pytest.mark.parametrize("N", ["340", "342"])
-def test_bounds_past_double_range_exits_2(capsys, N):
+@pytest.mark.parametrize("N, quantity", [("340", "hyp0f1"), ("342", "Gamma")])
+def test_bounds_at_large_dimension_exits_2(capsys, N, quantity):
     code, out, err = run_cli(capsys, "bounds", "--family", "exp", "--N", N)
     assert code == 2
-    assert "invalid input" in err and "double range" in err
+    assert "invalid input" in err and quantity in err
     assert "Traceback" not in err

@@ -231,22 +231,22 @@ def test_mu1_starts_from_the_rayleigh_bracket(monkeypatch, tol, most):
 
 
 def test_lambda1_in_high_dimension_is_the_closed_form():
-    # N = 300 is inside double range: eigenvalue and normalization are the
-    # closed forms themselves
-    from scipy.special import hyp0f1
+    # at N = 300 scipy's hyp0f1 still gives the normalization to rounding
     pair = lambda1_ball(300.0)
     with mpmath.workdps(30):
-        ref = float(mpmath.besseljzero(149, 1) ** 2)
+        j = mpmath.besseljzero(149, 1)
+        ref = float(j ** 2)
+        moment = mpmath.hyp0f1(151, -j ** 2 / 4)
+        ref_c = float(1 / (mpmath.pi ** 150 / mpmath.factorial(150) * moment))
     assert abs(pair.eigenvalue - ref) <= 1e-13 * ref
-    assert pair.normalization == 1.0 / (pullin.volume_unit_ball(300.0)
-                                        * float(hyp0f1(151.0, -0.25 * pair.eigenvalue)))
-    assert math.isfinite(pair.normalization) and pair.normalization > 0.0
+    assert pair.normalization == pytest.approx(ref_c, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("N, quantity", [(340.0, "0F1"), (342.0, "Gamma"),
-                                         (400.0, "Gamma")])
-def test_lambda1_names_what_leaves_double_range(N, quantity):
-    # the normalization ₀F₁(; ν+2; -j²/4) underflows to 0 from N = 333 on,
-    # Γ(N/2 + 1) of the ball volume overflows from N = 342 on
+@pytest.mark.parametrize("N, quantity", [(330.0, "hyp0f1"), (340.0, "0F1"),
+                                         (342.0, "Gamma"), (400.0, "Gamma")])
+def test_lambda1_names_what_fails_at_large_dimension(N, quantity):
+    # scipy's hyp0f1 gives the normalization ₀F₁(; ν+2; -j²/4) with relative
+    # error 1.4e-4 at N = 330 and as 0 from N = 333 on; Γ(N/2 + 1) of the
+    # ball volume overflows from N = 342 on
     with pytest.raises(DomainValidationError, match=quantity):
         lambda1_ball(N)
