@@ -16,8 +16,8 @@ from .bounds import (BoundReport, DomainStats, ball_stats, energy_norm_bound,
                      pullin_voltage_upper, radial_decay_constant,
                      stability_necessary_check)
 from .branch import (Branch, BranchPoint, ProblemSpec, RadialSolution,
-                     SampledProfile, ShootResult, default_m_grid, dudlambda,
-                     minimal_solution, shoot, solve_branch)
+                     ShootResult, default_m_grid, dudlambda, minimal_solution,
+                     shoot, solve_branch)
 from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError, PullInError, QuadratureError)
 from .geometry import volume_unit_ball
@@ -28,6 +28,6 @@ from .powerlaw import (MEMS_CRITICAL_DIMENSION, REGULAR_CRITICAL_DIMENSION,
                        TransformResult, alpha_critical_mems,
                        asymptotic_envelopes, classify_regularity,
                        dim_transform, extremal_voltage_rate, singular_extremal)
-from .spectral import EigenPair, lambda1_ball, mu1, profile_weight_ratio
+from .spectral import EigenPair, lambda1_ball, mu1
 
 __version__ = "0.1.0"

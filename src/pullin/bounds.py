@@ -60,9 +60,9 @@ class DomainStats:
                 f"({self.inf_f}, {self.f_phi_integral}, {self.sup_f})")
 
 
-def ball_stats(N: float, alpha: float = 0.0, tol: float = 1e-10) -> DomainStats:
+def ball_stats(N: float, alpha: float = 0.0) -> DomainStats:
     """DomainStats of the unit ball with weight |x|^alpha."""
-    pair = spectral.lambda1_ball(N, tol)
+    pair = spectral.lambda1_ball(N)
     fphi = 1.0 if alpha == 0.0 else pair.weight_ratio(alpha)
     inf_f = 1.0 if alpha <= 0.0 else 0.0
     sup_f = 1.0 if alpha >= 0.0 else math.inf

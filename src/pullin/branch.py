@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +36,7 @@ from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError)
 from .nonlinearity import Nonlinearity
 from .powerlaw import TransformResult, dim_transform
-from .radial import center_series, series_state, series_value, shot_evaluator
+from .radial import center_series, series_state, series_value
 
 log = logging.getLogger("pullin.branch")
 
@@ -65,14 +64,12 @@ class ProblemSpec:
 
 @dataclass
 class RadialSolution:
-    """Sampled radial profile on the unit ball with its voltage.
+    """Radial profile on the unit ball with its voltage.
 
     `N_eff` records the dimension actually used in the ODE (it differs from
     the physical dimension when a power-law weight was transformed away).
     """
 
-    r: np.ndarray
-    u: np.ndarray
     m: float
     lam: float
     N_eff: float
@@ -97,27 +94,29 @@ class ShootResult:
     alpha: float
     seed_radius: float
     _series: tuple = field(repr=False)  # (a1, a2, a3) of the center series
-    _sol: object = field(repr=False)    # _sol.sol(rho) -> rows (w, w')
+    _rows: Callable = field(repr=False)  # rho -> rows (w, w') of the dense output
 
     def profile(self, rho):
-        """Unscaled profile w at raw radius rho in [0, first_zero]."""
-        return shot_evaluator(self._series, self.m, 2.0 + self.alpha, self.seed_radius,
-                              self.first_zero, self._sol.sol, 0)(rho)
+        """Unscaled profile w at raw radius rho in [0, first_zero]: the center
+        series in s = rho^(2+α) below the seed radius, the dense output
+        beyond.  Returns a float for scalar rho, an array otherwise."""
+        rho = np.asarray(rho, dtype=float)
+        eps = self.seed_radius
+        series = series_value(self._series, self.m, rho ** (2.0 + self.alpha))
+        out = np.where(rho < eps, series, self._rows(np.clip(rho, eps, self.first_zero))[0])
+        return float(out) if out.ndim == 0 else out
 
-    def solution(self, n_points: int = 513) -> RadialSolution:
+    def solution(self) -> RadialSolution:
         """Rescale to the unit ball: u(r) = w(R r), voltage λ = R^(2+α)."""
-        return _rescaled(self, 1.0, self.lam, self.alpha, n_points)
+        return _rescaled(self, 1.0, self.lam, self.alpha)
 
 
-def _rescaled(shot: ShootResult, exponent: float, lam: float, alpha: float,
-              n_points: int = 513) -> RadialSolution:
+def _rescaled(shot: ShootResult, exponent: float, lam: float,
+              alpha: float) -> RadialSolution:
     """The unit-ball solution u(r) = w(R r^exponent) at voltage lam."""
     R = shot.first_zero
     evaluate = lambda rr: shot.profile(R * np.asarray(rr, dtype=float) ** exponent)
-    r = np.linspace(0.0, 1.0, n_points)
-    u = evaluate(r)
-    u[0], u[-1] = shot.m, 0.0
-    return RadialSolution(r, u, shot.m, lam, shot.N_eff, alpha, _evaluate=evaluate)
+    return RadialSolution(shot.m, lam, shot.N_eff, alpha, _evaluate=evaluate)
 
 
 class _LaneDOP853(DOP853):
@@ -266,7 +265,7 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
     R = float(R[0])
     return ShootResult(R, R ** (2.0 + alpha), float(slope[0]), m, N_eff, alpha,
                        float(eps[0]), tuple(float(aj) for aj in a[:, 0]),
-                       SimpleNamespace(sol=_rows_at_radius(sol, float(m))))
+                       _rows_at_radius(sol, float(m)))
 
 
 def default_m_grid(F: Nonlinearity, n_points: int = 400) -> np.ndarray:
@@ -446,21 +445,11 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
     raise BracketError(f"no center value with λ(m) = {lam} found in [{lo}, {hi}]")
 
 
-@dataclass
-class SampledProfile:
-    """A radial profile sampled on a fixed grid (e.g. a voltage derivative)."""
-
-    r: np.ndarray
-    values: np.ndarray
-
-    def at(self, r):
-        return np.interp(r, self.r, self.values)
-
-
-def dudlambda(problem: ProblemSpec, lam: float, h: float, branch: Branch,
-              n_points: int = 201) -> SampledProfile:
+def dudlambda(problem: ProblemSpec, lam: float, h: float,
+              branch: Branch) -> Callable:
     """Central finite difference of the minimal solution with respect to the
-    voltage, (u_{λ+h} - u_{λ-h}) / (2h); positive inside the ball."""
+    voltage: the function r -> (u_{λ+h}(r) - u_{λ-h}(r)) / (2h) on [0, 1],
+    positive inside the ball (a float for scalar r)."""
     if h <= 0:
         raise DomainValidationError(f"stencil width must be positive, got {h}")
     if lam - h <= 0 or lam + h >= branch.lambda_star:
@@ -468,7 +457,4 @@ def dudlambda(problem: ProblemSpec, lam: float, h: float, branch: Branch,
             f"stencil [{lam - h}, {lam + h}] leaves (0, λ*={branch.lambda_star:.6g})")
     u_plus = minimal_solution(problem, lam + h, branch)
     u_minus = minimal_solution(problem, lam - h, branch)
-    r = np.linspace(0.0, 1.0, n_points)
-    vals = (u_plus.at(r) - u_minus.at(r)) / (2.0 * h)
-    vals[-1] = 0.0
-    return SampledProfile(r, vals)
+    return lambda r: (u_plus.at(r) - u_minus.at(r)) / (2.0 * h)

@@ -224,7 +224,7 @@ def _report_dict(rep: bounds.BoundReport) -> dict:
 
 def cmd_bounds(args):
     F = _make_family(args)
-    stats = bounds.ball_stats(args.N, args.alpha, tol=args.tol)
+    stats = bounds.ball_stats(args.N, args.alpha)
     reports = [bounds.pullin_voltage_upper(F, stats),
                bounds.pullin_distance_lower(F, stats)]
     if F.family is Family.EXPONENTIAL and stats.N >= 2.0:
@@ -336,15 +336,13 @@ def cmd_verify(args):
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-def _add_common(p, with_family=True):
-    if with_family:
-        p.add_argument("--family", choices=["exp", "mems", "power"], default="mems")
-        p.add_argument("--p", type=float, default=None,
-                       help="exponent for the mems/power families (mems default 2)")
+def _add_common(p):
+    p.add_argument("--family", choices=["exp", "mems", "power"], default="mems")
+    p.add_argument("--p", type=float, default=None,
+                   help="exponent for the mems/power families (mems default 2)")
     p.add_argument("--N", type=float, default=2.0, help="dimension (real, >= 1)")
     p.add_argument("--alpha", type=float, default=0.0,
                    help="power-law weight exponent (> -2)")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", type=str, default=None, help="output path (atomic write)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -358,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("branch", help="sweep the bifurcation branch m -> lambda(m)")
     _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--m-min", dest="m_min", type=float, default=None)
     p.add_argument("--m-max", dest="m_max", type=float, default=None)
     p.add_argument("--m-points", dest="m_points", type=int, default=400)
@@ -386,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asymptotics", help="two-sided envelopes near pull-in")
     _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--m-points", dest="m_points", type=int, default=160)
     p.set_defaults(fn=cmd_asymptotics)

@@ -1,22 +1,20 @@
-"""The radial integration core: center series, right-hand side and profile
-evaluator of a radial shot.
+"""The radial integration core: center series and the eigen-shot
+right-hand side.
 
 Both radial integrators are built from these pieces.  `branch` shoots the
 profile w with its tangent z = ∂w/∂m in the profile variable (its own
 right-hand side, one lane per center value, on Python floats when there is
-one lane) and reads the center series inside the seed radius; the
-eigen-shots of `spectral` integrate the profile u and the eigenfunction psi
-of the linearized operator in the radius with `radial_rhs`.  The removable
-singularity of (N-1)/r at r = 0 rules out starting at the center, so each
-integration starts at a small seed radius where the series is still exact
-to the integrator tolerance, and the evaluator reads the series there.
+one lane), and its profile evaluator reads the center series inside the
+seed radius; the eigen-shots of `spectral` integrate the profile u and the
+eigenfunction psi of the linearized operator in the radius with
+`radial_rhs`.  The removable singularity of (N-1)/r at r = 0 rules out
+starting at the center, so each integration starts at a small seed radius
+where the series is still exact to the integrator tolerance.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainValidationError
 from .nonlinearity import Nonlinearity
@@ -88,18 +86,3 @@ def radial_rhs(F: Nonlinearity, N: float, lam: float, mu: float):
                 dv, -(mu + lam * fp(u)) * v - c / r * dv)
 
     return rhs
-
-
-def shot_evaluator(coeffs, base: float, k: float, eps: float, r_end: float,
-                   dense, row: int):
-    """Evaluator of one component of a radial shot at radii r in [0, r_end]:
-    the center series base + c1 s + c2 s² + c3 s³ in s = r^k below the seed
-    radius eps, row `row` of the dense output `dense` on [eps, r_end].
-    Returns a float for scalar r, an array otherwise."""
-    def at(r):
-        r = np.asarray(r, dtype=float)
-        out = np.where(r < eps, series_value(coeffs, base, r ** k),
-                       dense(np.clip(r, eps, r_end))[row])
-        return float(out) if out.ndim == 0 else out
-
-    return at

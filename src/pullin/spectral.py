@@ -27,7 +27,7 @@ from scipy.special import gammaln, hyp0f1, jv
 from .errors import BracketError, DomainValidationError, QuadratureError
 from .geometry import volume_unit_ball
 from .nonlinearity import Nonlinearity
-from .radial import center_series, radial_rhs, series_state, shot_evaluator
+from .radial import center_series, radial_rhs, series_state
 
 _MAX_POTENTIAL = 2e5  # beyond this the shot eigenfunction overflows double range
 # eigen-shots run at rtol = _SHOT_RTOL * tol; at rtol = tol the integrator
@@ -46,14 +46,12 @@ class EigenPair:
     """
 
     eigenvalue: float
-    r: np.ndarray
-    psi: np.ndarray
     dimension: float
     normalization: float
     _psi_at: Callable = field(repr=False, compare=False)
 
     def at(self, r):
-        """psi at radius r in [0, 1], from its evaluator (not the samples)."""
+        """psi at radius r in [0, 1] (a float for scalar r)."""
         return self._psi_at(r)
 
     def weight_ratio(self, alpha: float) -> float:
@@ -83,16 +81,16 @@ def _radial_moment(psi_at: Callable, power: float) -> float:
 
 
 def _shoot_mode(N: float, F: Nonlinearity, lam: float, m: float, mu: float,
-                rtol: float, dense: bool = False):
+                rtol: float):
     """Integrate the profile and the trial eigenfunction on [0, 1]:
 
         u'' + (N-1)/r u' + λ F(u) = 0,                   u(0) = m,
         psi'' + (N-1)/r psi' + (μ + λ F'(u)) psi = 0,    psi(0) = 1,
 
     from their center series in s = r².  Returns (number of zeros of psi in
-    (0, 1], psi(1), psi evaluator or None unless `dense`).  The zeros are
-    the sign changes of psi between accepted steps: at these tolerances a
-    step spans a small fraction of a half-wave of psi, so none is missed.
+    (0, 1], psi(1)).  The zeros are the sign changes of psi between accepted
+    steps: at these tolerances a step spans a small fraction of a half-wave
+    of psi, so none is missed.
     """
     a, b = center_series(F, N, 2.0, m, lam, mu)
     # each term j of both series at most rtol^(j/3), for u relative to
@@ -107,13 +105,12 @@ def _shoot_mode(N: float, F: Nonlinearity, lam: float, m: float, mu: float,
     y0 = series_state(a, m, s, 2.0, eps) + series_state(b, 1.0, s, 2.0, eps)
 
     sol = solve_ivp(radial_rhs(F, N, lam, mu), (eps, 1.0), y0, method="DOP853",
-                    rtol=rtol, atol=rtol * 1e-2, dense_output=dense)
+                    rtol=rtol, atol=rtol * 1e-2)
     if not sol.success:
         raise BracketError(f"eigen shot failed at mu={mu}: {sol.message}")
     psi = sol.y[2]
     zeros = int(np.count_nonzero(np.signbit(psi[1:]) != np.signbit(psi[:-1])))
-    psi_at = shot_evaluator(b, 1.0, 2.0, eps, 1.0, sol.sol, 2) if dense else None
-    return zeros, float(psi[-1]), psi_at
+    return zeros, float(psi[-1])
 
 
 def _principal_eigenvalue(N: float, F: Nonlinearity, lam: float, m: float,
@@ -138,7 +135,7 @@ def _principal_eigenvalue(N: float, F: Nonlinearity, lam: float, m: float,
 
     def below(mu) -> bool:
         # True when mu is below the principal eigenvalue.
-        zeros, end, _ = shot(mu)
+        zeros, end = shot(mu)
         return zeros == 0 and end > 0.0
 
     for _ in range(80):
@@ -180,35 +177,49 @@ def _first_bessel_zero(nu: float) -> float:
 
 
 def _ball_eigenfunction(nu: float, j: float) -> Callable:
-    """Evaluator of psi(r) = Γ(ν+1) (2/(j r))^ν J_ν(j r) = ₀F₁(; ν+1; -(j r)²/4)
-    (DLMF 10.16.9), psi(0) = 1, for scalar or array r.  The ₀F₁ form needs
-    no series at r = 0 and cannot overflow for large ν."""
+    """Evaluator of psi(r) = Γ(ν+1) (2/(j r))^ν J_ν(j r) = ₀F₁(; ν+1; z),
+    z = -(j r)²/4 (DLMF 10.16.9), psi(0) = 1, for scalar or array r.  The
+    ₀F₁ form needs no limit at r = 0 and cannot overflow for large ν.
+
+    For |z| <= 1 it sums the series Σ zᵏ / ((ν+1)ₖ k!) to k = 13 by Horner
+    steps (the next term is below 1e-20 for ν >= -1/2), where scipy's
+    hyp0f1 is NaN or inf for large ν (from N = 176 on, near r = 2e-4);
+    scipy's hyp0f1 takes z < -1.  The quadratures call it with Python
+    floats, which skip numpy altogether.
+    """
+    b = nu + 1.0
+    factors = tuple(1.0 / ((b + k - 1.0) * k) for k in range(13, 0, -1))
+    q = -0.25 * j * j
+
+    def series(z):
+        out = 1.0
+        for c in factors:
+            out = 1.0 + c * z * out
+        return out
+
     def at(r):
-        x = j * np.asarray(r, dtype=float)
-        out = hyp0f1(nu + 1.0, -0.25 * x * x)
+        if isinstance(r, float):
+            z = q * (r * r)
+            return series(z) if z >= -1.0 else float(hyp0f1(b, z))
+        z = q * np.square(np.asarray(r, dtype=float))
+        out = np.where(z >= -1.0, series(z), hyp0f1(b, np.minimum(z, -1.0)))
         return float(out) if out.ndim == 0 else out
 
     return at
 
 
-def lambda1_ball(N: float, tol: float = 1e-10) -> EigenPair:
-    """Principal Dirichlet eigenvalue of -Δ on the unit ball in dimension N,
-    to within tol.
+def lambda1_ball(N: float) -> EigenPair:
+    """Principal Dirichlet eigenpair of -Δ on the unit ball in dimension N.
 
     λ₁ = j²_{ν,1} with ν = N/2 - 1, the first Bessel zero found by brentq
-    on J_ν to rounding level, so every tol is met; the eigenfunction and
-    its normalization are closed forms too.  Reference points: N=1 gives
-    pi^2/4, N=2 the square of the first zero of the Bessel function J0,
-    N=3 gives pi^2.
+    on J_ν to rounding level; the eigenfunction and its normalization are
+    closed forms too.  Reference points: N=1 gives pi^2/4, N=2 the square
+    of the first zero of the Bessel function J0, N=3 gives pi^2.
     """
     if N < 1:
         raise DomainValidationError(f"dimension must be >= 1, got {N}")
     nu = N / 2.0 - 1.0
     j = _first_bessel_zero(nu)
-    psi_at = _ball_eigenfunction(nu, j)
-    r = np.linspace(0.0, 1.0, 1025)
-    psi = psi_at(r)
-    psi[-1] = 0.0  # Dirichlet end, exact by construction
     # ∫₀¹ r^(N-1) psi dr = Γ(ν+1) (2/j)^ν J_{ν+1}(j) / j = ₀F₁(; ν+2; -j²/4) / N
     volume = volume_unit_ball(N)
     moment = float(hyp0f1(nu + 2.0, -0.25 * j * j))
@@ -221,14 +232,7 @@ def lambda1_ball(N: float, tol: float = 1e-10) -> EigenPair:
             f"scipy's hyp0f1 misses the normalization 0F1(; nu+2; -j^2/4) "
             f"of the ball eigenfunction at N={N:g} (relative error "
             f"{abs(moment / bessel_form - 1.0):.1e} against J_(nu+1))")
-    c = 1.0 / (volume * moment)
-    return EigenPair(j * j, r, psi, N, c, psi_at)
-
-
-def profile_weight_ratio(N: float, alpha: float, tol: float = 1e-10) -> float:
-    """Mean of |x|^alpha against the normalized principal eigenfunction
-    (see :meth:`EigenPair.weight_ratio`).  Requires N + alpha > 0."""
-    return lambda1_ball(N, tol).weight_ratio(alpha)
+    return EigenPair(j * j, N, 1.0 / (volume * moment), _ball_eigenfunction(nu, j))
 
 
 def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:

@@ -368,7 +368,7 @@ def test_ball_stats_solves_the_eigenproblem_once(monkeypatch):
     monkeypatch.setattr(pullin.spectral, "lambda1_ball", counting)
     stats = ball_stats(3.0, alpha=1.5)
     assert len(calls) == 1
-    ratio = pullin.profile_weight_ratio(3.0, 1.5)
+    ratio = real(3.0).weight_ratio(1.5)
     assert stats.f_phi_integral == pytest.approx(ratio, abs=1e-12)
 
 

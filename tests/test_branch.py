@@ -46,10 +46,16 @@ def test_small_center_value_gives_small_voltage():
 def test_shot_profile_is_decreasing_and_bounded():
     sr = shoot(MEMS, 2.0, 0.7)
     sol = sr.solution()
-    assert sol.u[0] == pytest.approx(0.7)
-    assert abs(sol.u[-1]) < 1e-9
-    assert np.all(np.diff(sol.u) < 0)
-    assert np.all(sol.u < 1.0)
+    u = sol.at(np.linspace(0.0, 1.0, 513))
+    assert sol.at(0.0) == pytest.approx(0.7)
+    assert abs(sol.at(1.0)) < 1e-9
+    assert np.all(np.diff(u) < 0)
+    assert np.all(u < 1.0)
+
+
+def test_equal_shots_give_equal_solutions():
+    assert shoot(MEMS, 2.0, 0.7).solution() == shoot(MEMS, 2.0, 0.7).solution()
+    assert shoot(MEMS, 2.0, 0.7).solution() != shoot(MEMS, 2.0, 0.6).solution()
 
 
 def test_shot_profile_satisfies_ode():
@@ -61,9 +67,9 @@ def test_shot_profile_satisfies_ode():
     worst = 0.0
     for r in np.linspace(0.1, 0.9, 17):
         rho = r * R
-        vp = lambda x: sr._sol.sol(x)[1]
+        vp = lambda x: sr._rows(x)[1]
         v2 = (vp(rho + h) - vp(rho - h)) / (2.0 * h)
-        v, dv = sr._sol.sol(rho)
+        v, dv = sr._rows(rho)
         res = -v2 - 2.0 / rho * dv - MEMS.value(v)
         worst = max(worst, abs(res))
     assert worst < 1e-4
@@ -167,12 +173,28 @@ def test_minimal_solution_checks_problem_identity(mems_disc_branch):
 
 def test_voltage_derivative_positive_and_monotone(mems_disc_branch):
     prob = ProblemSpec(2.0, MEMS)
+    r = np.linspace(0.0, 1.0, 201)[:-1]
     v1 = pullin.dudlambda(prob, 0.4, 1e-4, mems_disc_branch)
     v2 = pullin.dudlambda(prob, 0.6, 1e-4, mems_disc_branch)
-    assert v1.values[-1] == 0.0
-    assert np.all(v1.values[:-1] > 0)
+    assert v1(1.0) == 0.0
+    assert np.all(v1(r) > 0)
     # the derivative grows with the voltage
-    assert np.all(v2.values[:-1] >= v1.values[:-1])
+    assert np.all(v2(r) >= v1(r))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+def test_voltage_derivative_matches_the_exp_disc_closed_form(lam):
+    # u = 2 log((1+a)/(1+a r²)) at λ = 8a/(1+a)², so du/dλ = (∂u/∂a)/(dλ/da);
+    # the minimal branch has a < 1.  The radii lie midway between the points
+    # of a 201-point grid, where a sampled profile would interpolate.
+    prob = ProblemSpec(2.0, EXP)
+    b = solve_branch(prob, np.geomspace(1e-3, 3.0, 61))
+    a = (4.0 - lam - 2.0 * math.sqrt(4.0 - 2.0 * lam)) / lam
+    r = (np.arange(200) + 0.5) / 200
+    exact = (2.0 * (1.0 / (1.0 + a) - r * r / (1.0 + a * r * r))
+             / (8.0 * (1.0 - a) / (1.0 + a) ** 3))
+    v = pullin.dudlambda(prob, lam, 1e-4, b)(r)
+    assert np.max(np.abs(v - exact)) <= 1e-7 * np.max(np.abs(exact))
 
 
 def test_voltage_derivative_stencil_validation(mems_disc_branch):

@@ -197,3 +197,11 @@ def test_bounds_at_large_dimension_exits_2(capsys, N, quantity):
     assert code == 2
     assert "invalid input" in err and quantity in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "transform"])
+def test_tol_is_refused_where_nothing_reads_it(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err

@@ -8,8 +8,7 @@ from scipy.special import jn_zeros
 
 import pullin
 from pullin import (BracketError, DomainValidationError, exponential,
-                    lambda1_ball, mems_inverse_power, mu1, profile_weight_ratio,
-                    shoot)
+                    lambda1_ball, mems_inverse_power, mu1, shoot)
 from pullin.branch import RadialSolution
 
 
@@ -54,25 +53,26 @@ def test_principal_eigenvalue_dimension_2_bessel_oracle():
 
 
 def test_eigenvalue_monotone_in_dimension():
-    values = [lambda1_ball(N, tol=1e-8).eigenvalue for N in np.arange(1.0, 12.01, 0.5)]
+    values = [lambda1_ball(N).eigenvalue for N in np.arange(1.0, 12.01, 0.5)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_eigenfunction_shape_and_normalization():
     pair = lambda1_ball(2.0)
-    assert pair.psi[0] == pytest.approx(1.0)
-    assert pair.psi[-1] == pytest.approx(0.0, abs=1e-9)
-    assert np.all(pair.psi[:-1] > 0)
+    r = np.linspace(0.0, 1.0, 1025)
+    psi = pair.at(r)
+    assert pair.at(0.0) == pytest.approx(1.0)
+    assert pair.at(1.0) == pytest.approx(0.0, abs=1e-9)
+    assert np.all(psi[:-1] > 0)
     # the reported factor makes the ball integral of c*psi equal 1
-    r, psi = pair.r, pair.psi
     radial = np.trapezoid(r * psi, r)
     total = pair.normalization * 2.0 * math.pi * radial
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_weight_ratio_constant_weight_is_one():
-    assert profile_weight_ratio(2.0, 0.0) == pytest.approx(1.0, abs=1e-10)
-    assert profile_weight_ratio(3.7, 0.0) == pytest.approx(1.0, abs=1e-10)
+    assert lambda1_ball(2.0).weight_ratio(0.0) == pytest.approx(1.0, abs=1e-10)
+    assert lambda1_ball(3.7).weight_ratio(0.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_weight_ratio_bessel_oracle():
@@ -80,31 +80,25 @@ def test_weight_ratio_bessel_oracle():
     j01 = _first_j0_zero()
     num, _ = quad(lambda r: r ** 3 * _j0(j01 * r), 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
     den, _ = quad(lambda r: r * _j0(j01 * r), 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
-    val = profile_weight_ratio(2.0, 2.0)
+    val = lambda1_ball(2.0).weight_ratio(2.0)
     assert 0.0 < val < 1.0
     assert val == pytest.approx(num / den, abs=1e-8)
 
 
 def test_weight_ratio_decreases_with_alpha():
-    vals = [profile_weight_ratio(2.0, a) for a in (0.5, 1.0, 2.0, 5.0, 20.0)]
+    pair = lambda1_ball(2.0)
+    vals = [pair.weight_ratio(a) for a in (0.5, 1.0, 2.0, 5.0, 20.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.1  # weight concentrates where the eigenfunction vanishes
 
 
-def test_weight_ratio_quadrature_convergence():
-    a = profile_weight_ratio(2.0, 2.0, tol=1e-10)
-    b = profile_weight_ratio(2.0, 2.0, tol=1e-12)
-    assert abs(a - b) < 1e-8
-
-
 def test_weight_ratio_rejects_non_integrable():
     with pytest.raises(DomainValidationError):
-        profile_weight_ratio(1.0, -1.0)
+        lambda1_ball(1.0).weight_ratio(-1.0)
 
 
 def _zero_solution():
-    r = np.linspace(0.0, 1.0, 33)
-    return RadialSolution(r, np.zeros_like(r), 0.0, 0.0, 2.0)
+    return RadialSolution(0.0, 0.0, 2.0, _evaluate=np.zeros_like)
 
 
 def test_mu1_vanishing_potential_recovers_laplacian():
@@ -128,9 +122,8 @@ def test_mu1_small_voltage_shift():
 
 def test_mu1_overflow_guard():
     F = mems_inverse_power(2.0)
-    r = np.linspace(0.0, 1.0, 33)
-    u = np.clip(0.999999 * (1.0 - r ** 2), 0.0, None)
-    huge = RadialSolution(r, u, 0.999999, 1.0, 2.0)
+    huge = RadialSolution(0.999999, 1.0, 2.0,
+                          _evaluate=lambda r: 0.999999 * (1.0 - np.square(r)))
     with pytest.raises(BracketError):
         mu1(2.0, F, 1e3, huge)
 
@@ -153,8 +146,8 @@ def test_eigenpair_evaluates_the_shot_inside_the_seed_radius():
 def test_mu1_vanishes_at_the_closed_form_disc_fold():
     # u = 2 log(2 / (1 + r^2)) solves -Δu = 2 e^u on the disc: the fold
     m = 2.0 * math.log(2.0)
-    r = np.linspace(0.0, 1.0, 33)
-    fold = RadialSolution(r, 2.0 * np.log(2.0 / (1.0 + r * r)), m, 2.0, 2.0)
+    fold = RadialSolution(m, 2.0, 2.0,
+                          _evaluate=lambda r: 2.0 * np.log(2.0 / (1.0 + np.square(r))))
     assert abs(mu1(2.0, exponential(), 2.0, fold, tol=1e-8)) <= 1e-8
 
 
@@ -171,8 +164,7 @@ def test_mu1_delivers_its_tolerance(m, tol):
 def test_mu1_reads_only_center_value_and_voltage():
     F = mems_inverse_power(2.0)
     u = shoot(F, 2.0, 0.3).solution()
-    r = np.linspace(0.0, 1.0, 5)
-    coarse = RadialSolution(r, np.zeros_like(r), u.m, u.lam, 2.0)
+    coarse = RadialSolution(u.m, u.lam, 2.0, _evaluate=np.zeros_like)
     assert mu1(2.0, F, u.lam, coarse) == mu1(2.0, F, u.lam, u)
 
 
@@ -180,7 +172,7 @@ def test_mu1_reads_only_center_value_and_voltage():
 def test_eigen_shot_counts_every_zero(mu):
     # λ = 0, N = 2: psi = J0(sqrt(mu) r), whose zeros in (0, 1] are the
     # Bessel zeros below sqrt(mu)
-    zeros, _, _ = pullin.spectral._shoot_mode(2.0, exponential(), 0.0, 0.0, mu, 1e-7)
+    zeros, _ = pullin.spectral._shoot_mode(2.0, exponential(), 0.0, 0.0, mu, 1e-7)
     assert zeros == int(np.sum(jn_zeros(0, 60) < math.sqrt(mu)))
 
 
@@ -250,3 +242,23 @@ def test_lambda1_names_what_fails_at_large_dimension(N, quantity):
     # ball volume overflows from N = 342 on
     with pytest.raises(DomainValidationError, match=quantity):
         lambda1_ball(N)
+
+
+def test_equal_dimensions_give_equal_eigenpairs():
+    assert lambda1_ball(2.0) == lambda1_ball(2.0)
+    assert lambda1_ball(2.0) != lambda1_ball(3.0)
+
+
+@pytest.mark.parametrize("N", [176.0, 200.0, 300.0, 320.0])
+def test_ball_eigenfunction_near_the_center_in_high_dimension(N):
+    # scipy's hyp0f1(b, z) is NaN or inf for b >= 88 and -0.35 < z < 0,
+    # which is where r ~ 1e-3 lands for these N
+    pair = lambda1_ball(N)
+    radii = [0.0, 1e-9, 2e-4, 5e-4, 1e-3, 3e-3, 0.2, 0.8]
+    with mpmath.workdps(30):
+        b, j = mpmath.mpf(N) / 2, mpmath.sqrt(mpmath.mpf(pair.eigenvalue))
+        refs = [float(mpmath.hyp0f1(b, -(j * r) ** 2 / 4)) for r in radii]
+    for r, ref in zip(radii, refs):
+        assert pair.at(r) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    # arrays take the same arithmetic as the Python floats of the quadratures
+    assert np.array_equal(pair.at(np.array(radii)), [pair.at(r) for r in radii])
