@@ -36,11 +36,12 @@ from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError)
 from .nonlinearity import Nonlinearity
 from .powerlaw import TransformResult, dim_transform
-from .radial import center_series, series_state, series_value
+from .radial import lane_rhs, lane_seed, series_value
 
 log = logging.getLogger("pullin.branch")
 
 DEFAULT_TOL = 1e-10
+_STABILITY_TOL = 1e-6  # of each μ₁ that `solve_branch` fills, relative to max(1, |μ₁|)
 
 
 @dataclass(frozen=True)
@@ -138,83 +139,21 @@ class _LaneDOP853(DOP853):
 
 def _shoot_lanes(F: Nonlinearity, N_eff: float, ms: np.ndarray, tol: float,
                  alpha: float = 0.0, dense: bool = False):
-    """Shoot every center value in `ms` in one DOP853 run.
-
-    The independent variable is τ ∈ [τ₀, 1] with w = m(1 - τ²) in every
-    lane, so the first zero of w is the fixed endpoint τ = 1.  Each lane
-    carries (r, w', z, z'), with z = ∂w/∂m the solution of
-    z'' + (N-1)/r z' + r^α F'(w) z = 0, z(0) = 1, and d/dτ = (dr/dτ) d/dr
-    with dr/dτ = -2mτ/w'.  Near the center (α = 0) w' ~ r and m - w ~ r², so
-    dr/dτ stays finite, where dr/dσ in σ = τ² would blow up like σ^(-1/2).
-    Since w stays in [0, m], F and F' need no domain check.
-
-    Each lane's seed s = r^(2+α) is where the last term of its third-order
-    center series falls to tol (relative to m for w), so the series
-    remainder stays below tol.  All lanes then start at the smallest
-    σ₀ = τ₀² among them: each takes the s where its series reads
-    w = m(1 - σ₀), which only shrinks its remainder.
+    """Shoot every center value in `ms` in one DOP853 run of the radial core
+    (`radial.lane_seed` and `radial.lane_rhs`, one lane per center value).
 
     Returns (R, dλ/dm, seed radii, center series (3, n), solver result),
     with dλ/dm = (2+α) R^(1+α) (-z(R)/w'(R)).
     """
-    k = 2.0 + alpha
-    series = [center_series(F, N_eff, k, m) for m in ms]
-    a = np.array([ai for ai, _ in series]).T
-    b = np.array([bi for _, bi in series]).T
-    # the last clause keeps the seed well inside the curvature length m / |a1|
-    s = np.minimum.reduce([(tol * ms / np.abs(a[2])) ** (1.0 / 3.0),
-                           (tol / np.abs(b[2])) ** (1.0 / 3.0), 0.1 * ms / np.abs(a[0])])
-    sigma0 = float(np.min(-series_value(a, 0.0, s) / ms))
-    # Newton on the cubic from its linear root, where a1 s dominates (two
-    # steps reach rounding level on the default grids)
-    drop = ms * sigma0
-    s = -drop / a[0]
-    for _ in range(6):
-        s -= series_value(a, drop, s) / (a[0] + s * (2.0 * a[1] + 3.0 * s * a[2]))
-    eps = s ** (1.0 / k)
-    y0 = np.concatenate((eps, series_state(a, ms, s, k, eps)[1],
-                         *series_state(b, 1.0, s, k, eps)))
-
-    c = N_eff - 1.0
-
-    if len(ms) == 1:
-        # the same formula on Python floats: one lane's numpy arithmetic
-        # costs more in call overhead than the formula itself
-        m = float(ms[0])
-        f1, fp1 = F.fast_callables()
-
-        def rhs(tau, y):
-            r, dw, z, dz = y.tolist()
-            tau = float(tau)
-            w = m * (1.0 - tau * tau)
-            dr = -2.0 * tau * m / dw
-            f, fp = f1(w), fp1(w)
-            if alpha:
-                ra = r ** alpha
-                f, fp = ra * f, ra * fp
-            cr = c / r
-            return (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
-    else:
-        def rhs(tau, y):
-            r, dw, z, dz = y.reshape(4, -1)
-            w = ms * (1.0 - tau * tau)
-            dr = -2.0 * tau * ms / dw
-            f, fp = F.unchecked(0, w), F.unchecked(1, w)
-            if alpha:
-                ra = r ** alpha
-                f, fp = ra * f, ra * fp
-            cr = c / r
-            return np.concatenate((dr, -(f + cr * dw) * dr, dz * dr,
-                                   -(fp * z + cr * dz) * dr))
-
-    sol = solve_ivp(rhs, (np.sqrt(sigma0), 1.0), y0, method=_LaneDOP853, rtol=tol,
-                    atol=tol * 1e-2, dense_output=dense)
+    tau0, y0, eps, a = lane_seed(F, N_eff, ms, tol, alpha)
+    sol = solve_ivp(lane_rhs(F, N_eff, ms, alpha), (tau0, 1.0), y0, method=_LaneDOP853,
+                    rtol=tol, atol=tol * 1e-2, dense_output=dense)
     if not sol.success:
         raise NoCrossingError(
             f"shooting run failed (family {F.label()}, N_eff={N_eff}, "
             f"m in [{ms[0]}, {ms[-1]}]): {sol.message}")
     R, dw, z, _ = sol.y[:, -1].reshape(4, -1)
-    return R, k * R ** (1.0 + alpha) * (-z / dw), eps, a, sol
+    return R, (2.0 + alpha) * R ** (1.0 + alpha) * (-z / dw), eps, a, sol
 
 
 def _rows_at_radius(sol, m: float):
@@ -324,15 +263,14 @@ class Branch:
 
 
 def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
-                 tol: float = DEFAULT_TOL, stability: bool = False,
-                 stability_tol: float = 1e-6, refine_fold: bool = True) -> Branch:
+                 tol: float = DEFAULT_TOL, stability: bool = False) -> Branch:
     """Sweep the center-value schedule and extract λ*, the pull-in distance
-    and (optionally) the stability eigenvalue at every point.
+    and (optionally) the stability eigenvalue at every point, to within
+    1e-6 * max(1, |μ₁|).
 
-    The whole grid is shot in one lane run.  The fold is the first grid
-    cell where the slope dλ/dm changes sign from + to -; with `refine_fold`
-    it is the brentq root of dλ/dm in that cell (one-lane runs), otherwise
-    the cell end with the larger voltage.
+    The whole grid is shot in one lane run.  The fold is the brentq root of
+    dλ/dm (one-lane runs) in the first grid cell where that slope changes
+    sign from + to -.
 
     Power-law problems are solved through the constant-profile reduction in
     the effective dimension and rescaled back, which preserves center values
@@ -360,7 +298,7 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
 
     fold_found = folds.size > 0
     k = int(folds[0]) if fold_found else None
-    if fold_found and refine_fold:
+    if fold_found:
         known = {grid[j]: (lam_core[j], slopes[j]) for j in (k, k + 1)}
 
         def slope(m):
@@ -371,9 +309,6 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
 
         m_star = brentq(slope, grid[k], grid[k + 1], xtol=tol * max(1.0, grid[k + 1]))
         lam_star_core = max(known[m_star][0], float(np.max(lam_core)))
-    elif fold_found:
-        j = k if lam_core[k] >= lam_core[k + 1] else k + 1
-        m_star, lam_star_core = grid[j], float(lam_core[j])
     else:
         m_star, lam_star_core = math.nan, float(np.max(lam_core))
         log.info("no fold bracketed by the schedule (λ still rising); "
@@ -385,7 +320,7 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
         for point, lam0 in zip(points, lam_core):
             try:
                 # mu1 reads only the center value of the point
-                point.mu1 = spectral.mu1(tr.N_eff, F, lam0, point, stability_tol)
+                point.mu1 = spectral.mu1(tr.N_eff, F, lam0, point, _STABILITY_TOL)
             except BracketError:
                 skipped += 1
 

@@ -296,6 +296,9 @@ def cmd_asymptotics(args):
     F = _make_family(args)
     if args.lam is None:
         raise DomainValidationError("asymptotics requires --lambda")
+    if args.alpha != 0.0:
+        raise DomainValidationError(
+            f"asymptotics has no power-law weight, got --alpha {args.alpha:g}")
     env = powerlaw.asymptotic_envelopes(F, args.N, args.lam)
     prob = branch.ProblemSpec(args.N, F, 0.0)
     grid = branch.default_m_grid(F, args.m_points)

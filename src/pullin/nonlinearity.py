@@ -131,17 +131,11 @@ class Nonlinearity:
         return (z / self.p) ** (1.0 / (self.p - 1.0)) - 1.0
 
     def fast_callables(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        """Unchecked scalar (F, F') for the right-hand sides that run on
-        Python floats: the eigen-shots and the one-lane shooting run (a
-        run of several lanes uses `unchecked` on arrays).  The exponential
-        pair is `np.exp`, which gives the bits it gives on an array; the
-        powers are C `pow`, which may differ from numpy's vectorized power
-        in the last bit.
-
-        An eigen-shot integrates the profile up to r = 1 whatever (λ, u(0))
-        the caller gives, so its trial stages may probe u < -1; there the
-        power-growth pair reads 0 instead of the NaN of a fractional power
-        of a negative base.
+        """Unchecked scalar (F, F') for the one-lane runs of the radial
+        core, which run on Python floats (a run of several lanes uses
+        `unchecked` on arrays).  The exponential pair is `np.exp`, which
+        gives the bits it gives on an array; the powers are C `pow`, which
+        may differ from numpy's vectorized power in the last bit.
         """
         if self.family is Family.EXPONENTIAL:
             return np.exp, np.exp
@@ -149,8 +143,7 @@ class Nonlinearity:
         if self.family is Family.MEMS_INVERSE_POWER:
             return (lambda u: (1.0 - u) ** (-p),
                     lambda u: p * (1.0 - u) ** (-(p + 1.0)))
-        return (lambda u: max(1.0 + u, 0.0) ** p,
-                lambda u: p * max(1.0 + u, 0.0) ** (p - 1.0))
+        return (lambda u: (1.0 + u) ** p, lambda u: p * (1.0 + u) ** (p - 1.0))
 
     # -- derived constants -----------------------------------------------------
 

@@ -21,12 +21,13 @@ _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_section_min(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10, max_iter: int = 400) -> tuple[float, float]:
-    """Minimize f on [a, b]; returns (argmin, min). f is assumed unimodal there."""
+                       tol: float = 1e-10) -> tuple[float, float]:
+    """Minimize f on [a, b] to a bracket of width tol (at most 400 golden
+    steps); returns (argmin, min). f is assumed unimodal there."""
     x1 = b - _INV_GOLD * (b - a)
     x2 = a + _INV_GOLD * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(400):
         if b - a <= tol:
             break
         if f1 < f2:
@@ -42,8 +43,8 @@ def golden_section_min(f: Callable[[float], float], a: float, b: float,
 
 
 def golden_section_max(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10, max_iter: int = 400) -> tuple[float, float]:
-    x, neg = golden_section_min(lambda t: -f(t), a, b, tol, max_iter)
+                       tol: float = 1e-10) -> tuple[float, float]:
+    x, neg = golden_section_min(lambda t: -f(t), a, b, tol)
     return x, -neg
 
 

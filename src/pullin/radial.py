@@ -1,52 +1,56 @@
-"""The radial integration core: center series and the eigen-shot
-right-hand side.
+"""The radial integration core: center series, lane seed and right-hand
+side in the profile variable.
 
-Both radial integrators are built from these pieces.  `branch` shoots the
-profile w with its tangent z = ∂w/∂m in the profile variable (its own
-right-hand side, one lane per center value, on Python floats when there is
-one lane), and its profile evaluator reads the center series inside the
-seed radius; the eigen-shots of `spectral` integrate the profile u and the
-eigenfunction psi of the linearized operator in the radius with
-`radial_rhs`.  The removable singularity of (N-1)/r at r = 0 rules out
-starting at the center, so each integration starts at a small seed radius
-where the series is still exact to the integrator tolerance.
+Every radial integration is a run of this core: `branch` shoots a grid of
+center values as lanes, and each eigen-shot of `spectral` is a one-lane run
+with a shift ν in the tangent equation.  A run integrates, for each center
+value m, the profile w with its linear mode z,
+
+    w'' + (N-1)/r w' + r^α F(w) = 0,             w(0) = m,
+    z'' + (N-1)/r z' + r^α (ν + F'(w)) z = 0,    z(0) = 1,
+
+in τ ∈ [τ₀, 1] with w = m(1 - τ²), so the first zero of w is the fixed
+endpoint τ = 1 and the radius r is an unknown.  At ν = 0, z = ∂w/∂m.  The
+removable singularity of (N-1)/r at r = 0 rules out starting at the
+center, so each run starts at a small seed radius where the center series
+is still exact to the integrator tolerance.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainValidationError
 from .nonlinearity import Nonlinearity
 
 
-def center_series(F: Nonlinearity, N: float, k: float, m: float,
-                  lam: float = 1.0, mu: float = 0.0):
+def center_series(F: Nonlinearity, N: float, k: float, m: float, nu: float = 0.0):
     """Coefficients of the regular solutions near the center in s = r^k:
     w = m + a1 s + a2 s² + a3 s³ of
 
-        w'' + (N-1)/r w' + λ r^(k-2) F(w) = 0,   w(0) = m,
+        w'' + (N-1)/r w' + r^(k-2) F(w) = 0,   w(0) = m,
 
     and y = 1 + b1 s + b2 s² + b3 s³ of the linear mode
 
-        y'' + (N-1)/r y' + r^(k-2) (μ + λ F'(w)) y = 0,   y(0) = 1.
+        y'' + (N-1)/r y' + r^(k-2) (ν + F'(w)) y = 0,   y(0) = 1.
 
-    With λ = 1 and μ = 0, y is the tangent z = ∂w/∂m; with k = 2, y is the
-    eigenfunction of -Δ - λF'(w) at the trial eigenvalue μ.  Matching powers
-    of s gives a_j = -λ [s^(j-1)] F(w) / (jk(jk+N-2)) and
-    b_j = -[s^(j-1)] (μ + λF'(w)) y / (jk(jk+N-2)), so a_j carries λ^j.
+    With ν = 0, y is the tangent z = ∂w/∂m.  Matching powers of s gives
+    a_j = -[s^(j-1)] F(w) / (jk(jk+N-2)) and
+    b_j = -[s^(j-1)] (ν + F'(w)) y / (jk(jk+N-2)).
     Raises DomainValidationError when a coefficient overflows double range
     (for the exponential from m ≈ 236 on).
     """
     F0, F1, F2, F3 = (float(d(m)) for d in (F.value, F.deriv, F.deriv2, F.deriv3))
     c1, c2, c3 = (j * k * (j * k + N - 2.0) for j in (1.0, 2.0, 3.0))
-    a1 = -lam * F0 / c1
-    a2 = -lam * F1 * a1 / c2
-    a3 = -lam * (F1 * a2 + 0.5 * F2 * a1 * a1) / c3
-    v0 = mu + lam * F1  # the potential's value at the center
+    a1 = -F0 / c1
+    a2 = -F1 * a1 / c2
+    a3 = -(F1 * a2 + 0.5 * F2 * a1 * a1) / c3
+    v0 = nu + F1  # the potential's value at the center
     b1 = -v0 / c1
-    b2 = -(v0 * b1 + lam * F2 * a1) / c2
-    b3 = -(v0 * b2 + lam * F2 * (a2 + a1 * b1) + lam * 0.5 * F3 * a1 * a1) / c3
+    b2 = -(v0 * b1 + F2 * a1) / c2
+    b3 = -(v0 * b2 + F2 * (a2 + a1 * b1) + 0.5 * F3 * a1 * a1) / c3
     if not all(map(math.isfinite, (a1, a2, a3, b1, b2, b3))):
         raise DomainValidationError(
             f"center series of {F.label()} overflows double range at m={m:g}")
@@ -66,23 +70,77 @@ def series_state(coeffs, base: float, s: float, k: float, eps: float):
             k * s / eps * (c1 + s * (2.0 * c2 + 3.0 * s * c3)))
 
 
-def radial_rhs(F: Nonlinearity, N: float, lam: float, mu: float):
-    """Right-hand side for the state (u, u', y, y') of the eigen-shot
+def lane_seed(F: Nonlinearity, N: float, ms: np.ndarray, tol: float,
+              alpha: float = 0.0, nu: float = 0.0):
+    """Common start τ₀ and initial state (r, w', z, z') of a run over the
+    center values `ms`.
 
-        u'' + (N-1)/r u' + λ F(u) = 0,
-        y'' + (N-1)/r y' + (μ + λ F'(u)) y = 0,
+    Each lane's seed s = r^(2+α) is where the last term of its third-order
+    center series falls to tol (relative to m for w), so the series
+    remainder stays below tol.  All lanes then start at the smallest
+    σ₀ = τ₀² among them: each takes the s where its series reads
+    w = m(1 - σ₀), which only shrinks its remainder.
 
-    the system whose center series `center_series` gives with k = 2.  The
-    arithmetic runs on Python floats, which give the same bits as numpy
-    scalars, only faster.
+    Returns (τ₀, initial state, seed radii, center series (3, n) of w).
     """
-    f, fp = F.fast_callables()
-    c, lam, mu = N - 1.0, float(lam), float(mu)
+    k = 2.0 + alpha
+    series = [center_series(F, N, k, m, nu) for m in ms]
+    a = np.array([ai for ai, _ in series]).T
+    b = np.array([bi for _, bi in series]).T
+    # the last clause keeps the seed well inside the curvature length m / |a1|
+    s = np.minimum.reduce([(tol * ms / np.abs(a[2])) ** (1.0 / 3.0),
+                           (tol / np.abs(b[2])) ** (1.0 / 3.0), 0.1 * ms / np.abs(a[0])])
+    sigma0 = float(np.min(-series_value(a, 0.0, s) / ms))
+    # Newton on the cubic from its linear root, where a1 s dominates (two
+    # steps reach rounding level on the default grids)
+    drop = ms * sigma0
+    s = -drop / a[0]
+    for _ in range(6):
+        s -= series_value(a, drop, s) / (a[0] + s * (2.0 * a[1] + 3.0 * s * a[2]))
+    eps = s ** (1.0 / k)
+    y0 = np.concatenate((eps, series_state(a, ms, s, k, eps)[1],
+                         *series_state(b, 1.0, s, k, eps)))
+    return math.sqrt(sigma0), y0, eps, a
 
-    def rhs(r, y):
-        u, du, v, dv = y.tolist()
-        r = float(r)
-        return (du, -lam * f(u) - c / r * du,
-                dv, -(mu + lam * fp(u)) * v - c / r * dv)
+
+def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
+             nu: float = 0.0):
+    """Right-hand side d/dτ of the rows (r, w', z, z') of every lane, with
+    d/dτ = (dr/dτ) d/dr and dr/dτ = -2mτ/w'.
+
+    Near the center (α = 0) w' ~ r and m - w ~ r², so dr/dτ stays finite,
+    where dr/dσ in σ = τ² would blow up like σ^(-1/2).  Since w stays in
+    [0, m], F and F' need no domain check.  One lane runs on Python floats:
+    its numpy arithmetic would cost more in call overhead than the formula.
+    """
+    c = N - 1.0
+
+    if len(ms) == 1:
+        m = float(ms[0])
+        f1, fp1 = F.fast_callables()
+
+        def rhs(tau, y):
+            r, dw, z, dz = y.tolist()
+            tau = float(tau)
+            w = m * (1.0 - tau * tau)
+            dr = -2.0 * tau * m / dw
+            f, fp = f1(w), fp1(w) + nu
+            if alpha:
+                ra = r ** alpha
+                f, fp = ra * f, ra * fp
+            cr = c / r
+            return (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
+    else:
+        def rhs(tau, y):
+            r, dw, z, dz = y.reshape(4, -1)
+            w = ms * (1.0 - tau * tau)
+            dr = -2.0 * tau * ms / dw
+            f, fp = F.unchecked(0, w), F.unchecked(1, w) + nu
+            if alpha:
+                ra = r ** alpha
+                f, fp = ra * f, ra * fp
+            cr = c / r
+            return np.concatenate((dr, -(f + cr * dw) * dr, dz * dr,
+                                   -(fp * z + cr * dz) * dr))
 
     return rhs

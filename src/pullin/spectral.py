@@ -6,11 +6,12 @@ function J_ν with ν = N/2 - 1, and psi(r) = Γ(ν+1) (2/(j r))^ν J_ν(j r)
 (Watson, *Bessel Functions*, §15); its eigenfunction weight integrals are
 quadratures of that evaluator.  The principal eigenvalue of the linearized
 operator -Δ - λ F'(u) that decides stability of a solution branch has no
-closed form: every eigen-shot integrates the profile u together with the
-trial eigenfunction psi in one DOP853 run, so the potential λF'(u) is exact
-to the integrator tolerance.  The principal mode is pinned down by counting
-interior zeros of the shot eigenfunction (Sturm), so a poor initial bracket
-can never silently return a higher mode.
+closed form: every eigen-shot is a one-lane run of the radial shooting core
+(`pullin.radial`), whose tangent equation with the shift μ/λ is the
+eigen-equation, so the potential λF'(u) is exact to the integrator
+tolerance.  The principal mode is pinned down by counting interior zeros
+of the shot eigenfunction (Sturm), so a poor initial bracket can never
+silently return a higher mode.
 """
 
 from __future__ import annotations
@@ -22,18 +23,18 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
-from scipy.special import gammaln, hyp0f1, jv
+from scipy.special import hyp0f1, jv
 
 from .errors import BracketError, DomainValidationError, QuadratureError
 from .geometry import volume_unit_ball
 from .nonlinearity import Nonlinearity
-from .radial import center_series, radial_rhs, series_state
+from .radial import lane_rhs, lane_seed
 
 _MAX_POTENTIAL = 2e5  # beyond this the shot eigenfunction overflows double range
-# eigen-shots run at rtol = _SHOT_RTOL * tol; at rtol = tol the integrator
-# error alone moves λ₁(N=3) by 1.35e-10, past a tol of 1e-10
+# eigen-shots run at rtol = _SHOT_RTOL * tol; at rtol = tol the shots alone
+# move μ₁ by up to 0.64 tol, at tol / 10 by 0.14 tol
 _SHOT_RTOL = 0.1
-# relative widening of the Rayleigh bounds on μ₁, which meet at m = 0
+# relative widening of the Rayleigh bounds on μ₁, which meet as m -> 0
 _RAYLEIGH_MARGIN = 1e-6
 
 
@@ -82,48 +83,39 @@ def _radial_moment(psi_at: Callable, power: float) -> float:
 
 def _shoot_mode(N: float, F: Nonlinearity, lam: float, m: float, mu: float,
                 rtol: float):
-    """Integrate the profile and the trial eigenfunction on [0, 1]:
+    """Shoot the trial eigenfunction psi of -Δ - λF'(u) at the trial
+    eigenvalue μ, for the solution u(r) = w(Rr) at center value m.
 
-        u'' + (N-1)/r u' + λ F(u) = 0,                   u(0) = m,
-        psi'' + (N-1)/r psi' + (μ + λ F'(u)) psi = 0,    psi(0) = 1,
+    This is a one-lane run of the radial core with the shift ν = μ/λ:
 
-    from their center series in s = r².  Returns (number of zeros of psi in
-    (0, 1], psi(1)).  The zeros are the sign changes of psi between accepted
-    steps: at these tolerances a step spans a small fraction of a half-wave
-    of psi, so none is missed.
+        z'' + (N-1)/ρ z' + (ν + F'(w)) z = 0,    z(0) = 1,
+
+    on [0, R], and psi(r) = z(Rr) when λ = R².  Returns (number of zeros of
+    psi in (0, 1], psi(1)).  The zeros are the sign changes of z between
+    accepted steps: at these tolerances a step spans a small fraction of a
+    half-wave of z, so none is missed.
     """
-    a, b = center_series(F, N, 2.0, m, lam, mu)
-    # each term j of both series at most rtol^(j/3), for u relative to
-    # max(m, 1) so that m = 0 is allowed: the terms then fall off
-    # geometrically and the remainder is below rtol
-    s = 0.01
-    for j, (aj, bj) in enumerate(zip(a, b), 1):
-        size = max(abs(aj) / max(m, 1.0), abs(bj))
-        if size > 0.0:
-            s = min(s, rtol ** (1.0 / 3.0) / size ** (1.0 / j))
-    eps = math.sqrt(s)
-    y0 = series_state(a, m, s, 2.0, eps) + series_state(b, 1.0, s, 2.0, eps)
-
-    sol = solve_ivp(radial_rhs(F, N, lam, mu), (eps, 1.0), y0, method="DOP853",
+    ms = np.array([m])
+    nu = mu / lam
+    tau0, y0, *_ = lane_seed(F, N, ms, rtol, nu=nu)
+    sol = solve_ivp(lane_rhs(F, N, ms, nu=nu), (tau0, 1.0), y0, method="DOP853",
                     rtol=rtol, atol=rtol * 1e-2)
     if not sol.success:
         raise BracketError(f"eigen shot failed at mu={mu}: {sol.message}")
-    psi = sol.y[2]
-    zeros = int(np.count_nonzero(np.signbit(psi[1:]) != np.signbit(psi[:-1])))
-    return zeros, float(psi[-1])
+    z = sol.y[2]
+    zeros = int(np.count_nonzero(np.signbit(z[1:]) != np.signbit(z[:-1])))
+    return zeros, float(z[-1])
 
 
 def _principal_eigenvalue(N: float, F: Nonlinearity, lam: float, m: float,
                           lo: float, hi: float, tol: float):
-    """Smallest mu with psi(1; mu) = 0, from the trial bracket [lo, hi].
+    """Smallest mu with psi(1; mu) = 0, from the bracket [lo, hi].
 
-    The shots check both ends, which may have either sign: lo moves down by
-    |lo| + 1 until its shot has no interior zero and psi(1) > 0, hi moves
-    up by |hi| + 1 until it has not.  Bisection then lowers hi until its
-    shot has exactly one interior zero, which puts hi in (mu_1, mu_2]:
+    One shot checks each end: lo must have no interior zero and psi(1) > 0,
+    hi must not, or BracketError is raised.  Bisection then lowers hi until
+    its shot has exactly one interior zero, which puts hi in (mu_1, mu_2]:
     there psi(1; mu) has mu_1 as its only root, and brentq finds it to
-    within tol * max(1, |mu_1|).  From the Rayleigh bracket of `mu1` the
-    checks cost one shot per end.
+    within tol * max(1, |mu_1|).
     """
     rtol = _SHOT_RTOL * tol
     shots = {}
@@ -138,18 +130,10 @@ def _principal_eigenvalue(N: float, F: Nonlinearity, lam: float, m: float,
         zeros, end = shot(mu)
         return zeros == 0 and end > 0.0
 
-    for _ in range(80):
-        if below(lo):
-            break
-        lo -= abs(lo) + 1.0
-    else:
-        raise BracketError("could not find a lower eigenvalue bracket")
-    for _ in range(80):
-        if not below(hi):
-            break
-        hi += abs(hi) + 1.0
-    else:
-        raise BracketError("could not find an upper eigenvalue bracket")
+    if not below(lo):
+        raise BracketError(f"the lower eigenvalue bound {lo:g} is not below mu_1")
+    if below(hi):
+        raise BracketError(f"the upper eigenvalue bound {hi:g} is below mu_1")
     for _ in range(200):
         if shot(hi)[0] <= 1:
             break
@@ -214,25 +198,20 @@ def lambda1_ball(N: float) -> EigenPair:
     λ₁ = j²_{ν,1} with ν = N/2 - 1, the first Bessel zero found by brentq
     on J_ν to rounding level; the eigenfunction and its normalization are
     closed forms too.  Reference points: N=1 gives pi^2/4, N=2 the square
-    of the first zero of the Bessel function J0, N=3 gives pi^2.
+    of the first zero of the Bessel function J0, N=3 gives pi^2.  From
+    N = 342 on, Γ(N/2 + 1) of the ball volume leaves double range and the
+    call raises DomainValidationError.
     """
     if N < 1:
         raise DomainValidationError(f"dimension must be >= 1, got {N}")
     nu = N / 2.0 - 1.0
     j = _first_bessel_zero(nu)
-    # ∫₀¹ r^(N-1) psi dr = Γ(ν+1) (2/j)^ν J_{ν+1}(j) / j = ₀F₁(; ν+2; -j²/4) / N
-    volume = volume_unit_ball(N)
-    moment = float(hyp0f1(nu + 2.0, -0.25 * j * j))
-    # scipy's hyp0f1 loses accuracy at large b (1e-11 at N = 324, 0 from
-    # N = 333 on); the Bessel form in logarithms stays within 3e-13
-    bessel_form = math.exp(gammaln(nu + 2.0) + (nu + 1.0) * math.log(2.0 / j)
-                           + math.log(jv(nu + 1.0, j)))
-    if not abs(moment - bessel_form) <= 1e-10 * bessel_form:
-        raise DomainValidationError(
-            f"scipy's hyp0f1 misses the normalization 0F1(; nu+2; -j^2/4) "
-            f"of the ball eigenfunction at N={N:g} (relative error "
-            f"{abs(moment / bessel_form - 1.0):.1e} against J_(nu+1))")
-    return EigenPair(j * j, N, 1.0 / (volume * moment), _ball_eigenfunction(nu, j))
+    # the ball integral of psi is |B| Γ(ν+2) (2/j)^(ν+1) J_{ν+1}(j), and
+    # |B| Γ(ν+2) = π^(ν+1) leaves no Γ to form (gammaln(ν+2) in logarithms
+    # alone would carry 1e-13 at N = 300)
+    volume_unit_ball(N)  # raises from N = 342 on, as `weight_ratio` would
+    normalization = (j / (2.0 * math.pi)) ** (nu + 1.0) / jv(nu + 1.0, j)
+    return EigenPair(j * j, N, normalization, _ball_eigenfunction(nu, j))
 
 
 def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
@@ -240,15 +219,23 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
     tol * max(1, |mu1|).
 
     Reads only the center value `u.m` of the solution (a `RadialSolution`,
-    a `ShootResult` or a `BranchPoint`) and `lam`: the profile is integrated
-    again together with each trial eigenfunction, so the potential λF'(u)
-    is exact to the integrator tolerance.  Positive on the stable branch,
-    zero at the fold, negative beyond it.  The search starts from the
-    Rayleigh bracket λ₁ - λF'(m) < μ₁ < λ₁ - λF'(0) (Courant-Hilbert,
-    *Methods of Mathematical Physics* I, ch. VI).
+    a `ShootResult` or a `BranchPoint`) and `lam`, which must be the
+    voltage of the solution with that center value: each eigen-shot runs
+    the profile again from `u.m`, so the potential λF'(u) is exact to the
+    integrator tolerance.  Positive on the stable branch, zero at the fold,
+    negative beyond it.  The search starts from the Rayleigh bracket
+    λ₁ - λF'(m) < μ₁ < λ₁ - λF'(0) (Courant-Hilbert, *Methods of
+    Mathematical Physics* I, ch. VI).  At m = 0 the potential is constant
+    and μ₁ = λ₁ - λF'(0) exactly.
     """
     if lam < 0:
         raise DomainValidationError(f"voltage must be nonnegative, got {lam}")
+    lam1 = _first_bessel_zero(N / 2.0 - 1.0) ** 2
+    q_min = lam * float(F.deriv(0.0))
+    if u.m == 0.0:
+        return lam1 - q_min
+    if lam == 0.0:
+        raise DomainValidationError(f"no solution at voltage 0 has center value {u.m}")
     # the profile decreases from its center value, and so does the potential
     q_max = lam * float(F.deriv(u.m))
     if q_max > _MAX_POTENTIAL:
@@ -257,7 +244,6 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
             "the shot eigenfunction would overflow")
     # Rayleigh: λ₁ - max V < μ₁ < λ₁ - min V for the potential V = λF'(u),
     # strict but tight as m -> 0, hence the margin
-    lam1 = _first_bessel_zero(N / 2.0 - 1.0) ** 2
-    lo, hi = lam1 - q_max, lam1 - lam * float(F.deriv(0.0))
+    lo, hi = lam1 - q_max, lam1 - q_min
     margin = _RAYLEIGH_MARGIN * max(abs(lo), abs(hi), 1.0)
     return _principal_eigenvalue(N, F, lam, u.m, lo - margin, hi + margin, tol)

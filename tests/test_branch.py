@@ -234,8 +234,8 @@ def test_transformed_branch_scales_voltage():
     prob0 = ProblemSpec(2.0, MEMS, 0.0)
     prob3 = ProblemSpec(2.0, MEMS, 3.0)
     grid = np.geomspace(1e-2, 0.9, 30)
-    b0 = solve_branch(prob0, grid, refine_fold=False)
-    b3 = solve_branch(prob3, grid, refine_fold=False)
+    b0 = solve_branch(prob0, grid)
+    b3 = solve_branch(prob3, grid)
     factor = (1.0 + 1.5) ** 2
     assert np.allclose(b3.lambda_values, factor * b0.lambda_values, rtol=1e-12)
     assert b3.m_star == b0.m_star
@@ -312,7 +312,9 @@ def test_branch_grid_is_one_integration(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pullin.branch, "solve_ivp", counting)
-    solve_branch(ProblemSpec(2.0, MEMS), pullin.default_m_grid(MEMS, 61), refine_fold=False)
+    # exp N = 10 is singular: no fold, so no fold refinement runs
+    b = solve_branch(ProblemSpec(10.0, EXP), pullin.default_m_grid(EXP, 61))
+    assert not b.fold_found
     # one run, under the error norm of the worst lane
     assert methods == [pullin.branch._LaneDOP853]
 

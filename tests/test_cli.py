@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -191,12 +192,42 @@ def test_verify_serializes_numpy_pass_flags(capsys):
     assert "[PASS] oracle_equivalence" in err
 
 
-@pytest.mark.parametrize("N, quantity", [("340", "hyp0f1"), ("342", "Gamma")])
+@pytest.mark.parametrize("N, quantity", [("342", "Gamma")])
 def test_bounds_at_large_dimension_exits_2(capsys, N, quantity):
     code, out, err = run_cli(capsys, "bounds", "--family", "exp", "--N", N)
     assert code == 2
     assert "invalid input" in err and quantity in err
     assert "Traceback" not in err
+
+
+def test_bounds_at_dimension_340_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--family", "exp", "--N", "340")
+    assert code == 0
+    assert json.loads(out)["result"]["domain"]["N"] == 340
+
+
+def test_asymptotics_refuses_a_power_law_weight(capsys):
+    code, out, err = run_cli(capsys, "asymptotics", "--family", "exp", "--N", "10",
+                             "--lambda", "8", "--alpha", "1")
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err and "--alpha" in err
+
+
+def _readme_examples():
+    """The argument lists of the README's "Command line" examples."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+            if line.startswith("pullin ")]
+
+
+@pytest.mark.parametrize("argv", [a for a in _readme_examples() if a[0] != "verify"],
+                         ids=" ".join)
+def test_readme_examples_run(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["command"] == argv[0]
 
 
 @pytest.mark.parametrize("command", ["bounds", "transform"])

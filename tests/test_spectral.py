@@ -170,10 +170,36 @@ def test_mu1_reads_only_center_value_and_voltage():
 
 @pytest.mark.parametrize("mu", [50.0, 2000.0, 20000.0])
 def test_eigen_shot_counts_every_zero(mu):
-    # λ = 0, N = 2: psi = J0(sqrt(mu) r), whose zeros in (0, 1] are the
-    # Bessel zeros below sqrt(mu)
-    zeros, _ = pullin.spectral._shoot_mode(2.0, exponential(), 0.0, 0.0, mu, 1e-7)
-    assert zeros == int(np.sum(jn_zeros(0, 60) < math.sqrt(mu)))
+    # N = 2 at small m: the potential λF'(u) ~ λ is far below mu, so
+    # psi ~ J0(sqrt(mu) r), whose zeros in (0, 1] are the Bessel zeros
+    # below sqrt(mu)
+    expected = int(np.sum(jn_zeros(0, 60) < math.sqrt(mu)))
+    for F in (exponential(), mems_inverse_power(2.0)):
+        for m in (1e-6, 1e-3):
+            lam = shoot(F, 2.0, m).lam
+            zeros, _ = pullin.spectral._shoot_mode(2.0, F, lam, m, mu, 1e-7)
+            assert zeros == expected
+
+
+@pytest.mark.parametrize("F, m", [(mems_inverse_power(2.0), 0.2),
+                                  (mems_inverse_power(2.0), 0.8),
+                                  (exponential(), 1.0), (exponential(), 3.0)])
+def test_eigen_shot_at_zero_is_the_shot_tangent(F, m):
+    # at μ = 0 the eigen-shot is the tangent z = ∂w/∂m of the shot, so
+    # dλ/dm = 2R (-z(R)/w'(R)) gives z(R) on both sides of the fold
+    sr = shoot(F, 2.0, m)
+    dw = float(sr._rows(sr.first_zero)[1])
+    _, end = pullin.spectral._shoot_mode(2.0, F, sr.lam, m, 0.0, 1e-10)
+    assert end == pytest.approx(-dw * sr.dlam_dm / (2.0 * sr.first_zero), rel=1e-8)
+
+
+def test_mu1_at_zero_center_value_is_the_shifted_laplacian():
+    # u ≡ 0 makes the potential the constant λF'(0)
+    F = mems_inverse_power(2.0)
+    lam1 = lambda1_ball(2.0).eigenvalue
+    assert mu1(2.0, F, 0.3, _zero_solution()) == lam1 - 0.3 * 2.0
+    with pytest.raises(DomainValidationError):
+        mu1(2.0, F, 0.0, RadialSolution(0.3, 0.0, 2.0, _evaluate=np.zeros_like))
 
 
 @pytest.mark.parametrize("N", [1.0, 1.2, 1.5, 2.7, 4.5, 10.0])
@@ -223,7 +249,6 @@ def test_mu1_starts_from_the_rayleigh_bracket(monkeypatch, tol, most):
 
 
 def test_lambda1_in_high_dimension_is_the_closed_form():
-    # at N = 300 scipy's hyp0f1 still gives the normalization to rounding
     pair = lambda1_ball(300.0)
     with mpmath.workdps(30):
         j = mpmath.besseljzero(149, 1)
@@ -234,12 +259,23 @@ def test_lambda1_in_high_dimension_is_the_closed_form():
     assert pair.normalization == pytest.approx(ref_c, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("N, quantity", [(330.0, "hyp0f1"), (340.0, "0F1"),
-                                         (342.0, "Gamma"), (400.0, "Gamma")])
+@pytest.mark.parametrize("N", [330.0, 340.0])
+def test_lambda1_normalization_at_large_dimension(N):
+    # the normalization (j/(2π))^(ν+1) / J_(ν+1)(j); scipy's hyp0f1 form of
+    # the same number is off by 1.4e-4 at N = 330 and 0 at N = 340
+    pair = lambda1_ball(N)
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(N) / 2 - 1
+        j = mpmath.besseljzero(nu, 1)
+        moment = mpmath.hyp0f1(nu + 2, -j ** 2 / 4)
+        ref_c = float(mpmath.gamma(nu + 2) / (mpmath.pi ** (nu + 1) * moment))
+    assert pair.eigenvalue == pytest.approx(float(j ** 2), rel=1e-13)
+    assert pair.normalization == pytest.approx(ref_c, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("N, quantity", [(342.0, "Gamma"), (400.0, "Gamma")])
 def test_lambda1_names_what_fails_at_large_dimension(N, quantity):
-    # scipy's hyp0f1 gives the normalization ₀F₁(; ν+2; -j²/4) with relative
-    # error 1.4e-4 at N = 330 and as 0 from N = 333 on; Γ(N/2 + 1) of the
-    # ball volume overflows from N = 342 on
+    # Γ(N/2 + 1) of the ball volume overflows from N = 342 on
     with pytest.raises(DomainValidationError, match=quantity):
         lambda1_ball(N)
 
