@@ -41,7 +41,9 @@ from .radial import lane_rhs, lane_seed, series_value
 log = logging.getLogger("pullin.branch")
 
 DEFAULT_TOL = 1e-10
-_STABILITY_TOL = 1e-6  # of each μ₁ that `solve_branch` fills, relative to max(1, |μ₁|)
+# tolerance of each μ₁ that `solve_branch` fills (its own tol if larger),
+# relative to max(1, |μ₁|)
+_STABILITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -266,7 +268,7 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
                  tol: float = DEFAULT_TOL, stability: bool = False) -> Branch:
     """Sweep the center-value schedule and extract λ*, the pull-in distance
     and (optionally) the stability eigenvalue at every point, to within
-    1e-6 * max(1, |μ₁|).
+    max(tol, 1e-6) * max(1, |μ₁|).
 
     The whole grid is shot in one lane run.  The fold is the brentq root of
     dλ/dm (one-lane runs) in the first grid cell where that slope changes
@@ -319,8 +321,10 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
     if stability:
         for point, lam0 in zip(points, lam_core):
             try:
-                # mu1 reads only the center value of the point
-                point.mu1 = spectral.mu1(tr.N_eff, F, lam0, point, _STABILITY_TOL)
+                # mu1 reads only the center value of the point, and checks
+                # lam0, which is good to about tol, against its own R²
+                point.mu1 = spectral.mu1(tr.N_eff, F, lam0, point,
+                                         max(tol, _STABILITY_TOL))
             except BracketError:
                 skipped += 1
 

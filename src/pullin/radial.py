@@ -12,8 +12,9 @@ value m, the profile w with its linear mode z,
 in τ ∈ [τ₀, 1] with w = m(1 - τ²), so the first zero of w is the fixed
 endpoint τ = 1 and the radius r is an unknown.  At ν = 0, z = ∂w/∂m.  The
 removable singularity of (N-1)/r at r = 0 rules out starting at the
-center, so each run starts at a small seed radius where the center series
-is still exact to the integrator tolerance.
+center, so each run from the center starts at a small seed radius where
+the center series is still exact to the integrator tolerance (the right
+half-runs of `spectral` start from the edge values at τ = 1 and go back).
 """
 
 from __future__ import annotations
@@ -92,11 +93,15 @@ def lane_seed(F: Nonlinearity, N: float, ms: np.ndarray, tol: float,
                            (tol / np.abs(b[2])) ** (1.0 / 3.0), 0.1 * ms / np.abs(a[0])])
     sigma0 = float(np.min(-series_value(a, 0.0, s) / ms))
     # Newton on the cubic from its linear root, where a1 s dominates (two
-    # steps reach rounding level on the default grids)
+    # steps reach rounding level on the default grids, and one lane meets a
+    # step of exactly 0 after three or four)
     drop = ms * sigma0
     s = -drop / a[0]
     for _ in range(6):
-        s -= series_value(a, drop, s) / (a[0] + s * (2.0 * a[1] + 3.0 * s * a[2]))
+        step = series_value(a, drop, s) / (a[0] + s * (2.0 * a[1] + 3.0 * s * a[2]))
+        if not step.any():
+            break  # every later step would be exactly 0 as well
+        s -= step
     eps = s ** (1.0 / k)
     y0 = np.concatenate((eps, series_state(a, ms, s, k, eps)[1],
                          *series_state(b, 1.0, s, k, eps)))
@@ -104,7 +109,7 @@ def lane_seed(F: Nonlinearity, N: float, ms: np.ndarray, tol: float,
 
 
 def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
-             nu: float = 0.0):
+             nu: float = 0.0, weight: bool = False):
     """Right-hand side d/dτ of the rows (r, w', z, z') of every lane, with
     d/dτ = (dr/dτ) d/dr and dr/dτ = -2mτ/w'.
 
@@ -112,6 +117,8 @@ def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
     where dr/dσ in σ = τ² would blow up like σ^(-1/2).  Since w stays in
     [0, m], F and F' need no domain check.  One lane runs on Python floats:
     its numpy arithmetic would cost more in call overhead than the formula.
+    With `weight` (one lane only) a fifth row carries the weighted square
+    integral ∫ r^(N-1) z² dr of the linear mode.
     """
     c = N - 1.0
 
@@ -120,7 +127,7 @@ def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
         f1, fp1 = F.fast_callables()
 
         def rhs(tau, y):
-            r, dw, z, dz = y.tolist()
+            r, dw, z, dz = y.tolist()[:4]
             tau = float(tau)
             w = m * (1.0 - tau * tau)
             dr = -2.0 * tau * m / dw
@@ -129,7 +136,8 @@ def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
                 ra = r ** alpha
                 f, fp = ra * f, ra * fp
             cr = c / r
-            return (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
+            rows = (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
+            return rows + (r ** c * z * z * dr,) if weight else rows
     else:
         def rhs(tau, y):
             r, dw, z, dz = y.reshape(4, -1)

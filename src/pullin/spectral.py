@@ -4,14 +4,21 @@ The principal Dirichlet eigenpair of the Laplacian on the unit ball is in
 closed form: λ₁ = j²_{ν,1}, the square of the first zero of the Bessel
 function J_ν with ν = N/2 - 1, and psi(r) = Γ(ν+1) (2/(j r))^ν J_ν(j r)
 (Watson, *Bessel Functions*, §15); its eigenfunction weight integrals are
-quadratures of that evaluator.  The principal eigenvalue of the linearized
-operator -Δ - λ F'(u) that decides stability of a solution branch has no
-closed form: every eigen-shot is a one-lane run of the radial shooting core
-(`pullin.radial`), whose tangent equation with the shift μ/λ is the
-eigen-equation, so the potential λF'(u) is exact to the integrator
-tolerance.  The principal mode is pinned down by counting interior zeros
-of the shot eigenfunction (Sturm), so a poor initial bracket can never
-silently return a higher mode.
+quadratures of that evaluator.  The principal eigenvalue μ₁ of the
+linearized operator -Δ - λ F'(u) that decides stability of a solution
+branch has no closed form.  It comes from matched eigen-shots in the
+two-sided layout of Pryce (*Numerical Solution of Sturm-Liouville
+Problems*, 1993) and SLEIGN2 (Bailey-Everitt-Zettl, 2001), all runs of the
+radial shooting core (`pullin.radial`), whose tangent equation with a
+shift ν is the eigen-equation, so the potential λF'(u) is exact to the
+integrator tolerance.  One profile run from the center value m gives the
+radius R of the first zero, λ = R² and μ = R²ν.  Each trial ν is then two
+half-runs, out from the center and in from ρ = R, that meet at the turning
+point of the potential.  The Prüfer angles of the two halves, continued by
+π per zero, differ by a mismatch that increases with ν and vanishes only
+at the principal eigenvalue, so a higher mode can never be returned; one
+quadrature row per half gives the mismatch's derivative, and Newton steps
+inside the Rayleigh bracket find ν₁.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, quad, solve_ivp
 from scipy.optimize import brentq
 from scipy.special import hyp0f1, jv
 
@@ -30,12 +37,20 @@ from .geometry import volume_unit_ball
 from .nonlinearity import Nonlinearity
 from .radial import lane_rhs, lane_seed
 
-_MAX_POTENTIAL = 2e5  # beyond this the shot eigenfunction overflows double range
-# eigen-shots run at rtol = _SHOT_RTOL * tol; at rtol = tol the shots alone
-# move μ₁ by up to 0.64 tol, at tol / 10 by 0.14 tol
+# beyond this a half-run inside the Rayleigh bracket can grow like
+# e^√(λF'(m)) past double range
+_MAX_POTENTIAL = 2e5
+# eigen-shots run at rtol = _SHOT_RTOL * tol; at tol 1e-6 on the stability
+# grids of the benchmark, rtol = tol moves μ₁ by up to 1.8 tol, tol / 3 by
+# 0.48 tol and tol / 10 by 0.2 tol
 _SHOT_RTOL = 0.1
 # relative widening of the Rayleigh bounds on μ₁, which meet as m -> 0
 _RAYLEIGH_MARGIN = 1e-6
+# `mu1` refuses a voltage that differs from R² of its own profile run by
+# more than this multiple of tol, relative
+_LAM_MISMATCH = 1e3
+# matching point τ_m of the half-runs when ν + F'(w) > 0 on the whole radius
+_TAU_OSCILLATORY = 0.5
 
 
 @dataclass
@@ -81,71 +96,141 @@ def _radial_moment(psi_at: Callable, power: float) -> float:
     return val / k
 
 
-def _shoot_mode(N: float, F: Nonlinearity, lam: float, m: float, mu: float,
-                rtol: float):
-    """Shoot the trial eigenfunction psi of -Δ - λF'(u) at the trial
-    eigenvalue μ, for the solution u(r) = w(Rr) at center value m.
+class _ModeDOP853(DOP853):
+    """DOP853 whose error norm leaves out the last component, the quadrature
+    row ∫ r^(N-1) z² dr of a half-run: the rows (r, w', z, z') alone set
+    the steps, as in a run without it."""
 
-    This is a one-lane run of the radial core with the shift ν = μ/λ:
+    def _estimate_error_norm(self, K, h, scale):
+        return super()._estimate_error_norm(K[:, :-1], h, scale[:-1])
 
-        z'' + (N-1)/ρ z' + (ν + F'(w)) z = 0,    z(0) = 1,
 
-    on [0, R], and psi(r) = z(Rr) when λ = R².  Returns (number of zeros of
-    psi in (0, 1], psi(1)).  The zeros are the sign changes of z between
-    accepted steps: at these tolerances a step spans a small fraction of a
-    half-wave of z, so none is missed.
+def _center_start(N: float, F: Nonlinearity, m: float, nu: float, rtol: float):
+    """Start (τ₀, state) of a left half-run: the center seed of the radial
+    core, with z(0) = 1 and the seed ball's share ε^N/N of ∫ r^(N-1) z² dr."""
+    tau0, y0, eps, _ = lane_seed(F, N, np.array([m]), rtol, nu=nu)
+    return tau0, np.append(y0, float(eps[0]) ** N / N)
+
+
+def _half_run(N: float, F: Nonlinearity, m: float, nu: float, start, tau_end: float,
+              rtol: float):
+    """One half of a matched eigen-shot: a one-lane run of the radial core
+    at the shift ν,
+
+        z'' + (N-1)/ρ z' + (ν + F'(w)) z = 0,
+
+    with the quadrature row I = ∫ r^(N-1) z² dr, from `start` = (τ, state)
+    to τ = tau_end.  A left run starts at the center seed (`_center_start`,
+    z(0) = 1) and a right run at τ = 1 from (R, w'(R), z = 0, z' = -1, 0),
+    going back.  For the solution at center value m, λ = R² and ψ(r) = z(Rr)
+    is the trial eigenfunction at μ = R²ν.
+
+    Returns (zeros, (r, w', z, z', I) at tau_end), where `zeros` counts the
+    sign changes of z between accepted steps (at these tolerances a step
+    spans a small fraction of a half-wave of z, so none is missed); z = 0 at
+    the start of a right run is no sign change.
     """
-    ms = np.array([m])
-    nu = mu / lam
-    tau0, y0, *_ = lane_seed(F, N, ms, rtol, nu=nu)
-    sol = solve_ivp(lane_rhs(F, N, ms, nu=nu), (tau0, 1.0), y0, method="DOP853",
-                    rtol=rtol, atol=rtol * 1e-2)
+    tau0, y0 = start
+    sol = solve_ivp(lane_rhs(F, N, np.array([m]), nu=nu, weight=True), (tau0, tau_end),
+                    y0, method=_ModeDOP853, rtol=rtol, atol=rtol * 1e-2)
     if not sol.success:
-        raise BracketError(f"eigen shot failed at mu={mu}: {sol.message}")
+        raise BracketError(f"eigen shot failed at nu={nu}: {sol.message}")
     z = sol.y[2]
     zeros = int(np.count_nonzero(np.signbit(z[1:]) != np.signbit(z[:-1])))
-    return zeros, float(z[-1])
+    return zeros, tuple(sol.y[:, -1].tolist())
 
 
-def _principal_eigenvalue(N: float, F: Nonlinearity, lam: float, m: float,
-                          lo: float, hi: float, tol: float):
-    """Smallest mu with psi(1; mu) = 0, from the bracket [lo, hi].
+def _match_point(F: Nonlinearity, m: float, nu: float, tau0: float) -> float:
+    """Matching point τ_m of the two half-runs at the shift ν: the turning
+    point of q = ν + F'(w), where w = F'^(-1)(-ν) and τ = √(1 - w/m), kept
+    in [τ₀ + (1 - τ₀)/10, 0.9]; `_TAU_OSCILLATORY` when q > 0 everywhere.
 
-    One shot checks each end: lo must have no interior zero and psi(1) > 0,
-    hi must not, or BracketError is raised.  Bisection then lowers hi until
-    its shot has exactly one interior zero, which puts hi in (mu_1, mu_2]:
-    there psi(1; mu) has mu_1 as its only root, and brentq finds it to
-    within tol * max(1, |mu_1|).
+    Inside it the left run meets q > 0 and oscillates; outside it q < 0,
+    and the right run, going in from the edge, follows the solution that
+    grows away from ρ = R, so neither half-run chases a decaying mode.
+    """
+    lo = tau0 + 0.1 * (1.0 - tau0)
+    w_t = F.deriv_inverse(max(-nu, 0.0))
+    if w_t == 0.0:
+        return max(lo, _TAU_OSCILLATORY)
+    tau_t = math.sqrt(max(1.0 - w_t / m, 0.0))
+    return min(max(tau_t, lo), 0.9)
+
+
+def _mismatch(N: float, F: Nonlinearity, m: float, edge, nu: float, rtol: float):
+    """Prüfer-angle mismatch D(ν) = θ_L - θ_R at the matching point, with
+    its derivative D'(ν).
+
+    θ is the angle of (z, r_m z') at the matching radius r_m, i.e. the
+    Prüfer angle of (z, r^(N-1) z') scaled by S = r_m^(N-2) so that both
+    entries have the size of z, continued by π per zero of its half-run:
+    θ_L starts at π/2 at the center and θ_R at π at ρ = R, and both
+    increase with ρ at every zero.  Two Prüfer angles of the same equation
+    cannot cross, so D has one sign over the whole radius; it increases
+    with ν and vanishes only at the principal eigenvalue ν₁ (D(ν_k) =
+    (k-1)π at the k-th).  From the Wronskian of z and ∂z/∂ν,
+
+        D' = S (I_L / ρ_L² + I_R / ρ_R²),   ρ² = S² z² + (r^(N-1) z')²,
+
+    which holds exactly at ν₁ (τ_m and S move with ν, which adds a term of
+    the size of D).
+    """
+    start = _center_start(N, F, m, nu, rtol)
+    tau_m = _match_point(F, m, nu, start[0])
+    zeros_l, (r, _, z_l, dz_l, int_l) = _half_run(N, F, m, nu, start, tau_m, rtol)
+    zeros_r, (_, _, z_r, dz_r, int_r) = _half_run(
+        N, F, m, nu, (1.0, np.array([*edge, 0.0, -1.0, 0.0])), tau_m, rtol)
+    # S = r^(N-2) at the matching point makes (S z, r^(N-1) z') = S (z, r z')
+    theta_l = zeros_l * math.pi + math.atan2(z_l, r * dz_l) % math.pi
+    theta_r = math.atan2(z_r, r * dz_r) % math.pi - zeros_r * math.pi
+    # the right run integrates I from ρ = R down, so it returns -I_R
+    slope = (int_l / (z_l * z_l + (r * dz_l) ** 2)
+             - int_r / (z_r * z_r + (r * dz_r) ** 2)) / r ** (N - 2.0)
+    return theta_l - theta_r, slope
+
+
+def _principal_eigenvalue(N: float, F: Nonlinearity, m: float, edge, lo: float,
+                          hi: float, tol: float):
+    """The principal eigenvalue ν₁ in the ρ variable, from the bracket
+    [lo, hi], by Newton steps on the Prüfer-angle mismatch D(ν)
+    (`_mismatch`), for the profile with center value m and edge values
+    `edge` = (R, w'(R)).
+
+    Each evaluation moves one end of the bracket by the sign of D; a
+    Newton step that would leave the bracket is replaced by bisection.  The
+    iteration starts at ν = 0 when the bracket holds it, at `hi` otherwise.
+    It returns the next Newton iterate once the distance left to ν₁ is at
+    most tol/2 * max(1, |μ|) in μ = R²ν: the step itself, or step * c/(1 - c)
+    when the step is c < 1/2 times the Newton step before it.  It returns
+    the middle of the bracket once that is as narrow; BracketError is raised
+    when the bracket closes on an end whose sign no evaluation confirmed.
     """
     rtol = _SHOT_RTOL * tol
-    shots = {}
-
-    def shot(mu):
-        if mu not in shots:
-            shots[mu] = _shoot_mode(N, F, lam, m, mu, rtol)
-        return shots[mu]
-
-    def below(mu) -> bool:
-        # True when mu is below the principal eigenvalue.
-        zeros, end = shot(mu)
-        return zeros == 0 and end > 0.0
-
-    if not below(lo):
-        raise BracketError(f"the lower eigenvalue bound {lo:g} is not below mu_1")
-    if below(hi):
-        raise BracketError(f"the upper eigenvalue bound {hi:g} is below mu_1")
-    for _ in range(200):
-        if shot(hi)[0] <= 1:
-            break
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
+    R2 = edge[0] ** 2
+    lo_met = hi_met = False  # whether an evaluation has moved that end
+    nu = 0.0 if lo < 0.0 < hi else hi
+    last = 0.0  # the Newton step that led to nu (0 at the start and after a bisection)
+    for _ in range(100):
+        d, slope = _mismatch(N, F, m, edge, nu, rtol)
+        if d < 0.0:
+            lo, lo_met = nu, True
         else:
-            hi = mid
-    else:
-        raise BracketError("could not separate the principal eigenvalue")
-
-    return brentq(lambda mu: shot(mu)[1], lo, hi, xtol=0.5 * tol, rtol=0.5 * tol)
+            hi, hi_met = nu, True
+        newton = nu - d / slope
+        step = abs(newton - nu)
+        close = 0.5 * tol * max(1.0, R2 * abs(newton)) / R2  # tol/2 of μ, in ν
+        # steps that shrink by a factor c = step/last < 1/2 leave about
+        # c/(1 - c) of this one to go, and less when they converge quadratically
+        left = step * step / (last - step) if step < 0.5 * last else step
+        if left <= close and lo <= newton <= hi:
+            return newton
+        if hi - lo <= close:
+            if not (lo_met and hi_met):
+                raise BracketError(f"the Rayleigh bound {R2 * (hi if lo_met else lo):g} "
+                                   "is not on its side of mu_1")
+            return 0.5 * (lo + hi)
+        nu, last = (newton, step) if lo < newton < hi else (0.5 * (lo + hi), 0.0)
+    raise BracketError("Newton steps on the Prüfer mismatch did not converge")
 
 
 def _first_bessel_zero(nu: float) -> float:
@@ -219,11 +304,13 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
     tol * max(1, |mu1|).
 
     Reads only the center value `u.m` of the solution (a `RadialSolution`,
-    a `ShootResult` or a `BranchPoint`) and `lam`, which must be the
-    voltage of the solution with that center value: each eigen-shot runs
-    the profile again from `u.m`, so the potential λF'(u) is exact to the
-    integrator tolerance.  Positive on the stable branch, zero at the fold,
-    negative beyond it.  The search starts from the Rayleigh bracket
+    a `ShootResult` or a `BranchPoint`).  One profile run from `u.m` gives
+    the radius R of its first zero, so λ = R² and μ₁ = R²ν₁; `lam` must be
+    that voltage, and DomainValidationError is raised when it differs from
+    R² by more than `_LAM_MISMATCH` * tol relative.  Positive on the stable
+    branch, zero at the fold, negative beyond it.  ν₁ comes from Newton
+    steps on a Prüfer-angle mismatch of two half-runs
+    (`_principal_eigenvalue`) inside the Rayleigh bracket
     λ₁ - λF'(m) < μ₁ < λ₁ - λF'(0) (Courant-Hilbert, *Methods of
     Mathematical Physics* I, ch. VI).  At m = 0 the potential is constant
     and μ₁ = λ₁ - λF'(0) exactly.
@@ -231,9 +318,8 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
     if lam < 0:
         raise DomainValidationError(f"voltage must be nonnegative, got {lam}")
     lam1 = _first_bessel_zero(N / 2.0 - 1.0) ** 2
-    q_min = lam * float(F.deriv(0.0))
     if u.m == 0.0:
-        return lam1 - q_min
+        return lam1 - lam * float(F.deriv(0.0))
     if lam == 0.0:
         raise DomainValidationError(f"no solution at voltage 0 has center value {u.m}")
     # the profile decreases from its center value, and so does the potential
@@ -242,8 +328,17 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
         raise BracketError(
             f"linearization potential {q_max:.3g} exceeds {_MAX_POTENTIAL:.0g}; "
             "the shot eigenfunction would overflow")
-    # Rayleigh: λ₁ - max V < μ₁ < λ₁ - min V for the potential V = λF'(u),
-    # strict but tight as m -> 0, hence the margin
-    lo, hi = lam1 - q_max, lam1 - q_min
-    margin = _RAYLEIGH_MARGIN * max(abs(lo), abs(hi), 1.0)
-    return _principal_eigenvalue(N, F, lam, u.m, lo - margin, hi + margin, tol)
+    # the profile run: the left half-run at ν = 0 all the way to τ = 1
+    rtol = _SHOT_RTOL * tol
+    _, (R, dw, *_) = _half_run(N, F, u.m, 0.0, _center_start(N, F, u.m, 0.0, rtol), 1.0,
+                               rtol)
+    R2 = R * R
+    if abs(lam - R2) > _LAM_MISMATCH * tol * R2:
+        raise DomainValidationError(
+            f"voltage {lam} is not that of center value {u.m}, whose profile "
+            f"gives R² = {R2:.12g}")
+    # Rayleigh in ν = μ/R²: j²/R² - F'(m) < ν₁ < j²/R² - F'(0) for the
+    # potential F'(w), strict but tight as m -> 0, hence the margin
+    lo, hi = lam1 / R2 - float(F.deriv(u.m)), lam1 / R2 - float(F.deriv(0.0))
+    margin = _RAYLEIGH_MARGIN * max(abs(lo), abs(hi), 1.0 / R2)
+    return R2 * _principal_eigenvalue(N, F, u.m, (R, dw), lo - margin, hi + margin, tol)

@@ -236,3 +236,20 @@ def test_tol_is_refused_where_nothing_reads_it(capsys, command):
         cli.main([command, "--tol", "1e-8"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_readme_stability_example_keeps_its_eigenvalues(capsys):
+    # the reference μ₁ come from an independent method, brentq on the end
+    # value ψ(1; μ) of one-sided eigen-shots; both methods deliver
+    # 1e-6 * max(1, |μ₁|), and the skipped fills (null) must stay the same
+    golden = json.loads((Path(__file__).parent / "data" / "branch_exp_N3_stability.json")
+                        .read_text())
+    code, out, _ = run_cli(capsys, *golden["argv"])
+    assert code == 0
+    points = json.loads(out)["result"]["points"]
+    assert [p["m"] for p in points] == golden["m"]
+    for p, ref in zip(points, golden["mu1"]):
+        if ref is None:
+            assert p["mu1"] is None
+        else:
+            assert abs(p["mu1"] - ref) <= 1e-6 * max(1.0, abs(ref)), p["m"]

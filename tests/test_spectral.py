@@ -168,6 +168,13 @@ def test_mu1_reads_only_center_value_and_voltage():
     assert mu1(2.0, F, u.lam, coarse) == mu1(2.0, F, u.lam, u)
 
 
+def _left_run(F, m, nu, rtol):
+    # the left half-run at the shift ν all the way to τ = 1: (zeros, z(R))
+    start = pullin.spectral._center_start(2.0, F, m, nu, rtol)
+    zeros, (_, _, end, *_) = pullin.spectral._half_run(2.0, F, m, nu, start, 1.0, rtol)
+    return zeros, end
+
+
 @pytest.mark.parametrize("mu", [50.0, 2000.0, 20000.0])
 def test_eigen_shot_counts_every_zero(mu):
     # N = 2 at small m: the potential λF'(u) ~ λ is far below mu, so
@@ -177,7 +184,7 @@ def test_eigen_shot_counts_every_zero(mu):
     for F in (exponential(), mems_inverse_power(2.0)):
         for m in (1e-6, 1e-3):
             lam = shoot(F, 2.0, m).lam
-            zeros, _ = pullin.spectral._shoot_mode(2.0, F, lam, m, mu, 1e-7)
+            zeros, _ = _left_run(F, m, mu / lam, 1e-7)
             assert zeros == expected
 
 
@@ -189,7 +196,7 @@ def test_eigen_shot_at_zero_is_the_shot_tangent(F, m):
     # dλ/dm = 2R (-z(R)/w'(R)) gives z(R) on both sides of the fold
     sr = shoot(F, 2.0, m)
     dw = float(sr._rows(sr.first_zero)[1])
-    _, end = pullin.spectral._shoot_mode(2.0, F, sr.lam, m, 0.0, 1e-10)
+    _, end = _left_run(F, m, 0.0, 1e-10)
     assert end == pytest.approx(-dw * sr.dlam_dm / (2.0 * sr.first_zero), rel=1e-8)
 
 
@@ -228,24 +235,69 @@ def test_ball_eigenfunction_normalization_and_bessel_form(N):
         assert pair.at(r) == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
 
-@pytest.mark.parametrize("tol, most", [(1e-6, 6), (1e-8, 7)])
-def test_mu1_starts_from_the_rayleigh_bracket(monkeypatch, tol, most):
-    # λ₁ - λF'(m) < μ₁ < λ₁ - λF'(0) leaves brentq a bracket of width
-    # λ(F'(m) - F'(0)); a bracket from -(λF'(m) + 1) and 4N² + 10 takes
-    # 9 and 10 shots here
+def _count_half_runs(monkeypatch):
     from pullin import spectral
     calls = []
-    shoot_mode = spectral._shoot_mode
+    half_run = spectral._half_run
 
     def counted(*args, **kwargs):
-        calls.append(args[4])
-        return shoot_mode(*args, **kwargs)
+        calls.append(args[3])  # the shift ν of the run
+        return half_run(*args, **kwargs)
 
+    monkeypatch.setattr(spectral, "_half_run", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tol, most", [(1e-6, 3), (1e-8, 3)])
+def test_mu1_starts_from_the_rayleigh_bracket(monkeypatch, tol, most):
+    # Newton steps from the upper Rayleigh bound λ₁ - λF'(0); each is two
+    # half-runs, after the one profile run
     F = mems_inverse_power(2.0)
     u = shoot(F, 2.0, 0.2).solution()
-    monkeypatch.setattr(spectral, "_shoot_mode", counted)
+    calls = _count_half_runs(monkeypatch)
     assert mu1(2.0, F, u.lam, u, tol=tol) > 0
-    assert len(calls) <= most
+    assert len(calls) <= 1 + 2 * most
+
+
+def test_mu1_on_the_unstable_side_takes_few_newton_steps(monkeypatch):
+    # μ₁ ≈ -10.6: ψ(1; μ) grows like e^√|μ| below μ₁, the mismatch angle
+    # does not, so Newton needs few steps
+    F = mems_inverse_power(2.0)
+    u = shoot(F, 2.0, 0.6876).solution()
+    calls = _count_half_runs(monkeypatch)
+    assert mu1(2.0, F, u.lam, u, tol=1e-6) < 0
+    assert len(calls) <= 1 + 2 * 5
+
+
+@pytest.mark.parametrize("m", [17.34, 20.2])
+def test_mu1_next_to_the_potential_guard(monkeypatch, m):
+    # exp disc far past the fold: λF'(m) is 4.7e4 and 1.9e5 (the guard is
+    # 2e5), μ₁ about -1.5e4 and -6.2e4
+    from pullin import spectral
+    F = exponential()
+    u = shoot(F, 2.0, m).solution()
+    ref = mu1(2.0, F, u.lam, u, tol=1e-11)
+    evals = []
+    ivp = spectral.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = ivp(*args, **kwargs)
+        evals.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(spectral, "solve_ivp", counted)
+    assert abs(mu1(2.0, F, u.lam, u, tol=1e-6) - ref) <= 1e-6 * abs(ref)
+    if m == 17.34:
+        assert sum(evals) <= 10_000
+
+
+def test_mu1_refuses_a_voltage_that_is_not_the_solutions():
+    # the inverse-square disc solution at m = 0.3 has λ = 0.72028
+    F = mems_inverse_power(2.0)
+    u = shoot(F, 2.0, 0.3).solution()
+    for lam in (0.6, 0.7, 0.75):
+        with pytest.raises(DomainValidationError, match=rf"voltage {lam} .*R² = 0\.7202"):
+            mu1(2.0, F, lam, u)
 
 
 def test_lambda1_in_high_dimension_is_the_closed_form():
