@@ -13,7 +13,9 @@ Shots run in the profile variable τ, with w = m(1 - τ²) and the radius r
 as an unknown, so the zero of w is the fixed endpoint τ = 1.  That lets one
 vectorized DOP853 run (Hairer-Nørsett-Wanner) shoot a whole grid of center
 values as lanes, under the error norm of the worst lane; `shoot` is the
-one-lane run.
+one-lane run with dense output.  The one-lane runs that need no profile
+(fold refinement and the Newton steps of `minimal_solution`) run on scipy's
+compiled DOP853 (`radial.solve_ivp`).
 
 Power-law weights f = |x|^α are reduced to the constant-profile problem in
 the effective fractional dimension 2(N+α)/(2+α); a direct weighted shoot
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from . import spectral
@@ -36,7 +37,7 @@ from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError)
 from .nonlinearity import Nonlinearity
 from .powerlaw import TransformResult, dim_transform
-from .radial import lane_rhs, lane_seed, series_value
+from .radial import lane_rhs, lane_seed, series_value, solve_ivp
 
 log = logging.getLogger("pullin.branch")
 
@@ -122,23 +123,6 @@ def _rescaled(shot: ShootResult, exponent: float, lam: float,
     return RadialSolution(shot.m, lam, shot.N_eff, alpha, _evaluate=evaluate)
 
 
-class _LaneDOP853(DOP853):
-    """DOP853 whose error norm is that of the worst lane.
-
-    The state holds the rows (r, w', z, z') of n lanes.  scipy's norm is the
-    RMS over all 4n components, which lets one lane's error grow by up to
-    √n; the norm of the worst lane keeps `tol` a promise for every shot.
-    """
-
-    def _estimate_error_norm(self, K, h, scale):
-        err5 = (np.dot(K.T, self.E5) / scale).reshape(4, -1)
-        err3 = (np.dot(K.T, self.E3) / scale).reshape(4, -1)
-        e5, e3 = np.sum(err5 * err5, axis=0), np.sum(err3 * err3, axis=0)
-        denom = 4.0 * (e5 + 0.01 * e3)
-        norm = np.divide(e5, np.sqrt(denom), out=np.zeros_like(e5), where=denom > 0.0)
-        return abs(h) * float(np.max(norm))
-
-
 def _shoot_lanes(F: Nonlinearity, N_eff: float, ms: np.ndarray, tol: float,
                  alpha: float = 0.0, dense: bool = False):
     """Shoot every center value in `ms` in one DOP853 run of the radial core
@@ -148,8 +132,8 @@ def _shoot_lanes(F: Nonlinearity, N_eff: float, ms: np.ndarray, tol: float,
     with dλ/dm = (2+α) R^(1+α) (-z(R)/w'(R)).
     """
     tau0, y0, eps, a = lane_seed(F, N_eff, ms, tol, alpha)
-    sol = solve_ivp(lane_rhs(F, N_eff, ms, alpha), (tau0, 1.0), y0, method=_LaneDOP853,
-                    rtol=tol, atol=tol * 1e-2, dense_output=dense)
+    sol = solve_ivp(lane_rhs(F, N_eff, ms, alpha), (tau0, 1.0), y0, rtol=tol,
+                    atol=tol * 1e-2, dense_output=dense)
     if not sol.success:
         raise NoCrossingError(
             f"shooting run failed (family {F.label()}, N_eff={N_eff}, "
@@ -340,8 +324,10 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
     The branch cell holding lam brackets the root, and inverse interpolation
     in that cell starts Newton steps on λ(m) - lam with the exact slope
     dλ/dm of each shot; a step that would leave the bracket is replaced by
-    bisection.  The iteration stops once λ(m) matches lam to tol (relative)
-    or the bracket has shrunk to 1e-12, and the last shot is the answer.
+    bisection.  The steps are one-lane runs without dense output.  Once λ(m)
+    matches lam to tol (relative) or the bracket has shrunk to 1e-12, a
+    dense `shoot` at that center value is the answer, if it meets the same
+    test; otherwise the steps go on from it.
     """
     if branch.problem != problem:
         raise DomainValidationError("branch was computed for a different problem")
@@ -359,10 +345,11 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
     if j >= len(ms):
         if not branch.fold_found or branch.m_star <= ms[-1]:
             raise BeyondPullInError(f"voltage {lam} not bracketed by the stable branch")
-        fold = shoot(problem.F, tr.N_eff, branch.m_star, tol)
-        if fold.lam < lam0:
+        R_fold, *_ = _shoot_lanes(problem.F, tr.N_eff, np.array([branch.m_star]), tol)
+        lam_fold = float(R_fold[0]) ** 2.0
+        if lam_fold < lam0:
             raise BeyondPullInError(f"voltage {lam} not bracketed by the stable branch")
-        (lo, lam_lo), (hi, lam_hi) = (ms[-1], lams[-1]), (branch.m_star, fold.lam)
+        (lo, lam_lo), (hi, lam_hi) = (ms[-1], lams[-1]), (branch.m_star, lam_fold)
     elif j == 0:
         (lo, lam_lo), (hi, lam_hi) = (0.0, 0.0), (ms[0], lams[0])
     else:
@@ -370,16 +357,22 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
 
     m = lo + (hi - lo) * (lam0 - lam_lo) / (lam_hi - lam_lo)
     for _ in range(100):
-        shot = shoot(problem.F, tr.N_eff, m, tol)
-        g = shot.lam - lam0
+        R, slope, *_ = _shoot_lanes(problem.F, tr.N_eff, np.array([m]), tol)
+        g, slope = float(R[0]) ** 2.0 - lam0, float(slope[0])
         if g < 0.0:
             lo = m
         else:
             hi = m
-        if abs(g) <= tol * lam0 or hi - lo <= 1e-12 * max(1.0, m):
-            return _rescaled(shot, tr.radius_exponent,
-                             shot.lam * tr.voltage_factor, problem.alpha)
-        newton = m - g / shot.dlam_dm if shot.dlam_dm > 0.0 else hi
+        narrow = hi - lo <= 1e-12 * max(1.0, m)
+        if abs(g) <= tol * lam0 or narrow:
+            # the answer carries its profile: shoot again with dense output,
+            # which has to meet the same test
+            shot = shoot(problem.F, tr.N_eff, m, tol)
+            if abs(shot.lam - lam0) <= tol * lam0 or narrow:
+                return _rescaled(shot, tr.radius_exponent,
+                                 shot.lam * tr.voltage_factor, problem.alpha)
+            g, slope = shot.lam - lam0, shot.dlam_dm
+        newton = m - g / slope if slope > 0.0 else hi
         m = newton if lo < newton < hi else 0.5 * (lo + hi)
     raise BracketError(f"no center value with λ(m) = {lam} found in [{lo}, {hi}]")
 

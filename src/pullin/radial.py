@@ -15,16 +15,38 @@ removable singularity of (N-1)/r at r = 0 rules out starting at the
 center, so each run from the center starts at a small seed radius where
 the center series is still exact to the integrator tolerance (the right
 half-runs of `spectral` start from the edge values at τ = 1 and go back).
+
+Every run goes through `solve_ivp`, which has the signature and the result
+of scipy's.  A run of one lane without dense output (fold refinement, the
+Newton steps of `minimal_solution`, every eigen half-run) runs on scipy's
+compiled DOP853 (Hairer-Nørsett-Wanner, *Solving ODEs I*, §II.10) with the
+method, step controller and error norm of scipy's Python DOP853; the Python
+code runs the lanes of a grid and every dense run, under the norm of the
+worst lane.  One lane runs its seed and its right-hand side on Python
+floats.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+from scipy.integrate import DOP853, ode
+from scipy.integrate import solve_ivp as _scipy_solve_ivp
+from scipy.integrate._ivp.ivp import OdeResult
 
 from .errors import DomainValidationError
 from .nonlinearity import Nonlinearity
+
+# steps allowed in one compiled run (the longest one-lane run on the
+# default schedules takes 374)
+_MAX_STEPS = 100_000
+# a compiled run carries the quadrature row of an eigen-shot times
+# _ROW_SCALE: below atol its terms vanish from the error norm, which sums
+# over every row, so a row of up to about 1e97 stays out of it (a larger
+# one only shrinks the steps), and one above about 1e-187 keeps every bit
+_ROW_SCALE = 2.0 ** -400
 
 
 def center_series(F: Nonlinearity, N: float, k: float, m: float, nu: float = 0.0):
@@ -43,7 +65,10 @@ def center_series(F: Nonlinearity, N: float, k: float, m: float, nu: float = 0.0
     Raises DomainValidationError when a coefficient overflows double range
     (for the exponential from m ≈ 236 on).
     """
-    F0, F1, F2, F3 = (float(d(m)) for d in (F.value, F.deriv, F.deriv2, F.deriv3))
+    if not 0.0 <= m < F.endpoint:
+        raise DomainValidationError(
+            f"argument outside [0, {F.endpoint}) for {F.label()}")
+    F0, F1, F2, F3 = (float(F.unchecked(j, m)) for j in range(4))
     c1, c2, c3 = (j * k * (j * k + N - 2.0) for j in (1.0, 2.0, 3.0))
     a1 = -F0 / c1
     a2 = -F1 * a1 / c2
@@ -85,6 +110,8 @@ def lane_seed(F: Nonlinearity, N: float, ms: np.ndarray, tol: float,
     Returns (τ₀, initial state, seed radii, center series (3, n) of w).
     """
     k = 2.0 + alpha
+    if len(ms) == 1:
+        return _one_lane_seed(F, N, ms[0], tol, k, nu)
     series = [center_series(F, N, k, m, nu) for m in ms]
     a = np.array([ai for ai, _ in series]).T
     b = np.array([bi for _, bi in series]).T
@@ -106,6 +133,27 @@ def lane_seed(F: Nonlinearity, N: float, ms: np.ndarray, tol: float,
     y0 = np.concatenate((eps, series_state(a, ms, s, k, eps)[1],
                          *series_state(b, 1.0, s, k, eps)))
     return math.sqrt(sigma0), y0, eps, a
+
+
+def _one_lane_seed(F: Nonlinearity, N: float, m, tol: float, k: float, nu: float):
+    """`lane_seed` of one center value on Python floats.  The powers go
+    through numpy arrays, whose vectorized power may differ from C `pow` in
+    the last bit, so the seed is bit for bit that of a lane."""
+    a, b = center_series(F, N, k, m, nu)
+    (a1, a2, a3), b3, m = a, b[2], float(m)
+    roots = np.array([tol * m / abs(a3), tol / abs(b3) if b3 else math.inf]) ** (1.0 / 3.0)
+    s = min(*roots.tolist(), 0.1 * m / abs(a1))
+    sigma0 = -series_value(a, 0.0, s) / m
+    drop = m * sigma0
+    s = -drop / a1
+    for _ in range(6):
+        step = series_value(a, drop, s) / (a1 + s * (2.0 * a2 + 3.0 * s * a3))
+        if not step:
+            break
+        s -= step
+    eps = float((np.array([s]) ** (1.0 / k))[0])
+    y0 = np.array([eps, series_state(a, m, s, k, eps)[1], *series_state(b, 1.0, s, k, eps)])
+    return math.sqrt(sigma0), y0, np.array([eps]), np.array(a)[:, None]
 
 
 def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
@@ -152,3 +200,133 @@ def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
                                    -(fp * z + cr * dz) * dr))
 
     return rhs
+
+
+class _LaneDOP853(DOP853):
+    """DOP853 whose error norm is that of the worst lane.
+
+    The state holds the rows (r, w', z, z') of n lanes, and in an eigen-shot
+    a trailing quadrature row, which the norm leaves out: the lane rows
+    alone set the steps.  scipy's norm is the RMS over all components, which
+    lets one lane's error grow by up to √n; the norm of the worst lane keeps
+    `tol` a promise for every shot.
+    """
+
+    def _estimate_error_norm(self, K, h, scale):
+        if K.shape[1] % 4:
+            K, scale = K[:, :-1], scale[:-1]
+        err5 = (np.dot(K.T, self.E5) / scale).reshape(4, -1)
+        err3 = (np.dot(K.T, self.E3) / scale).reshape(4, -1)
+        e5, e3 = np.sum(err5 * err5, axis=0), np.sum(err3 * err3, axis=0)
+        denom = 4.0 * (e5 + 0.01 * e3)
+        norm = np.divide(e5, np.sqrt(denom), out=np.zeros_like(e5), where=denom > 0.0)
+        return abs(h) * float(np.max(norm))
+
+
+class _CompiledDOP853:
+    """scipy's compiled DOP853 (Hairer-Nørsett-Wanner's code behind
+    `scipy.integrate.ode`) for one state size, with the controller of
+    scipy's Python DOP853: safety 0.9, step factors 0.2 and 10, β = 0, and
+    no stiffness test.  For one lane its error norm is that of `_LaneDOP853`.
+    Accepted steps follow the same rule; a rejected step is retried at
+    0.2 h, where the Python code takes max(0.2, 0.9 err^(-1/8)) h.
+
+    The compiled code keeps a reference to each callable it is handed
+    (scipy 1.17), so an instance is reused from run to run and hands it the
+    same right-hand side each time, which calls the run's `fun`; a fresh
+    `ode` would keep its integrator, the run's closures and every recorded
+    step alive.  What is left is one bound method per run, which
+    `ode.set_initial_value` makes.
+    """
+
+    def __init__(self, size: int):
+        self.ode = ode(self._rhs).set_integrator(
+            "dop853", nsteps=_MAX_STEPS, safety=0.9, dfactor=0.2, ifactor=10.0, beta=0.0)
+        self.ode.set_solout(self._record)
+        self.nan = (math.nan,) * size
+        self.fun, self.row_scale = None, 1.0
+        self.steps: list = []
+        self.errors: list = []
+
+    def _rhs(self, t, y):
+        try:
+            rows = self.fun(t, y)
+        except Exception as exc:  # the compiled code would lose it
+            self.errors.append(exc)
+            return self.nan
+        scale = self.row_scale
+        return rows if scale == 1.0 else (*rows[:-1], rows[-1] * scale)
+
+    def _record(self, t, y):
+        self.steps.append((t, *y.tolist()))
+
+    def run(self, fun, t_span, y0: np.ndarray, rtol: float, atol: float,
+            row_scale: float = 1.0):
+        """(t, *y) at every accepted step, RHS evaluations and the return
+        code of one run, with the last row's derivative times `row_scale`.
+        An exception raised by `fun` is raised again as itself."""
+        solver, integrator = self.ode, self.ode._integrator
+        self.fun, self.row_scale, self.steps, self.errors = fun, row_scale, [], []
+        integrator.rtol, integrator.atol = rtol, atol
+        solver.set_initial_value(y0, t_span[0])
+        integrator.iwork[3] = -1  # no stiffness test, as in scipy's Python DOP853
+        try:
+            with warnings.catch_warnings():
+                # a failed run warns and returns a negative code, read below
+                warnings.simplefilter("ignore", UserWarning)
+                solver.integrate(t_span[1])
+        finally:
+            self.fun, errors = None, self.errors
+            self.errors = []
+        if errors:
+            raise errors[0]
+        return self.steps, int(integrator.iwork[16]), solver.get_return_code()
+
+
+_IDLE: dict[int, _CompiledDOP853] = {}
+
+
+def _compiled_run(fun, t_span, y0: np.ndarray, rtol: float, atol: float) -> OdeResult:
+    """One-lane run on the compiled DOP853.  A fifth row is a quadrature
+    row: it rides scaled by `_ROW_SCALE`, and rtol and atol shrink by
+    √(4/5), so that the norm over the five rows is that of the four lane
+    rows."""
+    size = len(y0)
+    row_scale = _ROW_SCALE if size == 5 else 1.0
+    shrink = math.sqrt(0.8) if size == 5 else 1.0
+    start = y0.copy()
+    start[4:] *= row_scale
+    # taken out while it runs, so a nested or concurrent run gets its own
+    solver = _IDLE.pop(size, None) or _CompiledDOP853(size)
+    try:
+        steps, nfev, code = solver.run(fun, t_span, start, shrink * rtol, shrink * atol,
+                                       row_scale)
+    finally:
+        _IDLE[size] = solver
+    table = np.array(steps or [(t_span[0], *start)]).T
+    y = table[1:]
+    y[4:] /= row_scale
+    message = solver.ode._integrator.messages.get(code, f"return code {code}")
+    return OdeResult(t=table[0], y=y, sol=None, nfev=nfev, njev=0, nlu=0,
+                     status=0 if code > 0 else -1, success=code > 0, message=message)
+
+
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float, dense_output: bool = False):
+    """A run of the radial core, with the signature and the result of
+    scipy's `solve_ivp` (DOP853 and no other options).
+
+    `y0` holds the rows (r, w', z, z') of each lane and, in an eigen-shot,
+    a trailing quadrature row that `fun` does not read and the error norm
+    leaves out.  A run of one lane without dense output runs on scipy's
+    compiled DOP853 (`_CompiledDOP853`): the method, controller and norm of
+    scipy's Python DOP853 at about a quarter of its cost per step.  Lanes
+    and dense runs run on scipy's `solve_ivp` under the worst-lane norm
+    (`_LaneDOP853`).
+    Either way `y` holds the state at every accepted step, and `nfev`
+    counts the evaluations of `fun`.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    if dense_output or len(y0) > 5:
+        return _scipy_solve_ivp(fun, t_span, y0, method=_LaneDOP853, rtol=rtol,
+                                atol=atol, dense_output=dense_output)
+    return _compiled_run(fun, t_span, y0, rtol, atol)

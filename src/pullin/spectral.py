@@ -18,7 +18,9 @@ point of the potential.  The Prüfer angles of the two halves, continued by
 π per zero, differ by a mismatch that increases with ν and vanishes only
 at the principal eigenvalue, so a higher mode can never be returned; one
 quadrature row per half gives the mismatch's derivative, and Newton steps
-inside the Rayleigh bracket find ν₁.
+inside the Rayleigh bracket find ν₁.  Every half-run is a one-lane run on
+scipy's compiled DOP853 (`radial.solve_ivp`), whose error norm leaves the
+quadrature row out.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, quad, solve_ivp
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import hyp0f1, jv
 
 from .errors import BracketError, DomainValidationError, QuadratureError
 from .geometry import volume_unit_ball
 from .nonlinearity import Nonlinearity
-from .radial import lane_rhs, lane_seed
+from .radial import lane_rhs, lane_seed, solve_ivp
 
 # beyond this a half-run inside the Rayleigh bracket can grow like
 # e^√(λF'(m)) past double range
@@ -96,15 +98,6 @@ def _radial_moment(psi_at: Callable, power: float) -> float:
     return val / k
 
 
-class _ModeDOP853(DOP853):
-    """DOP853 whose error norm leaves out the last component, the quadrature
-    row ∫ r^(N-1) z² dr of a half-run: the rows (r, w', z, z') alone set
-    the steps, as in a run without it."""
-
-    def _estimate_error_norm(self, K, h, scale):
-        return super()._estimate_error_norm(K[:, :-1], h, scale[:-1])
-
-
 def _center_start(N: float, F: Nonlinearity, m: float, nu: float, rtol: float):
     """Start (τ₀, state) of a left half-run: the center seed of the radial
     core, with z(0) = 1 and the seed ball's share ε^N/N of ∫ r^(N-1) z² dr."""
@@ -132,7 +125,7 @@ def _half_run(N: float, F: Nonlinearity, m: float, nu: float, start, tau_end: fl
     """
     tau0, y0 = start
     sol = solve_ivp(lane_rhs(F, N, np.array([m]), nu=nu, weight=True), (tau0, tau_end),
-                    y0, method=_ModeDOP853, rtol=rtol, atol=rtol * 1e-2)
+                    y0, rtol=rtol, atol=rtol * 1e-2)
     if not sol.success:
         raise BracketError(f"eigen shot failed at nu={nu}: {sol.message}")
     z = sol.y[2]
@@ -312,14 +305,18 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
     steps on a Prüfer-angle mismatch of two half-runs
     (`_principal_eigenvalue`) inside the Rayleigh bracket
     λ₁ - λF'(m) < μ₁ < λ₁ - λF'(0) (Courant-Hilbert, *Methods of
-    Mathematical Physics* I, ch. VI).  At m = 0 the potential is constant
-    and μ₁ = λ₁ - λF'(0) exactly.
+    Mathematical Physics* I, ch. VI).  The only solution with m = 0 is
+    u ≡ 0 at λ = 0, whose μ₁ is λ₁; with m = 0, a voltage other than 0 is
+    refused.
     """
     if lam < 0:
         raise DomainValidationError(f"voltage must be nonnegative, got {lam}")
     lam1 = _first_bessel_zero(N / 2.0 - 1.0) ** 2
     if u.m == 0.0:
-        return lam1 - lam * float(F.deriv(0.0))
+        if lam != 0.0:
+            raise DomainValidationError(
+                f"no solution at voltage {lam} has center value 0 (u = 0 needs voltage 0)")
+        return lam1
     if lam == 0.0:
         raise DomainValidationError(f"no solution at voltage 0 has center value {u.m}")
     # the profile decreases from its center value, and so does the potential

@@ -305,18 +305,18 @@ def test_shoot_integrates_at_most_twice(monkeypatch):
 
 def test_branch_grid_is_one_integration(monkeypatch):
     methods = []
-    real = pullin.branch.solve_ivp
+    real = pullin.radial._scipy_solve_ivp
 
     def counting(*args, **kwargs):
-        methods.append(kwargs["method"])
+        methods.append((len(args[2]), kwargs["method"]))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pullin.branch, "solve_ivp", counting)
+    monkeypatch.setattr(pullin.radial, "_scipy_solve_ivp", counting)
     # exp N = 10 is singular: no fold, so no fold refinement runs
     b = solve_branch(ProblemSpec(10.0, EXP), pullin.default_m_grid(EXP, 61))
     assert not b.fold_found
-    # one run, under the error norm of the worst lane
-    assert methods == [pullin.branch._LaneDOP853]
+    # one run of all 61 lanes, under the error norm of the worst lane
+    assert methods == [(4 * 61, pullin.radial._LaneDOP853)]
 
 
 def test_lane_error_norm_is_the_worst_lane():
@@ -327,13 +327,16 @@ def test_lane_error_norm_is_the_worst_lane():
     n = 50
     K, scale = np.zeros((13, 4, n)), np.ones((4, n))
     K[:, :, 7], scale[:, 7] = K1, scale1
-    solver = lambda size: pullin.branch._LaneDOP853(
+    solver = lambda size: pullin.radial._LaneDOP853(
         lambda t, y: np.zeros_like(y), 0.0, np.zeros(size), 1.0)
     one = solver(4)._estimate_error_norm(K1, 0.1, scale1)
     assert one == pytest.approx(DOP853._estimate_error_norm(solver(4), K1, 0.1, scale1),
                                 rel=1e-14)
     assert solver(4 * n)._estimate_error_norm(
         K.reshape(13, 4 * n), 0.1, scale.reshape(4 * n)) == pytest.approx(one, rel=1e-14)
+    # the trailing quadrature row of an eigen-shot is left out
+    K5 = np.hstack((K1, 1e6 * rng.standard_normal((13, 1))))
+    assert solver(5)._estimate_error_norm(K5, 0.1, np.append(scale1, 1e-12)) == one
 
 
 def test_lane_keeps_its_own_tolerance_in_a_grid():
@@ -408,18 +411,19 @@ def test_center_series_overflow_is_a_domain_error():
 
 def test_minimal_solution_takes_few_shots(monkeypatch, mems_disc_branch):
     calls = []
-    real = pullin.branch.shoot
+    real = pullin.branch._shoot_lanes
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("dense", False))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pullin.branch, "shoot", counting)
+    monkeypatch.setattr(pullin.branch, "_shoot_lanes", counting)
     for lam in (1e-4, 0.2, 0.5, 0.7):
         calls.clear()
         u = minimal_solution(ProblemSpec(2.0, MEMS), lam, mems_disc_branch)
         assert u.lam == pytest.approx(lam, rel=1e-10)
-        assert len(calls) <= 4
+        # Newton steps without dense output, then one dense shot of the answer
+        assert calls.count(False) <= 4 and calls.count(True) == 1 and calls[-1]
 
 
 def test_branch_without_fold_has_no_pullin_distance(capsys):

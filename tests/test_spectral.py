@@ -102,8 +102,10 @@ def _zero_solution():
 
 
 def test_mu1_vanishing_potential_recovers_laplacian():
+    # λ ≈ 5.8e-10 at center value 1e-10, so the potential λF'(u) nearly vanishes
     F = mems_inverse_power(2.0)
-    val = mu1(2.0, F, 1e-10, _zero_solution(), tol=1e-9)
+    u = shoot(F, 2.0, 1e-10).solution()
+    val = mu1(2.0, F, u.lam, u, tol=1e-9)
     assert val == pytest.approx(lambda1_ball(2.0).eigenvalue, abs=1e-6)
 
 
@@ -201,10 +203,13 @@ def test_eigen_shot_at_zero_is_the_shot_tangent(F, m):
 
 
 def test_mu1_at_zero_center_value_is_the_shifted_laplacian():
-    # u ≡ 0 makes the potential the constant λF'(0)
+    # the only solution with center value 0 is u ≡ 0 at λ = 0, where the
+    # linearized operator is the Laplacian itself; a voltage > 0 has none
     F = mems_inverse_power(2.0)
     lam1 = lambda1_ball(2.0).eigenvalue
-    assert mu1(2.0, F, 0.3, _zero_solution()) == lam1 - 0.3 * 2.0
+    assert mu1(2.0, F, 0.0, _zero_solution()) == lam1
+    with pytest.raises(DomainValidationError, match="center value 0"):
+        mu1(2.0, F, 0.3, _zero_solution())
     with pytest.raises(DomainValidationError):
         mu1(2.0, F, 0.0, RadialSolution(0.3, 0.0, 2.0, _evaluate=np.zeros_like))
 
