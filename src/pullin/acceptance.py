@@ -274,12 +274,12 @@ def check_oracle_equivalence() -> tuple[bool, str]:
     worst_min = 0.0
     scans = []
     for N in (3.0, 6.0, 9.0):
-        lo, hi = (N - 2.0) / 4.0, 2.0
+        lo, hi = bounds._exp_window(N)
         ts = np.linspace(lo + 1e-9, hi - 1e-9, 100000)
         scans.append((bounds.exp_supnorm_constant(N).value,
                       float(np.min(bounds._exp_constant_objective(ts, N)))))
     for N in (3.0, 5.0, 7.0):
-        lo, hi = 3.0 * (N - 2.0) / 4.0, bounds.T_MAX_MEMS
+        lo, hi = bounds._mems_window(N)
         ts = np.linspace(lo + 1e-9, hi - 1e-9, 100000)
         scans.append((bounds.mems_supnorm_constant(N).value,
                       float(np.min(bounds._mems_constant_objective(ts, N)))))

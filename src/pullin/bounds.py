@@ -50,8 +50,8 @@ class DomainStats:
             raise DomainValidationError("lambda1 must be positive")
         if not self.volume > 0:
             raise DomainValidationError("volume must be positive")
-        if not self.N >= 1:
-            raise DomainValidationError("dimension must be >= 1")
+        if not 1.0 <= self.N < math.inf:
+            raise DomainValidationError("dimension must be finite and >= 1")
         if self.inf_f < 0 or self.sup_f <= 0:
             raise DomainValidationError("weight bounds must be nonnegative / positive")
         if not (self.inf_f <= self.f_phi_integral <= self.sup_f):
@@ -145,6 +145,44 @@ def _open_window(lo: float, hi: float, n_points: int = 2000) -> np.ndarray:
     return np.linspace(lo + pad, hi - pad, n_points)
 
 
+def _minimized_constant(name: str, objective, N: float, window: tuple[float, float],
+                        where: str, valid: bool, stated: str) -> BoundReport:
+    """The minimum of `objective` over the open `window` (a scan of
+    `_open_window`, then golden section) in dimension N, valid when the
+    estimate is stated there; NaN and invalid when the window is empty."""
+    if not math.isfinite(N):
+        raise DomainValidationError(f"dimension must be finite, got {N}")
+    lo, hi = window
+    if lo >= hi:
+        return BoundReport(name, math.nan, valid=False,
+                           reason=f"empty optimization window at {where}")
+    t, val = grid_then_golden_min(objective, _open_window(lo, hi))
+    return BoundReport(name, val, optimizer=t, valid=valid, reason="" if valid else stated)
+
+
+def _from_constant(name: str, const: BoundReport, value) -> BoundReport:
+    """The report `name` of a bound built from a minimized constant: NaN
+    with the constant's reason when it has none, otherwise value(constant)
+    with its optimizer and validity."""
+    if math.isnan(const.value):
+        return BoundReport(name, math.nan, valid=False, reason=const.reason)
+    return BoundReport(name, value(const.value), optimizer=const.optimizer,
+                       valid=const.valid, reason=const.reason)
+
+
+def _exp_window(N: float) -> tuple[float, float]:
+    return (N - 2.0) / 4.0, 2.0
+
+
+def _mems_window(N: float) -> tuple[float, float]:
+    return 3.0 * (N - 2.0) / 4.0, T_MAX_MEMS
+
+
+def _power_window(N: float, p: float) -> tuple[float, float]:
+    root = math.sqrt(p * p - p)
+    return max(p - root, p * N / 4.0 - p / 2.0 + 0.5), p + root
+
+
 def _exp_constant_objective(t: float, N: float) -> float:
     return (N ** (-1.0 / (2.0 * t + 1.0))
             * (2.0 * t / (4.0 * t + 2.0 - N)) ** (2.0 * t / (2.0 * t + 1.0))
@@ -158,15 +196,9 @@ def exp_supnorm_constant(N: float) -> BoundReport:
     minimized over (N-2)/4 < t < 2.  The window empties at N = 10; the
     estimate itself is stated for 3 <= N <= 9.
     """
-    lo, hi = (N - 2.0) / 4.0, 2.0
-    if lo >= hi:
-        return BoundReport("exp_supnorm_constant", math.nan, valid=False,
-                           reason=f"empty optimization window at N={N:g}")
-    t, val = grid_then_golden_min(lambda t: _exp_constant_objective(t, N),
-                                  _open_window(lo, hi))
-    valid = 3.0 <= N <= 9.0
-    return BoundReport("exp_supnorm_constant", val, optimizer=t, valid=valid,
-                       reason="" if valid else f"dimension {N:g} outside [3, 9]")
+    return _minimized_constant(
+        "exp_supnorm_constant", lambda t: _exp_constant_objective(t, N), N, _exp_window(N),
+        f"N={N:g}", 3.0 <= N <= 9.0, f"dimension {N:g} outside [3, 9]")
 
 
 def log_weight_integral(p: float, R: float) -> float:
@@ -216,27 +248,18 @@ def exp_supnorm_bound(stats: DomainStats,
             "exp_supnorm_bound", value, optimizer=t, valid=contained_in_half_ball,
             reason="" if contained_in_half_ball
             else "requires the domain to lie inside a ball of radius 1/2")
-    const = exp_supnorm_constant(N)
-    if math.isnan(const.value):
-        return BoundReport("exp_supnorm_bound", math.nan, valid=False,
-                           reason=const.reason)
-    value = (stats.lambda1 * const.value / (math.e * (N - 2.0))
-             * (stats.volume / volume_unit_ball(N)) ** (N / 2.0))
-    return BoundReport("exp_supnorm_bound", value, optimizer=const.optimizer,
-                       valid=const.valid, reason=const.reason)
+    return _from_constant(
+        "exp_supnorm_bound", exp_supnorm_constant(N),
+        lambda K: (stats.lambda1 * K / (math.e * (N - 2.0))
+                   * (stats.volume / volume_unit_ball(N)) ** (N / 2.0)))
 
 
 def eigenvalue_lower_bound(N: float, volume: float) -> BoundReport:
     """λ₁(Ω) >= e(N-2)/K_N · (ω_N/|Ω|)^(N/2), the inverse reading of the
     exponential sup-norm bound combined with the distance lower bound."""
-    const = exp_supnorm_constant(N)
-    if math.isnan(const.value):
-        return BoundReport("eigenvalue_lower_bound", math.nan, valid=False,
-                           reason=const.reason)
-    value = (math.e * (N - 2.0) / const.value
-             * (volume_unit_ball(N) / volume) ** (N / 2.0))
-    return BoundReport("eigenvalue_lower_bound", value, optimizer=const.optimizer,
-                       valid=const.valid, reason=const.reason)
+    return _from_constant(
+        "eigenvalue_lower_bound", exp_supnorm_constant(N),
+        lambda K: math.e * (N - 2.0) / K * (volume_unit_ball(N) / volume) ** (N / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -261,42 +284,24 @@ def mems_supnorm_constant(N: float) -> BoundReport:
     """Minimized constant of the inverse-square sup-norm bound, over the
     window 3(N-2)/4 < t < 2+sqrt(6) (empty from N = 7.93 on; stated for
     3 <= N <= 7)."""
-    lo, hi = 3.0 * (N - 2.0) / 4.0, T_MAX_MEMS
-    if lo >= hi:
-        return BoundReport("mems_supnorm_constant", math.nan, valid=False,
-                           reason=f"empty optimization window at N={N:g}")
-    t, val = grid_then_golden_min(lambda t: _mems_constant_objective(t, N),
-                                  _open_window(lo, hi))
-    valid = 3.0 <= N <= 7.0
-    return BoundReport("mems_supnorm_constant", val, optimizer=t, valid=valid,
-                       reason="" if valid else f"dimension {N:g} outside [3, 7]")
+    return _minimized_constant(
+        "mems_supnorm_constant", lambda t: _mems_constant_objective(t, N), N,
+        _mems_window(N), f"N={N:g}", 3.0 <= N <= 7.0, f"dimension {N:g} outside [3, 7]")
 
 
 def mems_supnorm_bound(stats: DomainStats) -> BoundReport:
     """Sup-norm bound for the inverse-square extremal on a general domain:
     1 - exp(-λ₁·G_N/(2(N-2)) · (|Ω|/ω_N)^(2/N)) for 3 <= N <= 7."""
     N = stats.N
-    const = mems_supnorm_constant(N)
-    if math.isnan(const.value):
-        return BoundReport("mems_supnorm_bound", math.nan, valid=False,
-                           reason=const.reason)
-    exponent = (stats.lambda1 * const.value / (2.0 * (N - 2.0))
-                * (stats.volume / volume_unit_ball(N)) ** (2.0 / N))
-    return BoundReport("mems_supnorm_bound", 1.0 - math.exp(-exponent),
-                       optimizer=const.optimizer, valid=const.valid,
-                       reason=const.reason)
+    return _from_constant(
+        "mems_supnorm_bound", mems_supnorm_constant(N),
+        lambda G: 1.0 - math.exp(-stats.lambda1 * G / (2.0 * (N - 2.0))
+                                 * (stats.volume / volume_unit_ball(N)) ** (2.0 / N)))
 
 
 # ---------------------------------------------------------------------------
 # sup-norm bound for the power-growth family
 # ---------------------------------------------------------------------------
-
-def _power_window(N: float, p: float) -> tuple[float, float]:
-    root = math.sqrt(p * p - p)
-    t_minus, t_plus = p - root, p + root
-    t_np = p * N / 4.0 - p / 2.0 + 0.5
-    return max(t_minus, t_np), t_plus
-
 
 def _power_constant_objective(t: float, N: float, p: float) -> float:
     return ((2.0 * t * p - p - t * t) ** (-p / t)
@@ -309,17 +314,12 @@ def _power_constant_objective(t: float, N: float, p: float) -> float:
 def power_supnorm_constant(N: float, p: float) -> BoundReport:
     """Minimized constant of the power-growth sup-norm bound (stated for
     N = 3 or 4, p > 1)."""
-    if p <= 1:
-        raise DomainValidationError("power-growth exponent must exceed 1")
-    lo, hi = _power_window(N, p)
-    if lo >= hi:
-        return BoundReport("power_supnorm_constant", math.nan, valid=False,
-                           reason=f"empty optimization window at N={N:g}, p={p:g}")
-    t, val = grid_then_golden_min(lambda t: _power_constant_objective(t, N, p),
-                                  _open_window(lo, hi))
-    valid = N in (3.0, 4.0)
-    return BoundReport("power_supnorm_constant", val, optimizer=t, valid=valid,
-                       reason="" if valid else f"stated only for N in {{3, 4}}, got {N:g}")
+    if not 1.0 < p < math.inf:
+        raise DomainValidationError(f"power-growth exponent must be finite and > 1, got {p}")
+    return _minimized_constant(
+        "power_supnorm_constant", lambda t: _power_constant_objective(t, N, p), N,
+        _power_window(N, p), f"N={N:g}, p={p:g}", N in (3.0, 4.0),
+        f"stated only for N in {{3, 4}}, got {N:g}")
 
 
 def power_supnorm_bound(stats: DomainStats, p: float) -> BoundReport:
@@ -328,15 +328,11 @@ def power_supnorm_bound(stats: DomainStats, p: float) -> BoundReport:
     if not stats.N > 2.0:
         return BoundReport("power_supnorm_bound", math.nan, valid=False,
                            reason=f"needs N > 2, got N={stats.N:g}")
-    const = power_supnorm_constant(stats.N, p)
-    if math.isnan(const.value):
-        return BoundReport("power_supnorm_bound", math.nan, valid=False,
-                           reason=const.reason)
-    value = ((p - 1.0) ** (p - 1.0) * stats.lambda1 * const.value
-             / (p ** p * (stats.N - 2.0))
-             * (stats.volume / volume_unit_ball(stats.N)) ** (2.0 / stats.N))
-    return BoundReport("power_supnorm_bound", value, optimizer=const.optimizer,
-                       valid=const.valid, reason=const.reason)
+    N = stats.N
+    return _from_constant(
+        "power_supnorm_bound", power_supnorm_constant(N, p),
+        lambda K: ((p - 1.0) ** (p - 1.0) * stats.lambda1 * K / (p ** p * (N - 2.0))
+                   * (stats.volume / volume_unit_ball(N)) ** (2.0 / N)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +372,11 @@ def radial_decay_constant(tau: float, N: float) -> float:
 
     Three-case closed form: τ/(2τ-1) in dimension 1, τ/(4(τ-1)) in dimension
     2, and a Newtonian-potential expression for N >= 3.  Defined for
-    τ > max(1, N/2); non-integer dimensions below 3 have no stated form.
+    finite τ > max(1, N/2); non-integer dimensions below 3 have no stated form.
     """
-    if np.min(tau) <= max(1.0, N / 2.0):
+    if not np.all((max(1.0, N / 2.0) < tau) & (tau < math.inf)):
         raise DomainValidationError(
-            f"need tau > max(1, N/2) = {max(1.0, N / 2.0)}, got {tau}")
+            f"need max(1, N/2) = {max(1.0, N / 2.0)} < tau < inf, got {tau}")
     if N == 1.0:
         return tau / (2.0 * tau - 1.0)
     if N == 2.0:

@@ -56,11 +56,11 @@ class ProblemSpec:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not self.N >= 1.0:
-            raise DomainValidationError(f"dimension must be >= 1, got {self.N}")
-        if not self.alpha > -2.0:
+        if not 1.0 <= self.N < math.inf:
+            raise DomainValidationError(f"dimension must be finite and >= 1, got {self.N}")
+        if not -2.0 < self.alpha < math.inf:
             raise DomainValidationError(
-                f"power-law exponent must be > -2, got {self.alpha}")
+                f"power-law exponent must be finite and > -2, got {self.alpha}")
 
     def transform(self) -> TransformResult:
         return dim_transform(self.N, self.alpha)
@@ -177,10 +177,10 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
     The one-lane run of the shooting core (see `_shoot_lanes`), with dense
     output for the profile.
     """
-    if not N_eff >= 1.0:
-        raise DomainValidationError(f"dimension must be >= 1, got {N_eff}")
-    if not alpha > -2.0:
-        raise DomainValidationError(f"weight exponent must be > -2, got {alpha}")
+    if not 1.0 <= N_eff < math.inf:
+        raise DomainValidationError(f"dimension must be finite and >= 1, got {N_eff}")
+    if not -2.0 < alpha < math.inf:
+        raise DomainValidationError(f"weight exponent must be finite and > -2, got {alpha}")
     if not 0.0 < m < F.endpoint:
         raise DomainValidationError(
             f"center value must lie in (0, {F.endpoint}), got {m}")
@@ -382,7 +382,7 @@ def dudlambda(problem: ProblemSpec, lam: float, h: float,
     """Central finite difference of the minimal solution with respect to the
     voltage: the function r -> (u_{λ+h}(r) - u_{λ-h}(r)) / (2h) on [0, 1],
     positive inside the ball (a float for scalar r)."""
-    if h <= 0:
+    if not h > 0:
         raise DomainValidationError(f"stencil width must be positive, got {h}")
     if lam - h <= 0 or lam + h >= branch.lambda_star:
         raise BeyondPullInError(

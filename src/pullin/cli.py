@@ -157,20 +157,17 @@ def _make_family(args) -> Nonlinearity:
 
 def _validate_common(args) -> None:
     N = getattr(args, "N", None)
-    if isinstance(N, float) and not N >= 1.0:
-        raise DomainValidationError(f"--N must be >= 1, got {N}")
+    if isinstance(N, float) and not 1.0 <= N < math.inf:
+        raise DomainValidationError(f"--N must be finite and >= 1, got {N}")
     alpha = getattr(args, "alpha", None)
-    if alpha is not None and not alpha > -2.0:
-        raise DomainValidationError(f"--alpha must be > -2, got {alpha}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not tol > 0:
-        raise DomainValidationError(f"--tol must be positive, got {tol}")
+    if alpha is not None and not -2.0 < alpha < math.inf:
+        raise DomainValidationError(f"--alpha must be finite and > -2, got {alpha}")
     m_points = getattr(args, "m_points", None)
     if m_points is not None and m_points < 3:
         raise DomainValidationError("--m-points must be at least 3")
     p = getattr(args, "p", None)
-    if p is not None and p <= 0:
-        raise DomainValidationError(f"--p must be positive, got {p}")
+    if p is not None and not 0.0 < p < math.inf:
+        raise DomainValidationError(f"--p must be positive and finite, got {p}")
 
 
 def _config_dict(args, keys) -> dict:
@@ -413,8 +410,9 @@ def main(argv=None) -> int:
         # constants table parses its own N range
         if args.command == "constants" and args.table != "decay":
             for N in _parse_range(args.N_range):
-                if N < 1.0:
-                    raise DomainValidationError(f"dimension {N} below 1 in --N range")
+                if not 1.0 <= N < math.inf:
+                    raise DomainValidationError(
+                        f"dimension {N} in --N range must be finite and >= 1")
         result, rows, warnings_ = args.fn(args)
     except DomainValidationError as exc:
         log.error("invalid input: %s", exc)

@@ -12,8 +12,8 @@ def volume_unit_ball(N: float) -> float:
     over the range used here (N <= 50 or so).  From N = 342 on, Γ(N/2 + 1)
     leaves double range and the call raises DomainValidationError.
     """
-    if N <= 0:
-        raise DomainValidationError(f"dimension must be positive, got {N}")
+    if not 0.0 < N < math.inf:
+        raise DomainValidationError(f"dimension must be positive and finite, got {N}")
     try:
         gamma = math.gamma(N / 2.0 + 1.0)
     except OverflowError:

@@ -131,11 +131,13 @@ class Nonlinearity:
         return (z / self.p) ** (1.0 / (self.p - 1.0)) - 1.0
 
     def fast_callables(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        """Unchecked scalar (F, F') for the one-lane runs of the radial
-        core, which run on Python floats (a run of several lanes uses
-        `unchecked` on arrays).  The exponential pair is `np.exp`, which
-        gives the bits it gives on an array; the powers are C `pow`, which
-        may differ from numpy's vectorized power in the last bit.
+        """Unchecked (F, F') for a float or an array: the right-hand side of
+        the radial core, which keeps its argument in [0, endpoint).  On an
+        array they are the expressions of `unchecked(0, ·)` and
+        `unchecked(1, ·)`, bit for bit.  The exponential pair is `np.exp`,
+        which gives a float the bits it gives an array; on a float the
+        powers are C `pow`, which may differ from numpy's vectorized power
+        in the last bit.
         """
         if self.family is Family.EXPONENTIAL:
             return np.exp, np.exp

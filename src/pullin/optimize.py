@@ -42,12 +42,6 @@ def golden_section_min(f: Callable[[float], float], a: float, b: float,
     return x, f(x)
 
 
-def golden_section_max(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10) -> tuple[float, float]:
-    x, neg = golden_section_min(lambda t: -f(t), a, b, tol)
-    return x, -neg
-
-
 def grid_then_golden_min(f: Callable, grid,
                          tol: float = 1e-10) -> tuple[float, float]:
     """Minimize f over the scan points `grid`, then polish by golden section

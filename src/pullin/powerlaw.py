@@ -52,10 +52,10 @@ def dim_transform(N: float, alpha: float) -> TransformResult:
     N_eff = 2(N+α)/(2+α) is monotone in α (increasing for N < 2, decreasing
     for N > 2, constant = 2 at N = 2) and tends to 2 as α grows.
     """
-    if not N >= 1.0:
-        raise DomainValidationError(f"dimension must be >= 1, got {N}")
-    if not alpha > -2.0:
-        raise DomainValidationError(f"weight exponent must be > -2, got {alpha}")
+    if not 1.0 <= N < math.inf:
+        raise DomainValidationError(f"dimension must be finite and >= 1, got {N}")
+    if not -2.0 < alpha < math.inf:
+        raise DomainValidationError(f"weight exponent must be finite and > -2, got {alpha}")
     half = 1.0 + alpha / 2.0
     return TransformResult(2.0 * (N + alpha) / (2.0 + alpha), half * half, half)
 

@@ -20,10 +20,10 @@ Every run goes through `solve_ivp`, which has the signature and the result
 of scipy's.  A run of one lane without dense output (fold refinement, the
 Newton steps of `minimal_solution`, every eigen half-run) runs on scipy's
 compiled DOP853 (Hairer-Nørsett-Wanner, *Solving ODEs I*, §II.10) with the
-method, step controller and error norm of scipy's Python DOP853; the Python
-code runs the lanes of a grid and every dense run, under the norm of the
-worst lane.  One lane runs its seed and its right-hand side on Python
-floats.
+method, step controller and error norm of scipy's Python DOP853 (its first
+step comes out 2^(-1/8) smaller for four rows); the Python code runs the
+lanes of a grid and every dense run, under the norm of the worst lane.  One
+seed (`lane_seed`) and one right-hand side (`lane_rhs`) serve both.
 """
 
 from __future__ import annotations
@@ -105,55 +105,42 @@ def lane_seed(F: Nonlinearity, N: float, ms: np.ndarray, tol: float,
     center series falls to tol (relative to m for w), so the series
     remainder stays below tol.  All lanes then start at the smallest
     σ₀ = τ₀² among them: each takes the s where its series reads
-    w = m(1 - σ₀), which only shrinks its remainder.
+    w = m(1 - σ₀), which only shrinks its remainder.  Each lane's arithmetic
+    runs on Python floats and each of the two powers goes through one numpy
+    array call, so a lane of a grid has the bits of its one-lane seed.
+    Every run starts here, so tol is checked here.
 
     Returns (τ₀, initial state, seed radii, center series (3, n) of w).
     """
+    if not 0.0 < tol < 1.0:
+        raise DomainValidationError(f"tol must lie in (0, 1), got {tol}")
     k = 2.0 + alpha
-    if len(ms) == 1:
-        return _one_lane_seed(F, N, ms[0], tol, k, nu)
     series = [center_series(F, N, k, m, nu) for m in ms]
-    a = np.array([ai for ai, _ in series]).T
-    b = np.array([bi for _, bi in series]).T
+    ms = [float(m) for m in ms]
+    roots = (np.array([(tol * m / abs(a[2]), tol / abs(b[2]) if b[2] else math.inf)
+                       for m, (a, b) in zip(ms, series)]) ** (1.0 / 3.0)).tolist()
     # the last clause keeps the seed well inside the curvature length m / |a1|
-    s = np.minimum.reduce([(tol * ms / np.abs(a[2])) ** (1.0 / 3.0),
-                           (tol / np.abs(b[2])) ** (1.0 / 3.0), 0.1 * ms / np.abs(a[0])])
-    sigma0 = float(np.min(-series_value(a, 0.0, s) / ms))
-    # Newton on the cubic from its linear root, where a1 s dominates (two
-    # steps reach rounding level on the default grids, and one lane meets a
-    # step of exactly 0 after three or four)
-    drop = ms * sigma0
-    s = -drop / a[0]
-    for _ in range(6):
-        step = series_value(a, drop, s) / (a[0] + s * (2.0 * a[1] + 3.0 * s * a[2]))
-        if not step.any():
-            break  # every later step would be exactly 0 as well
-        s -= step
-    eps = s ** (1.0 / k)
-    y0 = np.concatenate((eps, series_state(a, ms, s, k, eps)[1],
-                         *series_state(b, 1.0, s, k, eps)))
-    return math.sqrt(sigma0), y0, eps, a
-
-
-def _one_lane_seed(F: Nonlinearity, N: float, m, tol: float, k: float, nu: float):
-    """`lane_seed` of one center value on Python floats.  The powers go
-    through numpy arrays, whose vectorized power may differ from C `pow` in
-    the last bit, so the seed is bit for bit that of a lane."""
-    a, b = center_series(F, N, k, m, nu)
-    (a1, a2, a3), b3, m = a, b[2], float(m)
-    roots = np.array([tol * m / abs(a3), tol / abs(b3) if b3 else math.inf]) ** (1.0 / 3.0)
-    s = min(*roots.tolist(), 0.1 * m / abs(a1))
-    sigma0 = -series_value(a, 0.0, s) / m
-    drop = m * sigma0
-    s = -drop / a1
-    for _ in range(6):
-        step = series_value(a, drop, s) / (a1 + s * (2.0 * a2 + 3.0 * s * a3))
-        if not step:
-            break
-        s -= step
-    eps = float((np.array([s]) ** (1.0 / k))[0])
-    y0 = np.array([eps, series_state(a, m, s, k, eps)[1], *series_state(b, 1.0, s, k, eps)])
-    return math.sqrt(sigma0), y0, np.array([eps]), np.array(a)[:, None]
+    sigma0 = min(-series_value(a, 0.0, min(*root, 0.1 * m / abs(a[0]))) / m
+                 for m, (a, _), root in zip(ms, series, roots))
+    seeds = []
+    for m, (a, _) in zip(ms, series):
+        # Newton on the cubic from its linear root, where a1 s dominates (two
+        # steps reach rounding level on the default grids, and a lane meets
+        # a step of exactly 0 after three or four)
+        a1, a2, a3 = a
+        drop = m * sigma0
+        s = -drop / a1
+        for _ in range(6):
+            step = series_value(a, drop, s) / (a1 + s * (2.0 * a2 + 3.0 * s * a3))
+            if not step:
+                break  # every later step would be exactly 0 as well
+            s -= step
+        seeds.append(s)
+    eps = (np.array(seeds) ** (1.0 / k)).tolist()
+    dw, z, dz = zip(*[(series_state(a, m, s, k, e)[1], *series_state(b, 1.0, s, k, e))
+                      for m, (a, b), s, e in zip(ms, series, seeds, eps)])
+    y0 = np.array(eps + [*dw, *z, *dz])
+    return math.sqrt(sigma0), y0, np.array(eps), np.array([a for a, _ in series]).T
 
 
 def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
@@ -163,41 +150,31 @@ def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
 
     Near the center (α = 0) w' ~ r and m - w ~ r², so dr/dτ stays finite,
     where dr/dσ in σ = τ² would blow up like σ^(-1/2).  Since w stays in
-    [0, m], F and F' need no domain check.  One lane runs on Python floats:
-    its numpy arithmetic would cost more in call overhead than the formula.
-    With `weight` (one lane only) a fifth row carries the weighted square
-    integral ∫ r^(N-1) z² dr of the linear mode.
+    [0, m], F and F' need no domain check (`F.fast_callables()`).  One lane
+    runs on Python floats, since numpy would cost more in call overhead than
+    the formula, and returns a tuple.  With `weight` (one lane only) a fifth
+    row carries the weighted square integral ∫ r^(N-1) z² dr of the linear
+    mode.
     """
     c = N - 1.0
+    f0, f1 = F.fast_callables()
+    one = len(ms) == 1
+    m = float(ms[0]) if one else ms
 
-    if len(ms) == 1:
-        m = float(ms[0])
-        f1, fp1 = F.fast_callables()
-
-        def rhs(tau, y):
-            r, dw, z, dz = y.tolist()[:4]
-            tau = float(tau)
-            w = m * (1.0 - tau * tau)
-            dr = -2.0 * tau * m / dw
-            f, fp = f1(w), fp1(w) + nu
-            if alpha:
-                ra = r ** alpha
-                f, fp = ra * f, ra * fp
-            cr = c / r
-            rows = (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
-            return rows + (r ** c * z * z * dr,) if weight else rows
-    else:
-        def rhs(tau, y):
-            r, dw, z, dz = y.reshape(4, -1)
-            w = ms * (1.0 - tau * tau)
-            dr = -2.0 * tau * ms / dw
-            f, fp = F.unchecked(0, w), F.unchecked(1, w) + nu
-            if alpha:
-                ra = r ** alpha
-                f, fp = ra * f, ra * fp
-            cr = c / r
-            return np.concatenate((dr, -(f + cr * dw) * dr, dz * dr,
-                                   -(fp * z + cr * dz) * dr))
+    def rhs(tau, y):
+        r, dw, z, dz = y.tolist()[:4] if one else y.reshape(4, -1)
+        tau = float(tau)
+        w = m * (1.0 - tau * tau)
+        dr = -2.0 * tau * m / dw
+        f, fp = f0(w), f1(w) + nu
+        if alpha:
+            ra = r ** alpha
+            f, fp = ra * f, ra * fp
+        cr = c / r
+        rows = (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
+        if not one:
+            return np.concatenate(rows)
+        return rows + (r ** c * z * z * dr,) if weight else rows
 
     return rhs
 

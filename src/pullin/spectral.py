@@ -280,8 +280,8 @@ def lambda1_ball(N: float) -> EigenPair:
     N = 342 on, Γ(N/2 + 1) of the ball volume leaves double range and the
     call raises DomainValidationError.
     """
-    if N < 1:
-        raise DomainValidationError(f"dimension must be >= 1, got {N}")
+    if not 1.0 <= N < math.inf:
+        raise DomainValidationError(f"dimension must be finite and >= 1, got {N}")
     nu = N / 2.0 - 1.0
     j = _first_bessel_zero(nu)
     # the ball integral of psi is |B| Γ(ν+2) (2/j)^(ν+1) J_{ν+1}(j), and
@@ -309,7 +309,9 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
     u ≡ 0 at λ = 0, whose μ₁ is λ₁; with m = 0, a voltage other than 0 is
     refused.
     """
-    if lam < 0:
+    if not 1.0 <= N < math.inf:
+        raise DomainValidationError(f"dimension must be finite and >= 1, got {N}")
+    if not lam >= 0:
         raise DomainValidationError(f"voltage must be nonnegative, got {lam}")
     lam1 = _first_bessel_zero(N / 2.0 - 1.0) ** 2
     if u.m == 0.0:

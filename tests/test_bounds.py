@@ -529,3 +529,29 @@ def test_exp_bound_in_dimension_2_matches_the_per_point_scan():
     rep = exp_supnorm_bound(stats)
     assert rep.value == pytest.approx(stats.lambda1 / math.e * val, rel=1e-14, abs=0.0)
     assert rep.optimizer == pytest.approx(t, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pullin.lambda1_ball(math.nan),
+    lambda: pullin.lambda1_ball(math.inf),
+    lambda: pullin.volume_unit_ball(math.nan),
+    lambda: pullin.volume_unit_ball(math.inf),
+    lambda: pullin.bounds.radial_decay_constant(math.nan, 2.0),
+    lambda: pullin.bounds.radial_decay_constant(math.inf, 3.0),
+    lambda: pullin.bounds.radial_decay_constant(np.array([2.0, math.nan]), 3.0),
+    lambda: pullin.bounds.exp_supnorm_constant(math.nan),
+    lambda: pullin.bounds.mems_supnorm_constant(math.nan),
+    lambda: pullin.bounds.power_supnorm_constant(math.nan, 2.0),
+    lambda: pullin.ProblemSpec(math.inf, pullin.exponential()),
+    lambda: pullin.ProblemSpec(2.0, pullin.exponential(), math.inf),
+    lambda: pullin.dim_transform(math.inf, 0.0),
+    lambda: pullin.shoot(pullin.exponential(), math.inf, 1.0),
+    lambda: pullin.spectral.mu1(math.inf, pullin.exponential(), 1.0,
+                                pullin.shoot(pullin.exponential(), 2.0, 1.0)),
+], ids=["lambda1_nan", "lambda1_inf", "volume_nan", "volume_inf", "decay_tau_nan",
+        "decay_tau_inf", "decay_tau_array_nan", "exp_constant_nan", "mems_constant_nan",
+        "power_constant_nan", "problem_N_inf", "problem_alpha_inf", "transform_N_inf",
+        "shoot_N_inf", "mu1_N_inf"])
+def test_nan_and_infinite_inputs_are_refused(call):
+    with pytest.raises(DomainValidationError):
+        call()

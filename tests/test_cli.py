@@ -253,3 +253,22 @@ def test_readme_stability_example_keeps_its_eigenvalues(capsys):
             assert p["mu1"] is None
         else:
             assert abs(p["mu1"] - ref) <= 1e-6 * max(1.0, abs(ref)), p["m"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--table", "exp", "--N", "nan"],
+    ["constants", "--table", "mems", "--N", "nan"],
+    ["constants", "--table", "power", "--p", "2", "--N", "nan"],
+    ["constants", "--table", "decay", "--N", "2", "--tau", "nan"],
+    ["bounds", "--N", "inf"],
+    ["branch", "--N", "inf", "--m-points", "5"],
+    ["asymptotics", "--N", "inf", "--lambda", "0.5"],
+    ["branch", "--family", "mems", "--N", "2", "--tol", "inf", "--m-points", "5"],
+    ["branch", "--family", "mems", "--N", "2", "--tol", "2", "--m-points", "5"],
+    ["branch", "--family", "mems", "--N", "2", "--tol", "0", "--m-points", "5"],
+], ids=lambda argv: " ".join(argv))
+def test_nan_infinite_and_meaningless_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "invalid input" in err
+    assert "Traceback" not in err

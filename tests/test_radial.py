@@ -114,3 +114,64 @@ def test_one_lane_runs_keep_no_objects_alive():
     gc.collect()
     assert len(gc.get_objects()) - before <= 2000
     assert math.isfinite(branch._shoot_lanes(F, 2.0, ms, 1e-6)[0][0])
+
+
+FAMILIES = [exponential(), mems_inverse_power(2.0), power_growth(3.0)]
+
+
+@pytest.mark.parametrize("nu", [0.0, -3.5])
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+@pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.label())
+def test_the_lane_that_sets_the_start_has_its_one_lane_seed(F, alpha, nu):
+    ms = branch.default_m_grid(F, 61)
+    tau0, y0, eps, a = radial.lane_seed(F, 2.5, ms, 1e-10, alpha, nu)
+    ones = [radial.lane_seed(F, 2.5, ms[j:j + 1], 1e-10, alpha, nu) for j in range(61)]
+    # every lane's series is its one-lane series, bit for bit
+    for j, (_, _, _, a1) in enumerate(ones):
+        assert np.array_equal(a[:, j], a1[:, 0])
+    # the lane with the smallest start sets the common one, and starts
+    # there with the state and the seed radius of its one-lane run
+    j = int(np.argmin([one[0] for one in ones]))
+    tau1, y1, eps1, _ = ones[j]
+    assert tau0 == tau1
+    assert np.array_equal(y0.reshape(4, -1)[:, j], y1)
+    assert eps[j] == eps1[0]
+
+
+@pytest.mark.parametrize("nu", [0.0, -3.5])
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+@pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.label())
+def test_a_lane_of_the_rhs_is_its_one_lane_rhs(F, alpha, nu):
+    ms = branch.default_m_grid(F, 61)
+    tau0, y0, *_ = radial.lane_seed(F, 2.5, ms, 1e-10, alpha, nu)
+    lanes = radial.lane_rhs(F, 2.5, ms, alpha, nu)
+    # C `pow` of a float and numpy's vectorized power may differ in the last
+    # bit, in F, F' and r^α; the two terms of the row of z'' cancel, so that
+    # bit reaches 1.9e-15 of the row at ν = -3.5.  Without a power the
+    # lanes keep every bit.
+    exact = F.family is pullin.Family.EXPONENTIAL and alpha == 0.0
+    for tau in (tau0, 0.5, 0.9):
+        rows = lanes(tau, y0).reshape(4, -1)
+        for j in range(len(ms)):
+            one = radial.lane_rhs(F, 2.5, ms[j:j + 1], alpha, nu)(tau, y0.reshape(4, -1)[:, j])
+            assert isinstance(one, tuple) and len(one) == 4
+            # the rows of r and z have no power in them
+            assert rows[0, j] == one[0] and rows[2, j] == one[2]
+            np.testing.assert_allclose(rows[[1, 3], j], [one[1], one[3]],
+                                       rtol=0.0 if exact else 4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, 2.0, math.inf, math.nan])
+def test_a_tol_outside_the_unit_interval_is_refused_before_any_run(tol):
+    F = mems_inverse_power(2.0)
+    with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
+        radial.lane_seed(F, 2.0, np.array([0.3]), tol)
+    with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
+        pullin.shoot(F, 2.0, 0.3, tol=tol)
+    with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
+        pullin.solve_branch(pullin.ProblemSpec(2.0, F), np.geomspace(0.1, 0.9, 5), tol=tol)
+    # mu1 hands the seed tol/10, which lies in (0, 1) at tol 1 and 2
+    if not 0.0 < tol / 10.0 < 1.0:
+        u = pullin.shoot(F, 2.0, 0.3)
+        with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
+            spectral.mu1(2.0, F, u.lam, u, tol)
