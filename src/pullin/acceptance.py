@@ -22,6 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import bounds, branch, powerlaw, spectral
+from .errors import DomainValidationError
 from .nonlinearity import (Family, Nonlinearity, exponential,
                            mems_inverse_power, power_growth)
 
@@ -38,26 +39,12 @@ class CriterionResult:
 # shared, cached heavy artifacts
 # ---------------------------------------------------------------------------
 
-def _family(key: str) -> Nonlinearity:
-    if key == "exp":
-        return exponential()
-    if key.startswith("mems"):
-        return mems_inverse_power(float(key.split(":")[1]))
-    return power_growth(float(key.split(":")[1]))
-
-
 @lru_cache(maxsize=None)
-def _branch(family_key: str, N: float, alpha: float = 0.0,
+def _branch(F: Nonlinearity, N: float, alpha: float = 0.0,
             n_points: int = 400, stability: bool = False) -> branch.Branch:
-    F = _family(family_key)
     prob = branch.ProblemSpec(N, F, alpha)
     grid = branch.default_m_grid(F, n_points)
     return branch.solve_branch(prob, grid, stability=stability)
-
-
-@lru_cache(maxsize=None)
-def _lambda1(N: float) -> float:
-    return spectral.lambda1_ball(N).eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -88,22 +75,26 @@ def check_mems_disc_branch() -> tuple[bool, str]:
     """Inverse-square disc: pull-in voltage 0.789 and distance 0.445, both
     within 5e-3, computed in under 10 seconds."""
     t0 = time.perf_counter()
-    b = _branch("mems:2", 2.0)
+    b = _branch(mems_inverse_power(2.0), 2.0)
     dt = time.perf_counter() - t0
     ok = (abs(b.lambda_star - 0.789) <= 5e-3 and abs(b.m_star - 0.445) <= 5e-3
           and dt < 10.0)
+    # the time enters the detail only past the gate, so a passing run reads
+    # the same every time
     return ok, (f"lambda*={b.lambda_star:.6f} (ref 0.789), "
-                f"m*={b.m_star:.6f} (ref 0.445), {dt:.1f}s")
+                f"m*={b.m_star:.6f} (ref 0.445), "
+                + ("within 10s" if dt < 10.0 else f"{dt:.1f}s, over the 10s gate"))
 
 
 def check_alpha_invariance() -> tuple[bool, str]:
     """On the disc the reduced voltage lambda*_a/(1+a/2)^2 and the pull-in
     distance are independent of the weight exponent, to 1e-3."""
-    base = _branch("mems:2", 2.0)
+    mems = mems_inverse_power(2.0)
+    base = _branch(mems, 2.0)
     lam0, m0 = base.lambda_star, base.m_star
     worst_lam = worst_m = 0.0
     for alpha in (1.0, 3.0):
-        b = _branch("mems:2", 2.0, alpha)
+        b = _branch(mems, 2.0, alpha)
         factor = (1.0 + alpha / 2.0) ** 2
         worst_lam = max(worst_lam, abs(b.lambda_star / factor - lam0))
         worst_m = max(worst_m, abs(b.m_star - m0))
@@ -156,8 +147,8 @@ def check_bound_sandwich() -> tuple[bool, str]:
     fails = []
     details = []
     for N in range(1, 8):
-        b = _branch("mems:2", float(N))
-        lam1 = _lambda1(float(N))
+        b = _branch(mems_inverse_power(2.0), float(N))
+        lam1 = spectral.lambda1_ball(float(N)).eigenvalue
         ok_m = b.m_star >= 1.0 / 3.0 - 1e-3
         ok_lam = b.lambda_star <= 4.0 * lam1 / 27.0 + 1e-6
         if not (ok_m and ok_lam):
@@ -170,11 +161,11 @@ def check_bound_sandwich() -> tuple[bool, str]:
 def check_stability_fold() -> tuple[bool, str]:
     """Stability eigenvalue positive on the minimal branch, vanishing at the
     fold: |mu1| < 1e-2 * lambda* at the refined fold."""
-    cases = [("mems:2", 2.0), ("mems:2", 5.0), ("exp", 2.0)]
+    mems = mems_inverse_power(2.0)
+    cases = [("mems:2", mems, 2.0), ("mems:2", mems, 5.0), ("exp", exponential(), 2.0)]
     problems = []
-    for key, N in cases:
-        b = _branch(key, N, n_points=61, stability=True)
-        F = _family(key)
+    for key, F, N in cases:
+        b = _branch(F, N, n_points=61, stability=True)
         stable_mu = [p.mu1 for p in b.points if p.m < b.m_star and p.mu1 is not None]
         unstable_mu = [p.mu1 for p in b.points if p.m > b.m_star and p.mu1 is not None]
         if not all(mu > 0 for mu in stable_mu):
@@ -196,10 +187,10 @@ def check_envelopes() -> tuple[bool, str]:
     log-spaced radii."""
     worst = -math.inf
     details = []
-    for key, N in (("exp", 10.0), ("mems:2", 9.0)):
-        F = _family(key)
+    for key, F, N in (("exp", exponential(), 10.0),
+                      ("mems:2", mems_inverse_power(2.0), 9.0)):
         prob = branch.ProblemSpec(N, F, 0.0)
-        b = _branch(key, N)
+        b = _branch(F, N)
         lam_star = powerlaw.singular_extremal(F, N).lambda_star
         for frac in (0.5, 0.9):
             lam = frac * lam_star
@@ -272,24 +263,18 @@ def check_oracle_equivalence() -> tuple[bool, str]:
                           abs(C / _recip_integral_oracle(F) - 1.0))
 
     worst_min = 0.0
-    scans = []
-    for N in (3.0, 6.0, 9.0):
-        lo, hi = bounds._exp_window(N)
-        ts = np.linspace(lo + 1e-9, hi - 1e-9, 100000)
-        scans.append((bounds.exp_supnorm_constant(N).value,
-                      float(np.min(bounds._exp_constant_objective(ts, N)))))
-    for N in (3.0, 5.0, 7.0):
-        lo, hi = bounds._mems_window(N)
-        ts = np.linspace(lo + 1e-9, hi - 1e-9, 100000)
-        scans.append((bounds.mems_supnorm_constant(N).value,
-                      float(np.min(bounds._mems_constant_objective(ts, N)))))
-    for N, p in ((3.0, 2.0), (4.0, 3.0)):
-        lo, hi = bounds._power_window(N, p)
-        ts = np.linspace(lo + 1e-9, hi - 1e-9, 100000)
-        scans.append((bounds.power_supnorm_constant(N, p).value,
-                      float(np.min(bounds._power_constant_objective(ts, N, p)))))
-    for mins, scan in scans:
-        worst_min = max(worst_min, abs(mins / scan - 1.0))
+    for constant, window, objective, cases in (
+            (bounds.exp_supnorm_constant, bounds._exp_window,
+             bounds._exp_constant_objective, [(3.0,), (6.0,), (9.0,)]),
+            (bounds.mems_supnorm_constant, bounds._mems_window,
+             bounds._mems_constant_objective, [(3.0,), (5.0,), (7.0,)]),
+            (bounds.power_supnorm_constant, bounds._power_window,
+             bounds._power_constant_objective, [(3.0, 2.0), (4.0, 3.0)])):
+        for args in cases:
+            lo, hi = window(*args)
+            ts = np.linspace(lo + 1e-9, hi - 1e-9, 100000)
+            scan = float(np.min(objective(ts, *args)))
+            worst_min = max(worst_min, abs(constant(*args).value / scan - 1.0))
     ok = worst_const <= 1e-6 and worst_min <= 1e-4
     return ok, (f"voltage constants: worst rel dev {worst_const:.2e}; "
                 f"minimized constants vs scans: worst rel dev {worst_min:.2e}")
@@ -334,7 +319,7 @@ def run(names: Optional[list[str]] = None,
     if names is not None and len(selected) != len(set(names)):
         known = {n for n, _ in CRITERIA}
         unknown = sorted(set(names) - known)
-        raise ValueError(f"unknown criteria: {unknown}; known: {sorted(known)}")
+        raise DomainValidationError(f"unknown criteria: {unknown}; known: {sorted(known)}")
     results = []
     for name, fn in selected:
         t0 = time.perf_counter()

@@ -150,8 +150,8 @@ def _minimized_constant(name: str, objective, N: float, window: tuple[float, flo
     """The minimum of `objective` over the open `window` (a scan of
     `_open_window`, then golden section) in dimension N, valid when the
     estimate is stated there; NaN and invalid when the window is empty."""
-    if not math.isfinite(N):
-        raise DomainValidationError(f"dimension must be finite, got {N}")
+    if not 1.0 <= N < math.inf:
+        raise DomainValidationError(f"dimension must be finite and >= 1, got {N}")
     lo, hi = window
     if lo >= hi:
         return BoundReport(name, math.nan, valid=False,

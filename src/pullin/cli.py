@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -54,11 +55,7 @@ def _fmt_csv(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".12g")
+        return _fmt_float(x).strip('"')
     return str(x)
 
 
@@ -66,7 +63,7 @@ def _dumps(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -128,18 +125,27 @@ def _write_output(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_range(spec: str) -> list[float]:
-    """'3..9' -> integers 3..9; '0.5..4:8' -> 8 points linspace; '2' -> [2]."""
-    if ":" in spec:
-        body, n = spec.rsplit(":", 1)
-        lo, hi = body.split("..")
-        return list(np.linspace(float(lo), float(hi), int(n)))
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        flo, fhi = float(lo), float(hi)
-        if flo.is_integer() and fhi.is_integer():
-            return [float(k) for k in range(int(flo), int(fhi) + 1)]
-        return list(np.linspace(flo, fhi, 10))
-    return [float(spec)]
+    """'3..9' -> integers 3..9; '0.5..4:8' -> 8 points linspace; '2' -> [2].
+    A spec that reads otherwise, or that yields no value, is refused."""
+    try:
+        if ":" in spec:
+            body, n = spec.rsplit(":", 1)
+            lo, hi = body.split("..")
+            values = list(np.linspace(float(lo), float(hi), int(n)))
+        elif ".." in spec:
+            lo, hi = spec.split("..")
+            flo, fhi = float(lo), float(hi)
+            if flo.is_integer() and fhi.is_integer():
+                values = [float(k) for k in range(int(flo), int(fhi) + 1)]
+            else:
+                values = list(np.linspace(flo, fhi, 10))
+        else:
+            values = [float(spec)]
+    except ValueError:
+        raise DomainValidationError(f"cannot read the range {spec!r}") from None
+    if not values:
+        raise DomainValidationError(f"the range {spec!r} holds no value")
+    return values
 
 
 def _make_family(args) -> Nonlinearity:
@@ -156,9 +162,6 @@ def _make_family(args) -> Nonlinearity:
 
 
 def _validate_common(args) -> None:
-    N = getattr(args, "N", None)
-    if isinstance(N, float) and not 1.0 <= N < math.inf:
-        raise DomainValidationError(f"--N must be finite and >= 1, got {N}")
     alpha = getattr(args, "alpha", None)
     if alpha is not None and not -2.0 < alpha < math.inf:
         raise DomainValidationError(f"--alpha must be finite and > -2, got {alpha}")
@@ -170,14 +173,6 @@ def _validate_common(args) -> None:
         raise DomainValidationError(f"--p must be positive and finite, got {p}")
 
 
-def _config_dict(args, keys) -> dict:
-    out = {}
-    for k in keys:
-        v = getattr(args, k, None)
-        out[k.replace("_", "-")] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -185,9 +180,9 @@ def _config_dict(args, keys) -> dict:
 def cmd_branch(args):
     F = _make_family(args)
     prob = branch.ProblemSpec(args.N, F, args.alpha)
-    m_max_cap = F.endpoint - 1e-4 if F.is_singular else 40.0
-    m_lo = args.m_min if args.m_min is not None else 1e-3
-    m_hi = args.m_max if args.m_max is not None else m_max_cap
+    first, last = branch.default_m_grid(F, 2).tolist()
+    m_lo = args.m_min if args.m_min is not None else first
+    m_hi = args.m_max if args.m_max is not None else last
     if not 0.0 < m_lo < m_hi < F.endpoint:
         raise DomainValidationError(
             f"m schedule ({m_lo}, {m_hi}) must be increasing inside (0, {F.endpoint})")
@@ -199,8 +194,7 @@ def cmd_branch(args):
         "m_star": b.m_star if b.fold_found else None,
         "fold_found": b.fold_found,
     }
-    rows = [{"m": p.m, "lambda": p.lam, "mu1": p.mu1} for p in b.points]
-    return result, rows, _branch_warnings(b)
+    return result, result["points"], _branch_warnings(b)
 
 
 def _branch_warnings(b: branch.Branch) -> list[str]:
@@ -212,11 +206,6 @@ def _branch_warnings(b: branch.Branch) -> list[str]:
         warnings_.append(f"stability fill skipped at {b.stability_skipped} of "
                          f"{len(b.points)} points (mu1 is null there)")
     return warnings_
-
-
-def _report_dict(rep: bounds.BoundReport) -> dict:
-    return {"name": rep.name, "value": rep.value, "optimizer": rep.optimizer,
-            "valid": rep.valid, "reason": rep.reason, "detail": rep.detail}
 
 
 def cmd_bounds(args):
@@ -233,13 +222,10 @@ def cmd_bounds(args):
             reports.append(bounds.mems_ball_supnorm_bound(stats.N, stats.lambda1))
     if F.family is Family.POWER_GROWTH:
         reports.append(bounds.power_supnorm_bound(stats, F.p))
-    result = {"domain": {"lambda1": stats.lambda1, "volume": stats.volume,
-                         "N": stats.N, "inf_f": stats.inf_f, "sup_f": stats.sup_f,
-                         "f_phi_integral": stats.f_phi_integral},
-              "reports": [_report_dict(r) for r in reports]}
-    rows = [{"name": r.name, "value": r.value, "optimizer": r.optimizer,
-             "valid": r.valid, "reason": r.reason} for r in reports]
-    return result, rows, [f"{r.name}: {r.reason}" for r in reports if not r.valid]
+    reports = [dataclasses.asdict(r) for r in reports]
+    result = {"domain": dataclasses.asdict(stats), "reports": reports}
+    rows = [{k: v for k, v in r.items() if k != "detail"} for r in reports]
+    return result, rows, [f"{r['name']}: {r['reason']}" for r in reports if not r["valid"]]
 
 
 def cmd_constants(args):
@@ -316,17 +302,9 @@ def cmd_asymptotics(args):
 
 def cmd_verify(args):
     names = args.criteria.split(",") if args.criteria else None
-    try:
-        results = acceptance.run(names, printer=lambda s: print(s, file=sys.stderr))
-    except ValueError as exc:
-        raise DomainValidationError(str(exc))
-    result = {
-        "criteria": [{"name": r.name, "passed": r.passed, "detail": r.detail,
-                      "seconds": round(r.seconds, 3)} for r in results],
-        "passed": all(r.passed for r in results),
-    }
-    rows = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    return result, rows, []
+    results = acceptance.run(names, printer=lambda s: print(s, file=sys.stderr))
+    criteria = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    return {"criteria": criteria, "passed": all(r.passed for r in results)}, criteria, []
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +385,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _validate_common(args)
-        # constants table parses its own N range
-        if args.command == "constants" and args.table != "decay":
-            for N in _parse_range(args.N_range):
-                if not 1.0 <= N < math.inf:
-                    raise DomainValidationError(
-                        f"dimension {N} in --N range must be finite and >= 1")
         result, rows, warnings_ = args.fn(args)
     except DomainValidationError as exc:
         log.error("invalid input: %s", exc)
@@ -426,13 +398,13 @@ def main(argv=None) -> int:
     if args.format == "csv":
         text = _to_csv(rows)
     else:
-        config_keys = [k for k in ("family", "p", "N", "alpha", "m_min", "m_max",
-                                   "m_points", "tol", "lam", "stability", "table",
-                                   "N_range", "tau", "criteria")
-                       if getattr(args, k, None) is not None]
+        config = {k.replace("_", "-"): getattr(args, k)
+                  for k in ("family", "p", "N", "alpha", "m_min", "m_max", "m_points", "tol",
+                            "lam", "stability", "table", "N_range", "tau", "criteria")
+                  if getattr(args, k, None) is not None}
         payload = {
             "command": args.command,
-            "config": _config_dict(args, config_keys),
+            "config": config,
             "result": result,
             "warnings": warnings_,
         }

@@ -313,6 +313,8 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
         raise DomainValidationError(f"dimension must be finite and >= 1, got {N}")
     if not lam >= 0:
         raise DomainValidationError(f"voltage must be nonnegative, got {lam}")
+    if not 0.0 < tol < 1.0:
+        raise DomainValidationError(f"tol must lie in (0, 1), got {tol}")
     lam1 = _first_bessel_zero(N / 2.0 - 1.0) ** 2
     if u.m == 0.0:
         if lam != 0.0:

@@ -8,7 +8,7 @@ as stated and marked strict-xfail rather than weakened.
 
 import pytest
 
-from pullin import acceptance
+from pullin import DomainValidationError, acceptance
 
 _XFAIL = {
     "exp_constant_table":
@@ -37,3 +37,8 @@ def _case(name):
 @pytest.mark.parametrize("name", [_case(n) for n, _ in acceptance.CRITERIA])
 def test_criterion(name):
     _run(name)
+
+
+def test_an_unknown_criterion_is_refused():
+    with pytest.raises(DomainValidationError, match="no_such_check"):
+        acceptance.run(["no_such_check"])

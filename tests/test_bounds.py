@@ -542,6 +542,7 @@ def test_exp_bound_in_dimension_2_matches_the_per_point_scan():
     lambda: pullin.bounds.exp_supnorm_constant(math.nan),
     lambda: pullin.bounds.mems_supnorm_constant(math.nan),
     lambda: pullin.bounds.power_supnorm_constant(math.nan, 2.0),
+    lambda: pullin.bounds.exp_supnorm_constant(0.5),
     lambda: pullin.ProblemSpec(math.inf, pullin.exponential()),
     lambda: pullin.ProblemSpec(2.0, pullin.exponential(), math.inf),
     lambda: pullin.dim_transform(math.inf, 0.0),
@@ -550,7 +551,7 @@ def test_exp_bound_in_dimension_2_matches_the_per_point_scan():
                                 pullin.shoot(pullin.exponential(), 2.0, 1.0)),
 ], ids=["lambda1_nan", "lambda1_inf", "volume_nan", "volume_inf", "decay_tau_nan",
         "decay_tau_inf", "decay_tau_array_nan", "exp_constant_nan", "mems_constant_nan",
-        "power_constant_nan", "problem_N_inf", "problem_alpha_inf", "transform_N_inf",
+        "power_constant_nan", "exp_constant_N_below_1", "problem_N_inf", "problem_alpha_inf", "transform_N_inf",
         "shoot_N_inf", "mu1_N_inf"])
 def test_nan_and_infinite_inputs_are_refused(call):
     with pytest.raises(DomainValidationError):

@@ -73,6 +73,14 @@ def test_constants_table(capsys):
     assert entries[0]["value"] == pytest.approx(1.99154, abs=1e-4)
 
 
+def test_constants_over_a_counted_range(capsys):
+    # the dimensions come from np.linspace, so the validity flags are numpy bools
+    code, out, _ = run_cli(capsys, "constants", "--table", "mems", "--N", "2.5..4:7")
+    assert code == 0
+    entries = json.loads(out)["result"]["entries"]
+    assert [e["valid"] for e in entries] == [False, False, True, True, True, True, True]
+
+
 def test_constants_decay_table(capsys):
     code, out, _ = run_cli(capsys, "constants", "--table", "decay",
                            "--N", "2", "--tau", "2..4:3")
@@ -119,6 +127,15 @@ def test_verify_single_criterion(capsys):
     assert "[PASS] cube_bound" in err
 
 
+def test_verify_output_is_the_same_on_every_run(capsys):
+    argv = ("verify", "--criteria", "mems_disc_branch,cube_bound")
+    code, first, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert "[PASS] mems_disc_branch (" in err  # the time goes to stderr
+    assert "seconds" not in first
+    assert run_cli(capsys, *argv)[1] == first
+
+
 def test_verify_unknown_criterion(capsys):
     code, _, err = run_cli(capsys, "verify", "--criteria", "no_such_check")
     assert code == 2
@@ -130,6 +147,14 @@ def test_float_formatting_is_12_significant_digits():
     assert cli._fmt_float(0.789229267914) == "0.789229267914"
     assert cli._fmt_float(float("inf")) == '"inf"'
     assert cli._fmt_float(float("nan")) == '"nan"'
+    # CSV cells carry the same digits, unquoted
+    assert cli._fmt_csv(math.pi) == "3.14159265359"
+    assert cli._fmt_csv(float("nan")) == "nan"
+    assert cli._fmt_csv(float("inf")) == "inf"
+    assert cli._fmt_csv(float("-inf")) == "-inf"
+    assert cli._fmt_csv(None) == ""
+    assert cli._fmt_csv(True) == "true"
+    assert cli._fmt_csv(False) == "false"
 
 
 def test_branch_warnings_name_degraded_results(capsys):
@@ -266,6 +291,11 @@ def test_readme_stability_example_keeps_its_eigenvalues(capsys):
     ["branch", "--family", "mems", "--N", "2", "--tol", "inf", "--m-points", "5"],
     ["branch", "--family", "mems", "--N", "2", "--tol", "2", "--m-points", "5"],
     ["branch", "--family", "mems", "--N", "2", "--tol", "0", "--m-points", "5"],
+    ["constants", "--table", "exp", "--N", "0.5"],
+    ["constants", "--table", "exp", "--N", "3..x"],
+    ["constants", "--table", "exp", "--N", "3..9:-2"],
+    ["constants", "--table", "exp", "--N", "3..9:0"],
+    ["constants", "--table", "decay", "--N", "2", "--tau", "abc"],
 ], ids=lambda argv: " ".join(argv))
 def test_nan_infinite_and_meaningless_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

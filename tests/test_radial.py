@@ -161,7 +161,7 @@ def test_a_lane_of_the_rhs_is_its_one_lane_rhs(F, alpha, nu):
                                        rtol=0.0 if exact else 4e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, 2.0, math.inf, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, 2.0, 5.0, math.inf, math.nan])
 def test_a_tol_outside_the_unit_interval_is_refused_before_any_run(tol):
     F = mems_inverse_power(2.0)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
@@ -170,8 +170,9 @@ def test_a_tol_outside_the_unit_interval_is_refused_before_any_run(tol):
         pullin.shoot(F, 2.0, 0.3, tol=tol)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
         pullin.solve_branch(pullin.ProblemSpec(2.0, F), np.geomspace(0.1, 0.9, 5), tol=tol)
-    # mu1 hands the seed tol/10, which lies in (0, 1) at tol 1 and 2
-    if not 0.0 < tol / 10.0 < 1.0:
-        u = pullin.shoot(F, 2.0, 0.3)
-        with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
-            spectral.mu1(2.0, F, u.lam, u, tol)
+    u = pullin.shoot(F, 2.0, 0.3)
+    with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
+        spectral.mu1(2.0, F, u.lam, u, tol)
+    # at center value 0, mu1 returns λ₁ without a run
+    with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
+        spectral.mu1(2.0, F, 0.0, pullin.BranchPoint(m=0.0, lam=0.0), tol)
