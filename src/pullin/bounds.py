@@ -346,7 +346,7 @@ def energy_norm_bound(F: Nonlinearity, t: float, volume: float) -> float:
     Inverse square, p = 2 (0 < t < 2+sqrt(6)):
     |(1-u)^{-2}|_{L^{t+3/2}} <= (4(2t+1)/(4t+2-t²))^(2/t) |Ω|^(2/(2t+3)).
     """
-    if volume <= 0:
+    if not volume > 0:
         raise DomainValidationError("volume must be positive")
     if F.family is Family.EXPONENTIAL:
         if not 0.0 < t < 2.0:
@@ -436,17 +436,14 @@ def _mems_radial_root(t: float, N: float, lambda1: float) -> float:
     with a = N/ρ; the integral is an incomplete beta function except for
     N >= 3, t <= 3(N-2)/4 (see `_mems_radial_integral`)."""
     try:
-        with np.errstate(over="ignore"):
-            rhs_val = _mems_radial_rhs(float(t), N)
+        # Python-float arithmetic: past double range it raises
+        rhs_val = _mems_radial_rhs(float(t), N)
     except OverflowError:
-        return 1.0
-    if not math.isfinite(rhs_val):
         return 1.0
     C = mems_profile_constant(t, N, lambda1)
     q = 2.0 * t + 3.0
+    # positive on the scan window t > (N-3)/2
     rho = (4.0 * t + 6.0 - 2.0 * N) / q
-    if rho <= 0:
-        return 1.0
     a = N / rho
 
     def G(m):

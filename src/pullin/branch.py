@@ -56,11 +56,7 @@ class ProblemSpec:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not 1.0 <= self.N < math.inf:
-            raise DomainValidationError(f"dimension must be finite and >= 1, got {self.N}")
-        if not -2.0 < self.alpha < math.inf:
-            raise DomainValidationError(
-                f"power-law exponent must be finite and > -2, got {self.alpha}")
+        self.transform()  # refuses N and alpha outside its domain
 
     def transform(self) -> TransformResult:
         return dim_transform(self.N, self.alpha)
@@ -321,39 +317,33 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
     """Stable-branch solution at voltage lam: the smallest center value with
     λ(m) = lam.
 
-    The branch cell holding lam brackets the root, and inverse interpolation
-    in that cell starts Newton steps on λ(m) - lam with the exact slope
-    dλ/dm of each shot; a step that would leave the bracket is replaced by
-    bisection.  The steps are one-lane runs without dense output.  Once λ(m)
-    matches lam to tol (relative) or the bracket has shrunk to 1e-12, a
-    dense `shoot` at that center value is the answer, if it meets the same
-    test; otherwise the steps go on from it.
+    One table of the stable branch brackets the root: u = 0 at voltage 0,
+    the grid points below the fold, then the fold (m*, λ*) that
+    `solve_branch` refined, when the branch has one.  Inverse interpolation
+    in the cell holding lam starts Newton steps on λ(m) - lam with the exact
+    slope dλ/dm of each shot; a step that would leave the bracket is
+    replaced by bisection.  The steps are one-lane runs without dense
+    output.  Once λ(m) matches lam to tol (relative) or the bracket has
+    shrunk to 1e-12, a dense `shoot` at that center value is the answer, if
+    it meets the same test; otherwise the steps go on from it.
     """
     if branch.problem != problem:
         raise DomainValidationError("branch was computed for a different problem")
     if not 0.0 < lam < branch.lambda_star:
         raise BeyondPullInError(
-            f"voltage {lam} outside (0, λ*={branch.lambda_star:.6g})")
+            f"voltage {lam} outside (0, λ*={branch.lambda_star})")
     tr = problem.transform()
     lam0 = lam / tr.voltage_factor
 
-    stable = branch.stable_points()
-    ms = np.array([p.m for p in stable])
-    lams = np.array([p.lam / tr.voltage_factor for p in stable])
-
-    j = int(np.searchsorted(lams, lam0))
-    if j >= len(ms):
-        if not branch.fold_found or branch.m_star <= ms[-1]:
-            raise BeyondPullInError(f"voltage {lam} not bracketed by the stable branch")
-        R_fold, *_ = _shoot_lanes(problem.F, tr.N_eff, np.array([branch.m_star]), tol)
-        lam_fold = float(R_fold[0]) ** 2.0
-        if lam_fold < lam0:
-            raise BeyondPullInError(f"voltage {lam} not bracketed by the stable branch")
-        (lo, lam_lo), (hi, lam_hi) = (ms[-1], lams[-1]), (branch.m_star, lam_fold)
-    elif j == 0:
-        (lo, lam_lo), (hi, lam_hi) = (0.0, 0.0), (ms[0], lams[0])
-    else:
-        (lo, lam_lo), (hi, lam_hi) = (ms[j - 1], lams[j - 1]), (ms[j], lams[j])
+    table = [(0.0, 0.0)] + [(p.m, p.lam / tr.voltage_factor)
+                            for p in branch.stable_points()]
+    if branch.fold_found:
+        table.append((branch.m_star, branch.lambda_star / tr.voltage_factor))
+    j = int(np.searchsorted([lam_k for _, lam_k in table], lam0))
+    if j == len(table):
+        # only a schedule that starts past the fold leaves lam above the table
+        raise BeyondPullInError(f"voltage {lam} not bracketed by the stable branch")
+    (lo, lam_lo), (hi, lam_hi) = table[j - 1], table[j]
 
     m = lo + (hi - lo) * (lam0 - lam_lo) / (lam_hi - lam_lo)
     for _ in range(100):
@@ -386,7 +376,7 @@ def dudlambda(problem: ProblemSpec, lam: float, h: float,
         raise DomainValidationError(f"stencil width must be positive, got {h}")
     if lam - h <= 0 or lam + h >= branch.lambda_star:
         raise BeyondPullInError(
-            f"stencil [{lam - h}, {lam + h}] leaves (0, λ*={branch.lambda_star:.6g})")
+            f"stencil [{lam - h}, {lam + h}] leaves (0, λ*={branch.lambda_star})")
     u_plus = minimal_solution(problem, lam + h, branch)
     u_minus = minimal_solution(problem, lam - h, branch)
     return lambda r: (u_plus.at(r) - u_minus.at(r)) / (2.0 * h)

@@ -131,14 +131,14 @@ def _parse_range(spec: str) -> list[float]:
         if ":" in spec:
             body, n = spec.rsplit(":", 1)
             lo, hi = body.split("..")
-            values = list(np.linspace(float(lo), float(hi), int(n)))
+            values = np.linspace(float(lo), float(hi), int(n)).tolist()
         elif ".." in spec:
             lo, hi = spec.split("..")
             flo, fhi = float(lo), float(hi)
             if flo.is_integer() and fhi.is_integer():
                 values = [float(k) for k in range(int(flo), int(fhi) + 1)]
             else:
-                values = list(np.linspace(flo, fhi, 10))
+                values = np.linspace(flo, fhi, 10).tolist()
         else:
             values = [float(spec)]
     except ValueError:
@@ -154,11 +154,9 @@ def _make_family(args) -> Nonlinearity:
         return exponential()
     if name == "mems":
         return mems_inverse_power(args.p if args.p is not None else 2.0)
-    if name == "power":
-        if args.p is None:
-            raise DomainValidationError("--family power requires --p")
-        return power_growth(args.p)
-    raise DomainValidationError(f"unknown family {name!r}")
+    if args.p is None:
+        raise DomainValidationError("--family power requires --p")
+    return power_growth(args.p)
 
 
 def _validate_common(args) -> None:
@@ -244,7 +242,7 @@ def cmd_constants(args):
             rep = constants[table](N, **params)
             entries.append({"N": N, **params, "value": rep.value,
                             "optimizer": rep.optimizer, "valid": rep.valid})
-    elif table == "decay":
+    else:  # decay
         try:
             N = float(args.N_range)
         except ValueError:
@@ -254,8 +252,6 @@ def cmd_constants(args):
         for tau in taus:
             entries.append({"tau": tau, "N": N,
                             "value": bounds.radial_decay_constant(tau, N)})
-    else:
-        raise DomainValidationError(f"unknown table {table!r}")
     return {"table": table, "entries": entries}, entries, []
 
 

@@ -47,10 +47,12 @@ class Nonlinearity:
     p: float = 0.0
 
     def __post_init__(self):
-        if self.family is Family.MEMS_INVERSE_POWER and not self.p > 0:
-            raise DomainValidationError(f"inverse-power exponent must be > 0, got {self.p}")
-        if self.family is Family.POWER_GROWTH and not self.p > 1:
-            raise DomainValidationError(f"power-growth exponent must be > 1, got {self.p}")
+        if self.family is Family.MEMS_INVERSE_POWER and not 0 < self.p < math.inf:
+            raise DomainValidationError(
+                f"inverse-power exponent must be finite and > 0, got {self.p}")
+        if self.family is Family.POWER_GROWTH and not 1 < self.p < math.inf:
+            raise DomainValidationError(
+                f"power-growth exponent must be finite and > 1, got {self.p}")
 
     # -- domain ------------------------------------------------------------
 

@@ -51,6 +51,29 @@ def test_domain_stats_validation():
                     f_phi_integral=3.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: DomainStats(lambda1=1.0, volume=0.0, N=2.0, inf_f=1.0, sup_f=1.0,
+                        f_phi_integral=1.0),
+    lambda: DomainStats(lambda1=1.0, volume=1.0, N=0.5, inf_f=1.0, sup_f=1.0,
+                        f_phi_integral=1.0),
+    lambda: DomainStats(lambda1=1.0, volume=1.0, N=2.0, inf_f=-1.0, sup_f=1.0,
+                        f_phi_integral=1.0),
+    lambda: DomainStats(lambda1=1.0, volume=1.0, N=2.0, inf_f=0.0, sup_f=0.0,
+                        f_phi_integral=0.0),
+    lambda: log_weight_integral(1.0, 1.5),
+    # a disc of area 4 has radius 1.13, outside the log weight's (0, 1]
+    lambda: exp_supnorm_bound(DomainStats(lambda1=LAM1_BALL_2D, volume=4.0, N=2.0,
+                                          inf_f=1.0, sup_f=1.0, f_phi_integral=1.0)),
+    lambda: power_supnorm_constant(3.0, 1.0),
+    lambda: energy_norm_bound(EXP, 1.0, 0.0),
+    lambda: mems_ball_supnorm_closed_form(3.0),
+], ids=["stats_volume", "stats_dimension", "stats_inf_f", "stats_sup_f", "log_weight_R",
+        "exp_bound_radius", "power_constant_p", "energy_volume", "closed_form_N"])
+def test_inputs_outside_a_stated_range_are_refused(call):
+    with pytest.raises(DomainValidationError):
+        call()
+
+
 def test_voltage_upper_disc_inverse_square():
     stats = unit_stats(2.0, LAM1_BALL_2D)
     rep = pullin_voltage_upper(MEMS, stats)
@@ -251,6 +274,17 @@ def test_power_supnorm_bound_needs_dimension_above_two(N):
     assert math.isnan(rep.value)
     assert not rep.valid
     assert "N > 2" in rep.reason
+
+
+@pytest.mark.parametrize("N, p", [(3.0, 2.0), (4.0, 3.0), (3.0, 3.0), (4.0, 2.0)])
+def test_power_supnorm_bound_dominates_the_computed_pullin_distance(N, p):
+    # the sup norm of the extremal is the pull-in distance m*
+    from pullin import ProblemSpec, default_m_grid, solve_branch
+    F = power_growth(p)
+    b = solve_branch(ProblemSpec(N, F), default_m_grid(F, 61))
+    rep = pullin.power_supnorm_bound(ball_stats(N), p)
+    assert b.fold_found and rep.valid
+    assert b.m_star <= rep.value
 
 
 def test_energy_norm_bound_frozen():
@@ -549,10 +583,18 @@ def test_exp_bound_in_dimension_2_matches_the_per_point_scan():
     lambda: pullin.shoot(pullin.exponential(), math.inf, 1.0),
     lambda: pullin.spectral.mu1(math.inf, pullin.exponential(), 1.0,
                                 pullin.shoot(pullin.exponential(), 2.0, 1.0)),
+    lambda: DomainStats(lambda1=1.0, volume=math.nan, N=2.0, inf_f=1.0, sup_f=1.0,
+                        f_phi_integral=1.0),
+    lambda: DomainStats(lambda1=1.0, volume=1.0, N=math.inf, inf_f=1.0, sup_f=1.0,
+                        f_phi_integral=1.0),
+    lambda: log_weight_integral(1.0, math.nan),
+    lambda: power_supnorm_constant(3.0, math.inf),
+    lambda: energy_norm_bound(EXP, 1.0, math.nan),
 ], ids=["lambda1_nan", "lambda1_inf", "volume_nan", "volume_inf", "decay_tau_nan",
         "decay_tau_inf", "decay_tau_array_nan", "exp_constant_nan", "mems_constant_nan",
         "power_constant_nan", "exp_constant_N_below_1", "problem_N_inf", "problem_alpha_inf", "transform_N_inf",
-        "shoot_N_inf", "mu1_N_inf"])
+        "shoot_N_inf", "mu1_N_inf", "stats_volume_nan", "stats_N_inf", "log_weight_R_nan",
+        "power_constant_p_inf", "energy_volume_nan"])
 def test_nan_and_infinite_inputs_are_refused(call):
     with pytest.raises(DomainValidationError):
         call()

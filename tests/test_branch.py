@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -425,6 +426,61 @@ def test_minimal_solution_takes_few_shots(monkeypatch, mems_disc_branch):
         assert u.lam == pytest.approx(lam, rel=1e-10)
         # Newton steps without dense output, then one dense shot of the answer
         assert calls.count(False) <= 4 and calls.count(True) == 1 and calls[-1]
+
+
+def test_minimal_solution_in_the_fold_cell_takes_no_run_at_the_fold(
+        monkeypatch, mems_disc_branch):
+    # the cell between the last stable grid point and the refined fold
+    b = mems_disc_branch
+    last = b.stable_points()[-1]
+    centers = []
+    real = pullin.branch._shoot_lanes
+
+    def recording(F, N_eff, ms, *args, **kwargs):
+        centers.extend(ms.tolist())
+        return real(F, N_eff, ms, *args, **kwargs)
+
+    monkeypatch.setattr(pullin.branch, "_shoot_lanes", recording)
+    for frac in (0.5, 1.0 - 1e-9):
+        lam = last.lam + frac * (b.lambda_star - last.lam)
+        centers.clear()
+        u = minimal_solution(ProblemSpec(2.0, MEMS), lam, b)
+        assert u.lam == pytest.approx(lam, rel=1e-10)
+        assert last.m < u.m < b.m_star
+        assert b.m_star not in centers
+
+
+def test_minimal_solution_refuses_a_voltage_above_its_table():
+    # a schedule that starts past the fold: no fold, a falling table
+    prob = ProblemSpec(2.0, MEMS)
+    b = solve_branch(prob, np.geomspace(0.5, 0.9, 5))
+    assert not b.fold_found and b.lambda_values[1] < 0.77 < b.lambda_star
+    with pytest.raises(BeyondPullInError, match="not bracketed"):
+        minimal_solution(prob, 0.77, b)
+
+
+def test_refusals_print_the_branch_voltage_in_full():
+    # at 6 digits the refused voltage would read as inside (0, 16)
+    prob = ProblemSpec(10.0, EXP)
+    b = solve_branch(prob, pullin.default_m_grid(EXP, 5))
+    lam = 15.999999999999
+    assert lam > b.lambda_star
+    with pytest.raises(BeyondPullInError, match=re.escape(f"λ*={b.lambda_star})")):
+        minimal_solution(prob, lam, b)
+    with pytest.raises(BeyondPullInError, match=re.escape(f"λ*={b.lambda_star})")):
+        pullin.dudlambda(prob, lam - 1e-3, 1e-2, b)
+
+
+@pytest.mark.parametrize("grid, rule", [
+    ([0.1, 0.2], "at least 3 points"),
+    ([[0.1, 0.2, 0.3]], "at least 3 points"),
+    ([0.1, 0.3, 0.2], "strictly increasing"),
+    ([0.0, 0.1, 0.2], "inside"),
+    ([0.1, 0.5, 1.0], "inside"),
+])
+def test_solve_branch_refuses_a_malformed_schedule(grid, rule):
+    with pytest.raises(DomainValidationError, match=rule):
+        solve_branch(ProblemSpec(2.0, MEMS), grid)
 
 
 def test_branch_without_fold_has_no_pullin_distance(capsys):

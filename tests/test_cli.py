@@ -74,11 +74,23 @@ def test_constants_table(capsys):
 
 
 def test_constants_over_a_counted_range(capsys):
-    # the dimensions come from np.linspace, so the validity flags are numpy bools
+    # the dimensions come from np.linspace
     code, out, _ = run_cli(capsys, "constants", "--table", "mems", "--N", "2.5..4:7")
     assert code == 0
     entries = json.loads(out)["result"]["entries"]
     assert [e["valid"] for e in entries] == [False, False, True, True, True, True, True]
+
+
+@pytest.mark.parametrize("spec, dims", [("2.5..4:4", [2.5, 3.0, 3.5, 4.0]),
+                                         ("2.5..4", [2.5 + k / 6.0 for k in range(10)])])
+def test_constants_csv_over_a_linspace_range(capsys, spec, dims):
+    # the flags print as in every other CSV, not as numpy's True/False
+    code, out, _ = run_cli(capsys, "constants", "--table", "mems", "--N", spec,
+                           "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [float(r["N"]) for r in rows] == pytest.approx(dims, rel=1e-11)
+    assert {r["valid"] for r in rows} == {"false", "true"}
 
 
 def test_constants_decay_table(capsys):
@@ -140,6 +152,23 @@ def test_verify_unknown_criterion(capsys):
     code, _, err = run_cli(capsys, "verify", "--criteria", "no_such_check")
     assert code == 2
     assert "no_such_check" in err
+
+
+def test_serialization_of_empty_and_unknown_values():
+    assert cli._dumps({}) == "{}"
+    assert cli._dumps([]) == "[]"
+    assert cli._to_csv([]) == ""
+    assert cli._to_csv([{"name": "cube", "n": 3}]) == "name,n\ncube,3\n"
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._dumps(object())
+
+
+def test_out_onto_a_directory_fails_and_leaves_no_temporary_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli.main(["transform", "--out", str(target)])
+    assert list(tmp_path.glob(".pullin-*.tmp")) == []
 
 
 def test_float_formatting_is_12_significant_digits():
@@ -302,3 +331,34 @@ def test_nan_infinite_and_meaningless_inputs_exit_2(capsys, argv):
     assert code == 2
     assert "invalid input" in err
     assert "Traceback" not in err
+
+
+_EXIT_PATHS = [
+    # a refused computation: the voltage lies above the branch's λ*
+    ("asymptotics --family exp --N 10 --lambda 15.999999999999 --m-points 5", 1,
+     "outside (0, λ*=15.9999999999"),
+    ("verify --criteria exp_constant_table", 1, "[FAIL] exp_constant_table"),
+    ("branch --alpha -2", 2, "--alpha must be finite and > -2"),
+    ("branch --m-points 2", 2, "--m-points must be at least 3"),
+    ("branch --m-points -1", 2, "--m-points must be at least 3"),
+    ("bounds --family mems --p inf", 2, "--p must be positive and finite"),
+    ("branch --family power", 2, "--family power requires --p"),
+    ("constants --table power", 2, "--table power requires --p"),
+    ("constants --table decay --N 2..3", 2, "takes a single --N value"),
+    ("asymptotics", 2, "asymptotics requires --lambda"),
+    ("bounds --family power --p 3 --N 3", 0, '"name": "power_supnorm_bound"'),
+    ("transform --family mems --N 9", 0, '"alpha_critical": '),
+    # the default τ list of the decay table ends at 8
+    ("constants --table decay --N 2", 0, '"tau": 8,'),
+]
+
+
+@pytest.mark.parametrize("argv, code, needle",
+                         [pytest.param(*case, id=case[0]) for case in _EXIT_PATHS])
+def test_each_exit_path(capsys, argv, code, needle):
+    got, out, err = run_cli(capsys, *argv.split())
+    assert got == code
+    assert needle in (err if code else out)
+    assert "Traceback" not in err
+    if code == 2:
+        assert "invalid input" in err

@@ -43,6 +43,11 @@ def test_family_parameter_validation():
         mems_inverse_power(0.0)
     with pytest.raises(DomainValidationError):
         power_growth(1.0)
+    # an infinite exponent would give nan constants and overflowing shots
+    with pytest.raises(DomainValidationError):
+        mems_inverse_power(math.inf)
+    with pytest.raises(DomainValidationError):
+        power_growth(math.inf)
 
 
 def test_deriv_inverse_clamps_below_slope_at_zero():

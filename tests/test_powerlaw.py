@@ -106,7 +106,9 @@ def test_singular_extremal_rejects_classical_regime():
     with pytest.raises(DomainValidationError):
         singular_extremal(EXP, 9.0)
     with pytest.raises(DomainValidationError):
-        singular_extremal(EXP, 10.0, 0.5)  # no explicit weighted profile
+        singular_extremal(EXP, 10.0, 0.5)  # classical: N(α) = 8.4
+    with pytest.raises(DomainValidationError, match="no explicit weighted"):
+        singular_extremal(EXP, 14.0, 0.5)  # singular, N(α) = 11.6
     with pytest.raises(DomainValidationError):
         singular_extremal(power_growth(5.0), 11.0)
 
@@ -141,6 +143,8 @@ def test_voltage_rate_dimension_thresholds():
         extremal_voltage_rate(EXP, 9.99)
     with pytest.raises(DomainValidationError):
         extremal_voltage_rate(MEMS, 7.9)
+    with pytest.raises(DomainValidationError, match="no voltage rate profile"):
+        extremal_voltage_rate(power_growth(2.0), 12.0)
 
 
 def test_envelope_ordering_and_limits():

@@ -176,3 +176,8 @@ def test_a_tol_outside_the_unit_interval_is_refused_before_any_run(tol):
     # at center value 0, mu1 returns λ₁ without a run
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
         spectral.mu1(2.0, F, 0.0, pullin.BranchPoint(m=0.0, lam=0.0), tol)
+
+
+def test_the_center_series_refuses_a_center_value_outside_the_domain():
+    with pytest.raises(pullin.DomainValidationError, match="outside"):
+        radial.center_series(mems_inverse_power(2.0), 2.0, 2.0, -0.1)

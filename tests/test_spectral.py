@@ -122,6 +122,12 @@ def test_mu1_small_voltage_shift():
     assert lam1 - 3.0 * lam < val < lam1
 
 
+def test_mu1_refuses_a_negative_voltage():
+    F = mems_inverse_power(2.0)
+    with pytest.raises(DomainValidationError, match="nonnegative"):
+        mu1(2.0, F, -0.5, shoot(F, 2.0, 0.3))
+
+
 def test_mu1_overflow_guard():
     F = mems_inverse_power(2.0)
     huge = RadialSolution(0.999999, 1.0, 2.0,
