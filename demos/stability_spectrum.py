@@ -14,8 +14,9 @@ b = pl.solve_branch(prob, np.geomspace(0.05, 0.95, 31), stability=True)
 print("inverse-square disc, 31 points:")
 print(f"  fold at m* = {b.m_star:.6f}, lambda* = {b.lambda_star:.6f}")
 print(f"  {'m':>8} {'lambda':>10} {'mu1':>12}  side")
+stable = b.stable_points()
 for p in b.points[::3]:
-    side = "stable" if p.m < b.m_star else "unstable"
+    side = "stable" if p in stable else "unstable"
     print(f"  {p.m:8.4f} {p.lam:10.6f} {p.mu1:12.6f}  {side}")
 
 sol = pl.shoot(MEMS, 2.0, b.m_star).solution()

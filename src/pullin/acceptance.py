@@ -166,8 +166,9 @@ def check_stability_fold() -> tuple[bool, str]:
     problems = []
     for key, F, N in cases:
         b = _branch(F, N, n_points=61, stability=True)
-        stable_mu = [p.mu1 for p in b.points if p.m < b.m_star and p.mu1 is not None]
-        unstable_mu = [p.mu1 for p in b.points if p.m > b.m_star and p.mu1 is not None]
+        stable = b.stable_points()
+        stable_mu = [p.mu1 for p in stable if p.mu1 is not None]
+        unstable_mu = [p.mu1 for p in b.points[len(stable):] if p.mu1 is not None]
         if not all(mu > 0 for mu in stable_mu):
             problems.append(f"{key} N={N}: nonpositive mu1 below the fold")
         if unstable_mu and not unstable_mu[0] < 0:

@@ -24,7 +24,6 @@ the effective fractional dimension 2(N+α)/(2+α); a direct weighted shoot
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -38,8 +37,6 @@ from .errors import (BeyondPullInError, BracketError, DomainValidationError,
 from .nonlinearity import Nonlinearity
 from .powerlaw import TransformResult, dim_transform
 from .radial import lane_rhs, lane_seed, series_value, solve_ivp
-
-log = logging.getLogger("pullin.branch")
 
 DEFAULT_TOL = 1e-10
 # tolerance of each μ₁ that `solve_branch` fills (its own tol if larger),
@@ -206,23 +203,32 @@ class BranchPoint:
 class Branch:
     """Sampled branch m -> λ(m) with the extracted pull-in quantities.
 
-    `lambda_star` is the supremum of the voltage over the (refined) branch;
-    `m_star` is the center value at the first fold, i.e. the pull-in
-    distance, when a fold was found.  Without a fold (singular regimes where
-    λ(m) climbs monotonically toward its limit), `fold_found` is False,
-    `m_star` is NaN and `lambda_star` is a lower estimate.  `fold_index` is
-    the k of the grid cell [m_k, m_k+1] holding the fold;
-    `stability_skipped` counts the points whose stability eigenvalue could
-    not be bracketed (mu1 is None).
+    The stable branch is the leading run of `n_stable` points where
+    dλ/dm > 0; the first fold ends it.  `lambda_star` is the supremum of the
+    voltage over the (refined) branch; `m_star` is the center value at the
+    first fold, i.e. the pull-in distance, when a fold was found.  Without a
+    fold, `fold_found` is False, `m_star` is NaN and `lambda_star` is a lower
+    estimate: either λ(m) climbs over the whole schedule (singular regimes
+    where it rises monotonically toward its limit), or the schedule starts
+    past the fold and no point is stable.  `fold_index` is the k of the grid
+    cell [m_k, m_k+1] holding the fold; `stability_skipped` counts the
+    points whose stability eigenvalue could not be bracketed (mu1 is None).
     """
 
     problem: ProblemSpec
     points: list[BranchPoint]
     lambda_star: float
     m_star: float
-    fold_found: bool
-    fold_index: Optional[int] = None
+    n_stable: int
     stability_skipped: int = 0
+
+    @property
+    def fold_found(self) -> bool:
+        return 0 < self.n_stable < len(self.points)
+
+    @property
+    def fold_index(self) -> Optional[int]:
+        return self.n_stable - 1 if self.fold_found else None
 
     @property
     def m_values(self) -> np.ndarray:
@@ -233,10 +239,8 @@ class Branch:
         return np.array([p.lam for p in self.points])
 
     def stable_points(self) -> list[BranchPoint]:
-        """Points on the minimal branch (center value below the fold)."""
-        if not self.fold_found:
-            return list(self.points)
-        return [p for p in self.points if p.m < self.m_star]
+        """Points on the minimal branch (center value below the first fold)."""
+        return self.points[:self.n_stable]
 
     def max_relative_jump(self) -> float:
         """Largest voltage jump between adjacent points, for mesh checks."""
@@ -250,9 +254,11 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
     and (optionally) the stability eigenvalue at every point, to within
     max(tol, 1e-6) * max(1, |μ₁|).
 
-    The whole grid is shot in one lane run.  The fold is the brentq root of
-    dλ/dm (one-lane runs) in the first grid cell where that slope changes
-    sign from + to -.
+    The whole grid is shot in one lane run.  The stable branch is the
+    leading run of grid points where dλ/dm > 0, and the fold is the brentq
+    root of dλ/dm (one-lane runs) in the grid cell that ends it.  A schedule
+    that starts with dλ/dm <= 0 starts past the fold: it has no stable point
+    and no fold.
 
     Power-law problems are solved through the constant-profile reduction in
     the effective dimension and rescaled back, which preserves center values
@@ -275,12 +281,9 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
 
     R, slopes, *_ = _shoot_lanes(F, tr.N_eff, grid, tol)
     lam_core = R ** 2.0
-    rising = slopes > 0.0
-    folds = np.flatnonzero(rising[:-1] & ~rising[1:])
-
-    fold_found = folds.size > 0
-    k = int(folds[0]) if fold_found else None
-    if fold_found:
+    n_stable = int(np.logical_and.accumulate(slopes > 0.0).sum())
+    if 0 < n_stable < len(grid):
+        k = n_stable - 1
         known = {grid[j]: (lam_core[j], slopes[j]) for j in (k, k + 1)}
 
         def slope(m):
@@ -293,8 +296,6 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
         lam_star_core = max(known[m_star][0], float(np.max(lam_core)))
     else:
         m_star, lam_star_core = math.nan, float(np.max(lam_core))
-        log.info("no fold bracketed by the schedule (λ still rising); "
-                 "pull-in voltage %.6g is a lower estimate", lam_star_core * tr.voltage_factor)
 
     points = [BranchPoint(m, lam0 * tr.voltage_factor) for m, lam0 in zip(grid, lam_core)]
     skipped = 0
@@ -309,7 +310,7 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
                 skipped += 1
 
     return Branch(problem, points, lam_star_core * tr.voltage_factor,
-                  float(m_star), fold_found, k, skipped)
+                  float(m_star), n_stable, skipped)
 
 
 def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,

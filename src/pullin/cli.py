@@ -2,8 +2,11 @@
 
 One command per invocation: branch sweeps, bound reports, constant tables,
 transform data, asymptotic envelopes, and the verification suite.  Results
-go to stdout or to --out (written atomically); diagnostics go to stderr and
-are controlled by the PULLIN_LOG environment variable (error|info|debug).
+go to stdout or to --out (written atomically).  Degraded results are listed
+in the `warnings` array of the JSON output.  Refused input prints one
+`error: invalid input: ...` line on stderr and exits 2, a failed
+computation one `error: computation failed: ...` line and exits 1; `verify`
+reports each criterion on stderr and exits 1 when one fails.
 
 Output is deterministic: floats are rendered with 12 significant digits and
 key order is fixed, so identical configurations produce byte-identical
@@ -17,7 +20,6 @@ import csv
 import dataclasses
 import io
 import json
-import logging
 import math
 import os
 import sys
@@ -29,8 +31,6 @@ from . import acceptance, bounds, branch, powerlaw
 from .errors import DomainValidationError, PullInError
 from .nonlinearity import (Family, Nonlinearity, exponential,
                            mems_inverse_power, power_growth)
-
-log = logging.getLogger("pullin.cli")
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -200,6 +200,8 @@ def _branch_warnings(b: branch.Branch) -> list[str]:
     warnings_ = []
     if not b.fold_found:
         warnings_.append("no fold: λ* is a lower estimate")
+    if not b.stable_points():
+        warnings_.append("the schedule starts past the fold: no point is on the stable branch")
     if b.stability_skipped:
         warnings_.append(f"stability fill skipped at {b.stability_skipped} of "
                          f"{len(b.points)} points (mu1 is null there)")
@@ -307,9 +309,6 @@ def cmd_verify(args):
 # entry point
 # ---------------------------------------------------------------------------
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-
 def _add_common(p):
     p.add_argument("--family", choices=["exp", "mems", "power"], default="mems")
     p.add_argument("--p", type=float, default=None,
@@ -374,20 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = _LOG_LEVELS.get(os.environ.get("PULLIN_LOG", "error").lower(), logging.ERROR)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         _validate_common(args)
         result, rows, warnings_ = args.fn(args)
     except DomainValidationError as exc:
-        log.error("invalid input: %s", exc)
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PullInError as exc:
-        log.error("computation failed: %s", exc)
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -81,38 +81,35 @@ class Nonlinearity:
     def value(self, u):
         """F(u).  Rejects arguments outside [0, endpoint)."""
         self._check_domain(u)
-        return self.unchecked(0, u)
+        return self.derivative(0)(u)
 
     def deriv(self, u):
         """F'(u)."""
         self._check_domain(u)
-        return self.unchecked(1, u)
+        return self.derivative(1)(u)
 
-    def deriv2(self, u):
-        """F''(u) (nonnegative: all families are convex)."""
-        self._check_domain(u)
-        return self.unchecked(2, u)
-
-    def deriv3(self, u):
-        """F'''(u)."""
-        self._check_domain(u)
-        return self.unchecked(3, u)
-
-    def unchecked(self, order: int, u):
-        """The derivative of F of the given order at u (scalar or array),
-        without the domain check: e^u, p(p+1)...(p+order-1) (1-u)^-(p+order)
-        or p(p-1)...(p-order+1) (1+u)^(p-order).  For callers that keep u in
-        [0, endpoint) by construction."""
+    def derivative(self, order: int) -> Callable:
+        """u -> the derivative of F of the given order at u (a float or an
+        array), without the domain check: e^u, p(p+1)...(p+order-1)
+        (1-u)^-(p+order) or p(p-1)...(p-order+1) (1+u)^(p-order).  For
+        callers that keep u in [0, endpoint) by construction, such as the
+        right-hand side of the radial core.  The exponential gives a float
+        the bits it gives an array; on a float the powers are C `pow`, which
+        may differ from numpy's vectorized power in the last bit.
+        """
         if self.family is Family.EXPONENTIAL:
-            return np.exp(u)
+            return np.exp
         p, c = self.p, 1.0
+        # F itself skips the multiply by c = 1: it runs in every RHS call
         if self.family is Family.MEMS_INVERSE_POWER:
             for j in range(order):
                 c *= p + j
-            return c * (1.0 - u) ** (-(p + order))
+            e = -(p + order)
+            return (lambda u: (1.0 - u) ** e) if order == 0 else (lambda u: c * (1.0 - u) ** e)
         for j in range(order):
             c *= p - j
-        return c * (1.0 + u) ** (p - order)
+        e = p - order
+        return (lambda u: (1.0 + u) ** e) if order == 0 else (lambda u: c * (1.0 + u) ** e)
 
     def deriv_inverse(self, z: float) -> float:
         """The unique v >= 0 with F'(v) = z, clamped to 0 for z < F'(0).
@@ -131,23 +128,6 @@ class Nonlinearity:
         if z <= self.p:
             return 0.0
         return (z / self.p) ** (1.0 / (self.p - 1.0)) - 1.0
-
-    def fast_callables(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        """Unchecked (F, F') for a float or an array: the right-hand side of
-        the radial core, which keeps its argument in [0, endpoint).  On an
-        array they are the expressions of `unchecked(0, ·)` and
-        `unchecked(1, ·)`, bit for bit.  The exponential pair is `np.exp`,
-        which gives a float the bits it gives an array; on a float the
-        powers are C `pow`, which may differ from numpy's vectorized power
-        in the last bit.
-        """
-        if self.family is Family.EXPONENTIAL:
-            return np.exp, np.exp
-        p = self.p
-        if self.family is Family.MEMS_INVERSE_POWER:
-            return (lambda u: (1.0 - u) ** (-p),
-                    lambda u: p * (1.0 - u) ** (-(p + 1.0)))
-        return (lambda u: (1.0 + u) ** p, lambda u: p * (1.0 + u) ** (p - 1.0))
 
     # -- derived constants -----------------------------------------------------
 

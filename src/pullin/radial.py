@@ -68,7 +68,7 @@ def center_series(F: Nonlinearity, N: float, k: float, m: float, nu: float = 0.0
     if not 0.0 <= m < F.endpoint:
         raise DomainValidationError(
             f"argument outside [0, {F.endpoint}) for {F.label()}")
-    F0, F1, F2, F3 = (float(F.unchecked(j, m)) for j in range(4))
+    F0, F1, F2, F3 = (float(F.derivative(j)(m)) for j in range(4))
     c1, c2, c3 = (j * k * (j * k + N - 2.0) for j in (1.0, 2.0, 3.0))
     a1 = -F0 / c1
     a2 = -F1 * a1 / c2
@@ -150,14 +150,14 @@ def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
 
     Near the center (α = 0) w' ~ r and m - w ~ r², so dr/dτ stays finite,
     where dr/dσ in σ = τ² would blow up like σ^(-1/2).  Since w stays in
-    [0, m], F and F' need no domain check (`F.fast_callables()`).  One lane
+    [0, m], F and F' need no domain check (`F.derivative`).  One lane
     runs on Python floats, since numpy would cost more in call overhead than
     the formula, and returns a tuple.  With `weight` (one lane only) a fifth
     row carries the weighted square integral ∫ r^(N-1) z² dr of the linear
     mode.
     """
     c = N - 1.0
-    f0, f1 = F.fast_callables()
+    f0, f1 = F.derivative(0), F.derivative(1)
     one = len(ms) == 1
     m = float(ms[0]) if one else ms
 

@@ -496,6 +496,42 @@ def test_branch_without_fold_has_no_pullin_distance(capsys):
     assert res["m_star"] is None
 
 
+# schedules that start past the first fold, with a voltage below their λ*
+_PAST_THE_FOLD = [
+    # the inverse-square disc folds at m* = 0.445: every slope is negative
+    pytest.param(ProblemSpec(2.0, MEMS), np.geomspace(0.5, 0.9, 5), 0.77, id="mems-disc"),
+    # the exponential in N = 3 folds at m* = 1.6075, and again at 11.38
+    # after a turn: that second fold is not the pull-in fold
+    pytest.param(ProblemSpec(3.0, EXP), np.geomspace(2.5, 40.0, 200), 3.0, id="exp-N3"),
+]
+
+
+@pytest.mark.parametrize("prob, grid, lam", _PAST_THE_FOLD)
+def test_a_schedule_that_starts_past_the_fold_has_no_stable_point(prob, grid, lam):
+    b = solve_branch(prob, grid)
+    assert b.fold_found is False and b.fold_index is None
+    assert math.isnan(b.m_star)
+    assert b.stable_points() == []
+    assert lam < b.lambda_star
+    with pytest.raises(BeyondPullInError, match="not bracketed"):
+        minimal_solution(prob, lam, b)
+
+
+def test_a_schedule_that_starts_rising_keeps_its_first_fold():
+    # the exponential in N = 3 on the default schedule: the leading rising
+    # run ends in the first cell where dλ/dm turns from + to -, so m* and λ*
+    # are those that cell gives
+    b = solve_branch(ProblemSpec(3.0, EXP))
+    _, slopes, *_ = pullin.branch._shoot_lanes(EXP, 3.0, b.m_values, pullin.branch.DEFAULT_TOL)
+    rising = slopes > 0.0
+    turns = np.flatnonzero(rising[:-1] & ~rising[1:])
+    assert turns.size > 1  # the branch folds more than once on this schedule
+    assert b.fold_index == turns[0]
+    assert b.stable_points() == [p for p in b.points if p.m < b.m_star]
+    assert b.m_star == pytest.approx(1.6074567750945838, rel=1e-12)
+    assert b.lambda_star == pytest.approx(3.321992118341856, rel=1e-12)
+
+
 @pytest.mark.parametrize("F, ms", [(EXP, (0.3, 1.0, 2.5)),
                                    (MEMS, (0.1, 0.4, 0.8)),
                                    (power_growth(3.0), (0.2, 1.0, 3.0))])

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -333,6 +336,21 @@ def test_nan_infinite_and_meaningless_inputs_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("schedule", [
+    "--family mems --N 2 --m-min 0.5 --m-max 0.9 --m-points 5",
+    "--family exp --N 3 --m-min 2.5 --m-max 40 --m-points 200",
+])
+def test_branch_warns_when_the_schedule_starts_past_the_fold(capsys, schedule):
+    code, out, _ = run_cli(capsys, "branch", *schedule.split())
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["fold_found"] is False
+    assert doc["result"]["m_star"] is None
+    assert doc["warnings"] == [
+        "no fold: λ* is a lower estimate",
+        "the schedule starts past the fold: no point is on the stable branch"]
+
+
 _EXIT_PATHS = [
     # a refused computation: the voltage lies above the branch's λ*
     ("asymptotics --family exp --N 10 --lambda 15.999999999999 --m-points 5", 1,
@@ -362,3 +380,19 @@ def test_each_exit_path(capsys, argv, code, needle):
     assert "Traceback" not in err
     if code == 2:
         assert "invalid input" in err
+    if code and not argv.startswith("verify"):
+        # a refusal or a failed computation: one line on stderr, no other
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_refusal_prints_one_line_from_a_fresh_process():
+    # the in-process runs above share the test runner's logging setup; a
+    # fresh interpreter shows everything the command writes to stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-m", "pullin.cli", "branch", "--m-points", "2"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: invalid input: --m-points must be at least 3\n"

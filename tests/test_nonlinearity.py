@@ -23,7 +23,7 @@ def test_increasing_and_convex_on_grid(F):
     hi = 1.0 - 1e-6 if F.is_singular else 50.0
     u = np.linspace(0.0, hi, 500)
     assert np.all(F.deriv(u) > 0)
-    assert np.all(F.deriv2(u) >= 0)
+    assert np.all(F.derivative(2)(u) >= 0)
 
 
 def test_domain_rejection():
@@ -153,7 +153,7 @@ def test_derivatives_against_sympy(F):
     else:
         expr = (1 + u) ** sympy.Float(F.p)
     points = [0.0, 0.3, 0.9] if F.is_singular else [0.0, 0.7, 5.0]
-    for order, method in enumerate((F.value, F.deriv, F.deriv2, F.deriv3)):
+    for order, method in enumerate((F.value, F.deriv, F.derivative(2), F.derivative(3))):
         d = sympy.diff(expr, u, order)
         for x in points:
             assert method(x) == pytest.approx(float(d.subs(u, x)), rel=1e-12)

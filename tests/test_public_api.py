@@ -30,3 +30,16 @@ def test_exported_names_are_pinned():
                     if not name.startswith("_")
                     and not isinstance(value, types.ModuleType))
     assert public == EXPORTED
+
+
+# The evaluation surface of `Nonlinearity`: one unchecked formula per
+# family (`derivative`) and the checked `value` and `deriv` on top of it.
+NONLINEARITY = sorted("""
+    deriv deriv_inverse derivative endpoint family is_singular label p value
+    voltage_constants
+""".split())
+
+
+def test_nonlinearity_attributes_are_pinned():
+    public = sorted(name for name in dir(pullin.exponential()) if not name.startswith("_"))
+    assert public == NONLINEARITY
