@@ -2,10 +2,11 @@
 and the optimized constants they depend on.
 
 Everything here is either a closed form or the extremum of a smooth scalar
-function of one variable, evaluated with a coarse grid scan plus golden-
-section polish.  The estimates take a :class:`DomainStats` record, so
-non-ball domains are supported by supplying the principal eigenvalue,
-volume, and weight statistics directly.
+function of one variable, evaluated with a coarse scan of an `_open_window`
+grid plus a bounded Brent polish (`optimize.grid_then_golden_min`).  The
+estimates take a :class:`DomainStats` record, so non-ball domains are
+supported by supplying the principal eigenvalue, volume, and weight
+statistics directly.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _open_window(lo: float, hi: float, n_points: int = 2000) -> np.ndarray:
 def _minimized_constant(name: str, objective, N: float, window: tuple[float, float],
                         where: str, valid: bool, stated: str) -> BoundReport:
     """The minimum of `objective` over the open `window` (a scan of
-    `_open_window`, then golden section) in dimension N, valid when the
+    `_open_window`, then a Brent polish) in dimension N, valid when the
     estimate is stated there; NaN and invalid when the window is empty."""
     if not 1.0 <= N < math.inf:
         raise DomainValidationError(f"dimension must be finite and >= 1, got {N}")
@@ -473,10 +474,6 @@ def mems_ball_supnorm_bound(N: float, lambda1: Optional[float] = None) -> BoundR
             f"no radial decay constant for dimension {N:g}")
     if lambda1 is None:
         lambda1 = spectral.lambda1_ball(N).eigenvalue
-    lo, hi = max(0.0, (N - 3.0) / 2.0), T_MAX_MEMS
-    # this scan keeps its own inset: the 1e-9 inset of `_open_window` moves
-    # the N=3 optimizer from 3.53596294391 to 3.53596297147
-    pad = 1e-6 * (hi - lo)
 
     def roots(t):
         # one brentq root per point; a failed quadrature at one point reads
@@ -490,7 +487,7 @@ def mems_ball_supnorm_bound(N: float, lambda1: Optional[float] = None) -> BoundR
         return np.array(out) if np.ndim(t) else out[0]
 
     t_best, root_best = grid_then_golden_min(
-        roots, np.linspace(lo + pad, hi - pad, 48), tol=1e-8)
+        roots, _open_window(max(0.0, (N - 3.0) / 2.0), T_MAX_MEMS, 48))
     pinned = root_best < 1.0 - 1e-9
     return BoundReport(
         "mems_ball_supnorm_bound", root_best if pinned else 1.0,
@@ -523,9 +520,9 @@ def mems_ball_supnorm_closed_form(N: float,
             val = total ** (-1.0 / (2.0 * t + 1.0))
         return np.where(np.isfinite(big), val, 0.0)
 
-    lo = 1e-6 if N == 1.0 else 0.5
     # maximize 1 - bound: minimize its negative
-    t_best, neg = grid_then_golden_min(lambda t: -one_minus_bound(t),
-                                       np.linspace(lo, T_MAX_MEMS - 1e-6, 400))
+    t_best, neg = grid_then_golden_min(
+        lambda t: -one_minus_bound(t),
+        _open_window(0.0 if N == 1.0 else 0.5, T_MAX_MEMS, 400))
     return BoundReport("mems_ball_supnorm_closed_form", 1.0 + neg,
                        optimizer=t_best)

@@ -170,10 +170,7 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
     The one-lane run of the shooting core (see `_shoot_lanes`), with dense
     output for the profile.
     """
-    if not 1.0 <= N_eff < math.inf:
-        raise DomainValidationError(f"dimension must be finite and >= 1, got {N_eff}")
-    if not -2.0 < alpha < math.inf:
-        raise DomainValidationError(f"weight exponent must be finite and > -2, got {alpha}")
+    dim_transform(N_eff, alpha)  # refuses N_eff and alpha outside its domain
     if not 0.0 < m < F.endpoint:
         raise DomainValidationError(
             f"center value must lie in (0, {F.endpoint}), got {m}")

@@ -5,12 +5,12 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_bvp
+from scipy.optimize import minimize_scalar
 
 import pullin
 from pullin import (BeyondPullInError, DomainValidationError, ProblemSpec,
                     exponential, mems_inverse_power, minimal_solution,
                     power_growth, shoot, solve_branch)
-from pullin.optimize import golden_section_min
 
 MEMS = mems_inverse_power(2.0)
 EXP = exponential()
@@ -216,10 +216,10 @@ def test_branch_without_fold_reports_lower_estimate():
 def test_fold_refinement_beats_grid_resolution():
     prob = ProblemSpec(2.0, MEMS)
     coarse = solve_branch(prob, np.geomspace(1e-3, 1.0 - 1e-4, 48))
-    # the refined fold from a coarse grid agrees with a direct golden search
-    m_ref, neg_lam = golden_section_min(lambda m: -shoot(MEMS, 2.0, m).lam, 0.40, 0.49,
-                                        tol=1e-10)
-    lam_ref = -neg_lam
+    # the refined fold from a coarse grid agrees with a direct bounded search
+    ref = minimize_scalar(lambda m: -shoot(MEMS, 2.0, m).lam, bounds=(0.40, 0.49),
+                          method="bounded", options={"xatol": 1e-10})
+    m_ref, lam_ref = ref.x, -ref.fun
     assert coarse.lambda_star == pytest.approx(lam_ref, abs=1e-8)
     assert coarse.m_star == pytest.approx(m_ref, abs=1e-5)
 

@@ -1,5 +1,5 @@
 """Edge cases of the one scan optimizer, `grid_then_golden_min`: the grid is
-one array call of the objective, the golden polish calls it on points."""
+one array call of the objective, the bounded Brent polish calls it on points."""
 
 import warnings
 
@@ -46,3 +46,12 @@ def test_an_error_in_the_polish_reads_as_inf(error):
 
     t, v = grid_then_golden_min(f, GRID)
     assert (t, v) == (float(GRID[5]), float((GRID[5] - 0.53) ** 2))
+
+
+@pytest.mark.parametrize("end", [0, -1])
+def test_a_minimum_at_a_grid_end_is_that_grid_point(end):
+    # the polish never evaluates the ends of its bracket, so a minimum at the
+    # first or last grid point comes back as that point and its value
+    slope = 1.0 if end == 0 else -1.0
+    t, v = grid_then_golden_min(lambda t: slope * t, GRID)
+    assert (t, v) == (float(GRID[end]), slope * float(GRID[end]))
