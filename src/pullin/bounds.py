@@ -464,8 +464,8 @@ def mems_ball_supnorm_bound(N: float, lambda1: Optional[float] = None) -> BoundR
     max(0, (N-3)/2) < t < 2+sqrt(6).
 
     For larger N no t pins the sup norm below 1 (the extremal really touches
-    the singularity from dimension 8 on); the report then carries value 1
-    and valid=False.
+    the singularity from dimension 8 on); the report then carries value 1,
+    valid=False and no optimizer.
     """
     if not 1.0 <= N <= 11.0:
         raise DomainValidationError(f"stated for 1 <= N <= 11, got {N}")
@@ -491,7 +491,7 @@ def mems_ball_supnorm_bound(N: float, lambda1: Optional[float] = None) -> BoundR
     pinned = root_best < 1.0 - 1e-9
     return BoundReport(
         "mems_ball_supnorm_bound", root_best if pinned else 1.0,
-        optimizer=t_best, valid=pinned,
+        optimizer=t_best if pinned else None, valid=pinned,
         reason="" if pinned else "inequality does not pin the sup norm below 1")
 
 

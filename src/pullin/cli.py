@@ -8,6 +8,10 @@ in the `warnings` array of the JSON output.  Refused input prints one
 computation one `error: computation failed: ...` line and exits 1; `verify`
 reports each criterion on stderr and exits 1 when one fails.
 
+Each command imports the scipy modules it computes with when it runs, after
+its own argument checks: `transform`, `--help` and every refused argument
+need only numpy.
+
 Output is deterministic: floats are rendered with 12 significant digits and
 key order is fixed, so identical configurations produce byte-identical
 files.  CSV carries the same numbers as JSON, reformatted as flat columns.
@@ -27,7 +31,7 @@ import tempfile
 
 import numpy as np
 
-from . import acceptance, bounds, branch, powerlaw
+from . import powerlaw
 from .errors import DomainValidationError, PullInError
 from .nonlinearity import (Family, Nonlinearity, exponential,
                            mems_inverse_power, power_growth)
@@ -177,6 +181,7 @@ def _validate_common(args) -> None:
 
 def cmd_branch(args):
     F = _make_family(args)
+    from . import branch
     prob = branch.ProblemSpec(args.N, F, args.alpha)
     first, last = branch.default_m_grid(F, 2).tolist()
     m_lo = args.m_min if args.m_min is not None else first
@@ -195,7 +200,7 @@ def cmd_branch(args):
     return result, result["points"], _branch_warnings(b)
 
 
-def _branch_warnings(b: branch.Branch) -> list[str]:
+def _branch_warnings(b) -> list[str]:
     """The degraded results of a branch sweep, one line each."""
     warnings_ = []
     if not b.fold_found:
@@ -210,6 +215,7 @@ def _branch_warnings(b: branch.Branch) -> list[str]:
 
 def cmd_bounds(args):
     F = _make_family(args)
+    from . import bounds
     stats = bounds.ball_stats(args.N, args.alpha)
     reports = [bounds.pullin_voltage_upper(F, stats),
                bounds.pullin_distance_lower(F, stats)]
@@ -231,26 +237,29 @@ def cmd_bounds(args):
 def cmd_constants(args):
     table = args.table
     entries = []
-    constants = {"exp": bounds.exp_supnorm_constant,
-                 "mems": bounds.mems_supnorm_constant,
-                 "power": bounds.power_supnorm_constant}
-    if table in constants:
+    if table != "decay":
         params = {}
         if table == "power":
             if args.p is None:
                 raise DomainValidationError("--table power requires --p")
             params = {"p": args.p}
-        for N in _parse_range(args.N_range):
-            rep = constants[table](N, **params)
+        dims = _parse_range(args.N_range)
+        from . import bounds
+        constant = {"exp": bounds.exp_supnorm_constant,
+                    "mems": bounds.mems_supnorm_constant,
+                    "power": bounds.power_supnorm_constant}[table]
+        for N in dims:
+            rep = constant(N, **params)
             entries.append({"N": N, **params, "value": rep.value,
                             "optimizer": rep.optimizer, "valid": rep.valid})
-    else:  # decay
+    else:
         try:
             N = float(args.N_range)
         except ValueError:
             raise DomainValidationError("--table decay takes a single --N value")
         taus = _parse_range(args.tau) if args.tau else \
             list(np.linspace(max(1.0, N / 2.0) + 0.25, 8.0, 16))
+        from . import bounds
         for tau in taus:
             entries.append({"tau": tau, "N": N,
                             "value": bounds.radial_decay_constant(tau, N)})
@@ -281,6 +290,7 @@ def cmd_asymptotics(args):
         raise DomainValidationError(
             f"asymptotics has no power-law weight, got --alpha {args.alpha:g}")
     env = powerlaw.asymptotic_envelopes(F, args.N, args.lam)
+    from . import branch
     prob = branch.ProblemSpec(args.N, F, 0.0)
     grid = branch.default_m_grid(F, args.m_points)
     b = branch.solve_branch(prob, grid, tol=args.tol)
@@ -299,6 +309,7 @@ def cmd_asymptotics(args):
 
 
 def cmd_verify(args):
+    from . import acceptance
     names = args.criteria.split(",") if args.criteria else None
     results = acceptance.run(names, printer=lambda s: print(s, file=sys.stderr))
     criteria = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]

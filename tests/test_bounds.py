@@ -348,6 +348,7 @@ def test_radial_ball_bound_degenerates_in_high_dimension():
     rep = mems_ball_supnorm_bound(9.0)
     assert not rep.valid
     assert rep.value == 1.0
+    assert rep.optimizer is None
 
 
 def test_radial_ball_bound_preconditions():

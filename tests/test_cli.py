@@ -385,14 +385,45 @@ def test_each_exit_path(capsys, argv, code, needle):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports pullin from ./src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
+_SCIPY_CHECK = """
+import sys
+import pullin
+if sys.argv[1:]:
+    from pullin.cli import main
+    try:
+        main(sys.argv[1:])
+    except SystemExit:  # --help
+        pass
+print("scipy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    pytest.param("", False, id="import pullin"),
+    pytest.param("transform --N 2 --alpha 5", False, id="transform --N 2 --alpha 5"),
+    pytest.param("--help", False, id="--help"),
+    *(pytest.param(argv, False, id=argv) for argv, code, _ in _EXIT_PATHS if code == 2),
+    # the control: a numeric command does load scipy
+    pytest.param("bounds --family mems --N 2", True, id="bounds --family mems --N 2"),
+])
+def test_only_numeric_commands_import_scipy(argv, loads_scipy):
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_CHECK, *argv.split()],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.stderr.splitlines()[-1] == str(loads_scipy)
+
+
 def test_a_refusal_prints_one_line_from_a_fresh_process():
     # the in-process runs above share the test runner's logging setup; a
     # fresh interpreter shows everything the command writes to stderr
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     proc = subprocess.run([sys.executable, "-m", "pullin.cli", "branch", "--m-points", "2"],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: invalid input: --m-points must be at least 3\n"

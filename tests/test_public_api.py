@@ -1,4 +1,8 @@
+import importlib
+import sys
 import types
+
+import pytest
 
 import pullin
 
@@ -24,12 +28,28 @@ EXPORTED = sorted("""
 
 
 def test_exported_names_are_pinned():
-    # submodules appear as attributes once imported anywhere; they are not
-    # part of the pinned surface
-    public = sorted(name for name, value in vars(pullin).items()
+    # dir() lists the names imported on first use before that use; submodules
+    # appear as attributes once imported anywhere and are not pinned
+    public = sorted(name for name in dir(pullin)
                     if not name.startswith("_")
-                    and not isinstance(value, types.ModuleType))
+                    and not isinstance(getattr(pullin, name), types.ModuleType))
     assert public == EXPORTED
+
+
+def test_each_name_imported_on_first_use_is_its_modules_object():
+    for module, names in pullin._LAZY.items():
+        source = importlib.import_module(f"pullin.{module}")
+        for name in names:
+            assert getattr(pullin, name) is getattr(source, name), name
+
+
+def test_an_unknown_name_is_refused_and_submodules_still_import():
+    with pytest.raises(AttributeError, match="'nope'"):
+        pullin.nope
+    with pytest.raises(ImportError):
+        from pullin import nope  # noqa: F401
+    from pullin import bounds
+    assert bounds is sys.modules["pullin.bounds"]
 
 
 # The evaluation surface of `Nonlinearity`: one unchecked formula per
