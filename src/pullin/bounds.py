@@ -402,24 +402,39 @@ def _mems_radial_rhs(t: float, N: float) -> float:
     return _mems_energy_base(t) ** ((2.0 * t + 3.0) / t) / N
 
 
+def _log_radial_integral(c, a: float, q: float, C: float):
+    """log ∫₀¹ s^(a-1) (c + C s)^(-q) ds, for c > 0, C > 0 and b = q - a > 0,
+    on floats or on arrays of one shape.
+
+    This is the incomplete beta function c^(-b) C^(-a) B(a, b) I_X(a, b) at
+    X = C/(c + C) (DLMF §8.17), which resolves the boundary layer at s = 0
+    that appears when c is small; in logarithms it never leaves double
+    range.  Each point evaluates one of `betainc` and `betaincc`, and floats
+    stay on `math.log`."""
+    b = q - a
+    X = C / (c + C)
+    # the complement at X >= 1/2 keeps 1 - X = c/(c + C) exact
+    if isinstance(X, np.ndarray):
+        frac = betaincc(b, a, c / (c + C))
+        lower = X < 0.5
+        frac[lower] = betainc(a[lower], b[lower], X[lower])
+        log = np.log
+    else:
+        frac = betainc(a, b, X) if X < 0.5 else betaincc(b, a, c / (c + C))
+        log = math.log
+    return -b * log(c) - a * log(C) + betaln(a, b) + log(frac)
+
+
 def _mems_radial_integral(m: float, a: float, q: float, C: float) -> float:
     """∫₀¹ s^(a-1) (1 - m + C s)^(-q) ds, for 0 <= m < 1 and C > 0.
 
-    With c = 1 - m and b = q - a > 0 this is the incomplete beta function
-    c^(a-q) C^(-a) B(a, b) I_X(a, b) at X = C/(c + C) (DLMF §8.17), which
-    resolves the boundary layer at s = 0 that appears when c is small; its
-    prefactor is formed in logarithms and reads +inf past double range.
-    Only b <= 0 is left to quadrature, where the factor s^(a-1) with
-    a >= q damps the layer; a quadrature error estimate above 1e-8 of the
-    value raises QuadratureError."""
+    For b = q - a > 0 this is `_log_radial_integral` at c = 1 - m, which
+    reads +inf past double range.  Only b <= 0 is left to quadrature, where
+    the factor s^(a-1) with a >= q damps the layer; a quadrature error
+    estimate above 1e-8 of the value raises QuadratureError."""
     c = 1.0 - m
-    b = q - a
-    if b > 0.0:
-        # the complement at X >= 1/2 keeps 1 - X = c/(c + C) exact
-        X = C / (c + C)
-        frac = betainc(a, b, X) if X < 0.5 else betaincc(b, a, c / (c + C))
-        log_val = ((a - q) * math.log(c) - a * math.log(C) + betaln(a, b)
-                   + math.log(frac))
+    if q - a > 0.0:
+        log_val = _log_radial_integral(c, a, q, C)
         return math.exp(log_val) if log_val < _LOG_FLOAT_MAX else math.inf
     val, err = quad(lambda s: s ** (a - 1.0) / (c + C * s) ** q, 0.0, 1.0,
                     epsabs=0.0, epsrel=1e-10, limit=500)
@@ -429,33 +444,107 @@ def _mems_radial_integral(m: float, a: float, q: float, C: float) -> float:
     return val
 
 
+def _mems_radial_parameters(t, N: float, lambda1: float):
+    """(a, q, C, ρ) of the radial integral at t, on a float or an array:
+    in s = R^ρ, G(m; t) = (1/ρ) ∫₀¹ s^(a-1) (1 - m + C s)^(-q) ds."""
+    C = mems_profile_constant(t, N, lambda1)
+    q = 2.0 * t + 3.0
+    # positive on the scan window t > (N-3)/2
+    rho = (4.0 * t + 6.0 - 2.0 * N) / q
+    return N / rho, q, C, rho
+
+
+#: m = 1 - 1e-9 is the largest sup-norm a root is sought below
+_M_NEAR_ONE = 1.0 - 1e-9
+
+
 def _mems_radial_root(t: float, N: float, lambda1: float) -> float:
     """Largest sup-norm consistent with the radial integral inequality at
-    this t: solve G(m; t) = RHS(t) for m, where G is increasing in m.
+    this t: solve G(m; t) = RHS(t) for m by brentq (xtol 1e-10), where G is
+    increasing in m; 1 when G(1 - 1e-9) <= RHS, 0 when G(0) >= RHS.
 
-    In s = R^ρ (ρ the R-exponent), G(m) = (1/ρ) ∫₀¹ s^(a-1) (1 - m + C s)^(-q) ds
-    with a = N/ρ; the integral is an incomplete beta function except for
-    N >= 3, t <= 3(N-2)/4 (see `_mems_radial_integral`)."""
+    The integral is an incomplete beta function except for N >= 3,
+    t <= 3(N-2)/4 (see `_mems_radial_integral`)."""
     try:
         # Python-float arithmetic: past double range it raises
         rhs_val = _mems_radial_rhs(float(t), N)
     except OverflowError:
         return 1.0
-    C = mems_profile_constant(t, N, lambda1)
-    q = 2.0 * t + 3.0
-    # positive on the scan window t > (N-3)/2
-    rho = (4.0 * t + 6.0 - 2.0 * N) / q
-    a = N / rho
+    a, q, C, rho = _mems_radial_parameters(t, N, lambda1)
 
     def G(m):
         return _mems_radial_integral(m, a, q, C) / rho
 
-    hi = 1.0 - 1e-9
-    if G(hi) <= rhs_val:
+    if G(_M_NEAR_ONE) <= rhs_val:
         return 1.0
     if G(0.0) >= rhs_val:
         return 0.0
-    return brentq(lambda m: G(m) - rhs_val, 0.0, hi, xtol=1e-10)
+    return brentq(lambda m: G(m) - rhs_val, 0.0, _M_NEAR_ONE, xtol=1e-10)
+
+
+#: secant steps after which a scan point falls back to `_mems_radial_root`
+_SCAN_STEPS = 40
+
+
+def _mems_radial_roots(t, N: float, lambda1: float):
+    """`_mems_radial_root` on a float or at every point of an array of t; a
+    failed quadrature reads +inf at its point and leaves the others.
+
+    On an array, the points with b = q - a > 0 are solved together in
+    u = log(1 - m), where log G is close to linear: bracketed secant steps
+    with the Illinois halving (Dowell & Jarratt 1971) on
+    log G(m; t) - log RHS(t) between u = log(1e-9) and 0, until a step moves
+    m by at most 1e-12.  The points with b <= 0 take the scalar root, each
+    on `quad`."""
+    if np.ndim(t) == 0:
+        try:
+            return _mems_radial_root(t, N, lambda1)
+        except QuadratureError:
+            return math.inf
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        rhs = _mems_radial_rhs(t, N)
+        a, q, C, rho = _mems_radial_parameters(t, N, lambda1)
+    out = np.ones_like(t)  # a right-hand side past double range pins nothing
+    for i in np.flatnonzero(q - a <= 0.0):
+        out[i] = _mems_radial_roots(t[i], N, lambda1)
+    k = np.flatnonzero((q - a > 0.0) & np.isfinite(rhs))
+    a, q, C, target = a[k], q[k], C[k], np.log(rho[k]) + np.log(rhs[k])
+
+    def f(u, j):
+        # decreasing in u; j indexes the points still unsolved
+        return _log_radial_integral(np.exp(u), a[j], q[j], C[j]) - target[j]
+
+    u0 = np.full(k.size, math.log(1.0 - _M_NEAR_ONE))
+    u1 = np.zeros(k.size)
+    every = np.arange(k.size)
+    f0, f1 = f(u0, every), f(u1, every)
+    root = np.where(f0 <= 0.0, 1.0, np.where(f1 >= 0.0, 0.0, math.nan))
+    live = np.flatnonzero(np.isnan(root))
+    m_last = np.full(k.size, math.nan)
+    # the end that the last step replaced: +1 for u0, -1 for u1
+    last = np.zeros(k.size)
+    for _ in range(_SCAN_STEPS):
+        if live.size == 0:
+            break
+        u = (u1[live] * f0[live] - u0[live] * f1[live]) / (f0[live] - f1[live])
+        fu = f(u, live)
+        m = -np.expm1(u)
+        pos = fu > 0.0
+        low, high = live[pos], live[~pos]
+        # Illinois: an end kept for a second step in a row has its value halved
+        f1[low] *= np.where(last[low] > 0.0, 0.5, 1.0)
+        f0[high] *= np.where(last[high] < 0.0, 0.5, 1.0)
+        u0[low], f0[low], last[low] = u[pos], fu[pos], 1.0
+        u1[high], f1[high], last[high] = u[~pos], fu[~pos], -1.0
+        done = (np.abs(m - m_last[live]) <= 1e-12) | (fu == 0.0)
+        root[live[done]] = m[done]
+        m_last[live] = m
+        live = live[~done]
+    for j in live:
+        root[j] = _mems_radial_root(t[k[j]], N, lambda1)
+    out[k] = root
+    return out
 
 
 def mems_ball_supnorm_bound(N: float, lambda1: Optional[float] = None) -> BoundReport:
@@ -463,8 +552,10 @@ def mems_ball_supnorm_bound(N: float, lambda1: Optional[float] = None) -> BoundR
     radial integral inequality, optimized over the window
     max(0, (N-3)/2) < t < 2+sqrt(6).
 
-    For larger N no t pins the sup norm below 1 (the extremal really touches
-    the singularity from dimension 8 on); the report then carries value 1,
+    The scan solves its 48 roots as one array (`_mems_radial_roots`); the
+    polish takes the scalar brentq root at each of its points.  For larger
+    N no t pins the sup norm below 1 (the extremal really touches the
+    singularity from dimension 8 on); the report then carries value 1,
     valid=False and no optimizer.
     """
     if not 1.0 <= N <= 11.0:
@@ -474,21 +565,10 @@ def mems_ball_supnorm_bound(N: float, lambda1: Optional[float] = None) -> BoundR
             f"no radial decay constant for dimension {N:g}")
     if lambda1 is None:
         lambda1 = spectral.lambda1_ball(N).eigenvalue
-
-    def roots(t):
-        # one brentq root per point; a failed quadrature at one point reads
-        # as +inf there and leaves the others
-        out = []
-        for x in np.atleast_1d(t):
-            try:
-                out.append(_mems_radial_root(x, N, lambda1))
-            except QuadratureError:
-                out.append(math.inf)
-        return np.array(out) if np.ndim(t) else out[0]
-
     t_best, root_best = grid_then_golden_min(
-        roots, _open_window(max(0.0, (N - 3.0) / 2.0), T_MAX_MEMS, 48))
-    pinned = root_best < 1.0 - 1e-9
+        lambda t: _mems_radial_roots(t, N, lambda1),
+        _open_window(max(0.0, (N - 3.0) / 2.0), T_MAX_MEMS, 48))
+    pinned = root_best < _M_NEAR_ONE
     return BoundReport(
         "mems_ball_supnorm_bound", root_best if pinned else 1.0,
         optimizer=t_best if pinned else None, valid=pinned,

@@ -19,7 +19,8 @@ from pullin import (DomainValidationError, DomainStats, QuadratureError,
                     radial_decay_constant, stability_necessary_check,
                     volume_unit_ball)
 from pullin.bounds import (T_MAX_MEMS, _mems_radial_integral, _mems_radial_root,
-                           _mems_radial_rhs, _open_window, _power_window)
+                           _mems_radial_roots, _mems_radial_rhs, _open_window,
+                           _power_window)
 
 MEMS = mems_inverse_power(2.0)
 EXP = exponential()
@@ -343,6 +344,14 @@ def test_radial_ball_bound_values_and_oracle():
         G = np.mean(R ** (N - 1.0) / (1.0 - m + C * R ** rho) ** (2.0 * t + 3.0))
         assert G == pytest.approx(_mems_radial_rhs(t, N), rel=1e-4)
 
+    # in every stated dimension the printed bound solves its defining
+    # equation G(m; t) = RHS(t) at its optimizer, whichever solver found it
+    for N in range(1, 8):
+        rep = mems_ball_supnorm_bound(float(N))
+        m = rep.value
+        ref = _radial_root_oracle(rep.optimizer, float(N), (m - 1e-7, m + 1e-7))
+        assert m == pytest.approx(ref, abs=1e-9)
+
 
 def test_radial_ball_bound_degenerates_in_high_dimension():
     rep = mems_ball_supnorm_bound(9.0)
@@ -513,15 +522,99 @@ def test_each_constant_scans_its_grid_in_one_array_call(monkeypatch, family):
         assert 1 <= len(shapes) - 1 <= 20 and all(s == () for s in shapes[1:])
 
 
+def _ball_window(N):
+    """The radial bound's scan grid and its points with b = q - a <= 0,
+    which are left to quadrature."""
+    t = _open_window(max(0.0, (N - 3.0) / 2.0), T_MAX_MEMS, 48)
+    q = 2.0 * t + 3.0
+    a = N * q / (4.0 * t + 6.0 - 2.0 * N)
+    return t, q - a <= 0.0
+
+
 @pytest.mark.parametrize("N", range(1, 8))
 def test_radial_ball_bound_costs_its_grid_plus_20_roots(monkeypatch, N):
-    # one root per grid point (48) and at most 20 for the polish
-    calls = []
+    # one scalar root per b <= 0 grid point and at most 20 for the polish;
+    # the b > 0 points share at most 12 array calls of the integral
+    roots, array_calls = [], []
     root = pullin.bounds._mems_radial_root
+    integral = pullin.bounds._log_radial_integral
+
+    def counted_integral(c, *args):
+        if np.ndim(c):
+            array_calls.append(np.shape(c))
+        return integral(c, *args)
+
     monkeypatch.setattr(pullin.bounds, "_mems_radial_root",
-                        lambda *args: calls.append(args) or root(*args))
+                        lambda *args: roots.append(args) or root(*args))
+    monkeypatch.setattr(pullin.bounds, "_log_radial_integral", counted_integral)
     mems_ball_supnorm_bound(float(N))
-    assert 48 < len(calls) <= 48 + 20
+    n_quad = int(np.count_nonzero(_ball_window(float(N))[1]))
+    assert n_quad < len(roots) <= n_quad + 20
+    assert 1 <= len(array_calls) <= 12
+
+
+def _root_or_inf(t, N, lam1):
+    try:
+        return _mems_radial_root(t, N, lam1)
+    except QuadratureError:
+        return math.inf
+
+
+def _radial_root_oracle(t, N, bracket):
+    """The mpmath root of G(m; t) = RHS(t) in the incomplete beta form,
+    inside `bracket`."""
+    a, q, C = _radial_integral_parameters(t, N)
+    rho = N / a
+    rhs = _mems_radial_rhs(t, N)
+    with mpmath.workdps(40):
+        def residual(m):
+            c = 1 - m
+            return (c ** (a - q) * mpmath.mpf(C) ** (-a)
+                    * mpmath.betainc(a, q - a, 0, C / (c + C)) / rho - rhs)
+        return float(mpmath.findroot(residual, tuple(map(mpmath.mpf, bracket)),
+                                     solver="anderson"))
+
+
+@pytest.mark.parametrize("N", [1.0, 2.0, 3.0, 3.5, 5.0, 7.0, 7.4, 7.5, 11.0])
+def test_radial_scan_matches_the_scalar_root_at_each_grid_point(N):
+    lam1 = lambda1_ball(N).eigenvalue
+    t, _ = _ball_window(N)
+    scan = _mems_radial_roots(t, N, lam1)
+    ref = np.array([_root_or_inf(x, N, lam1) for x in t])
+    for special in (0.0, 1.0, math.inf):
+        assert np.array_equal(scan == special, ref == special)
+    inner = (0.0 < ref) & (ref < 1.0)
+    assert np.allclose(scan[inner], ref[inner], rtol=0.0, atol=1e-10)
+
+
+def test_radial_scan_root_in_dimension_7_against_mpmath():
+    t, N = 4.30264932, 7.0
+    ref = _radial_root_oracle(t, N, ("0.9999", "0.99999"))
+    scan = _mems_radial_roots(np.array([t]), N, lambda1_ball(N).eigenvalue)
+    assert scan[0] == pytest.approx(ref, abs=1e-10)
+
+
+def test_radial_scan_past_its_step_cap_takes_the_scalar_root(monkeypatch):
+    N = 2.0
+    lam1 = lambda1_ball(N).eigenvalue
+    t, _ = _ball_window(N)
+    monkeypatch.setattr(pullin.bounds, "_SCAN_STEPS", 0)
+    ref = np.array([_mems_radial_root(x, N, lam1) for x in t])
+    assert np.array_equal(_mems_radial_roots(t, N, lam1), ref)
+
+
+def test_a_failed_quadrature_reads_inf_at_its_scan_point_only(monkeypatch):
+    N = 5.0
+    lam1 = lambda1_ball(N).eigenvalue
+    t, on_quad = _ball_window(N)
+    assert on_quad.any() and not on_quad.all()
+    good = _mems_radial_roots(t, N, lam1)
+    monkeypatch.setattr(pullin.bounds, "quad", lambda *args, **kwargs: (1.0, 0.5))
+    bad = _mems_radial_roots(t, N, lam1)
+    assert np.all(np.isfinite(good))
+    assert np.all(np.isinf(bad[on_quad]))
+    assert np.array_equal(bad[~on_quad], good[~on_quad])
+    assert format(mems_ball_supnorm_bound(N, lam1).value, ".12g") == "0.935147284024"
 
 
 def per_point_scan(f, grid):
