@@ -18,17 +18,16 @@ from .geometry import volume_unit_ball
 from .nonlinearity import (Family, Nonlinearity, VoltageConstants,
                            exponential, mems_inverse_power, power_growth)
 from .powerlaw import (MEMS_CRITICAL_DIMENSION, REGULAR_CRITICAL_DIMENSION,
-                       EnvelopePair, RateProfile, Regularity, SingularExtremal,
+                       EnvelopePair, Regularity, SingularExtremal,
                        TransformResult, alpha_critical_mems,
                        asymptotic_envelopes, classify_regularity,
-                       dim_transform, extremal_voltage_rate, singular_extremal)
+                       dim_transform, singular_extremal)
 
 _LAZY = {
     "bounds": """BoundReport DomainStats ball_stats energy_norm_bound
         eigenvalue_lower_bound exp_supnorm_bound exp_supnorm_constant
         log_weight_integral mems_ball_supnorm_bound
-        mems_ball_supnorm_closed_form mems_profile_constant mems_supnorm_bound
-        mems_supnorm_constant power_supnorm_bound power_supnorm_constant
+        mems_ball_supnorm_closed_form mems_supnorm_bound mems_supnorm_constant power_supnorm_bound power_supnorm_constant
         pullin_distance_lower pullin_voltage_upper radial_decay_constant
         stability_necessary_check""".split(),
     "branch": """Branch BranchPoint ProblemSpec RadialSolution ShootResult

@@ -12,10 +12,10 @@ exactly; a fold is a root of that slope.
 Shots run in the profile variable τ, with w = m(1 - τ²) and the radius r
 as an unknown, so the zero of w is the fixed endpoint τ = 1.  That lets one
 vectorized DOP853 run (Hairer-Nørsett-Wanner) shoot a whole grid of center
-values as lanes, under the error norm of the worst lane; `shoot` is the
-one-lane run with dense output.  The one-lane runs that need no profile
-(fold refinement and the Newton steps of `minimal_solution`) run on scipy's
-compiled DOP853 (`radial.solve_ivp`).
+values as lanes.  The grid and the one-lane runs that need no profile (fold
+refinement and the Newton steps of `minimal_solution`) run on scipy's
+compiled DOP853, and `shoot` is the one-lane run with dense output
+(`radial.solve_ivp`).
 
 Power-law weights f = |x|^α are reduced to the constant-profile problem in
 the effective fractional dimension 2(N+α)/(2+α); a direct weighted shoot
@@ -119,7 +119,8 @@ def _rescaled(shot: ShootResult, exponent: float, lam: float,
 def _shoot_lanes(F: Nonlinearity, N_eff: float, ms: np.ndarray, tol: float,
                  alpha: float = 0.0, dense: bool = False):
     """Shoot every center value in `ms` in one DOP853 run of the radial core
-    (`radial.lane_seed` and `radial.lane_rhs`, one lane per center value).
+    (`radial.lane_seed` and `radial.lane_rhs`, one lane per center value),
+    on scipy's compiled code unless `dense` (`radial.solve_ivp`).
 
     Returns (R, dλ/dm, seed radii, center series (3, n), solver result),
     with dλ/dm = (2+α) R^(1+α) (-z(R)/w'(R)).

@@ -17,13 +17,13 @@ the center series is still exact to the integrator tolerance (the right
 half-runs of `spectral` start from the edge values at τ = 1 and go back).
 
 Every run goes through `solve_ivp`, which has the signature and the result
-of scipy's.  A run of one lane without dense output (fold refinement, the
+of scipy's.  Every run without dense output (a grid, fold refinement, the
 Newton steps of `minimal_solution`, every eigen half-run) runs on scipy's
 compiled DOP853 (Hairer-Nørsett-Wanner, *Solving ODEs I*, §II.10) with the
-method, step controller and error norm of scipy's Python DOP853 (its first
-step comes out 2^(-1/8) smaller for four rows); the Python code runs the
-lanes of a grid and every dense run, under the norm of the worst lane.  One
-seed (`lane_seed`) and one right-hand side (`lane_rhs`) serve both.
+method, step controller and RMS error norm of scipy's Python DOP853, a
+grid of L lanes at its tolerances over 2√L (`_GRID_MARGIN`); the dense run
+of `shoot` runs on the Python one.  One seed (`lane_seed`) and one
+right-hand side (`lane_rhs`) serve every run.
 """
 
 from __future__ import annotations
@@ -32,16 +32,22 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import DOP853, ode
+from scipy.integrate import ode
 from scipy.integrate import solve_ivp as _scipy_solve_ivp
 from scipy.integrate._ivp.ivp import OdeResult
 
 from .errors import DomainValidationError
 from .nonlinearity import Nonlinearity
 
-# steps allowed in one compiled run (the longest one-lane run on the
-# default schedules takes 374)
+# steps allowed in one compiled run (the longest run on the default
+# schedules, the exp N = 10 grid of 400 lanes, takes 441)
 _MAX_STEPS = 100_000
+# a grid of L lanes runs at rtol and atol over _GRID_MARGIN·√L: the norm is
+# the RMS over all 4L rows, and √L makes it at least each lane's err5 term
+# (the err3 blend is formed on sums, so this is no strict per-lane bound).
+# With √L alone, the `shooting` benchmark's `err_to_tol` (worst closed-form
+# error over tol) rose 2.07e-5 -> 3.22e-5; with 2√L it fell to 1.61e-5
+_GRID_MARGIN = 2.0
 # a compiled run carries the quadrature row of an eigen-shot times
 # _ROW_SCALE: below atol its terms vanish from the error norm, which sums
 # over every row, so a row of up to about 1e97 stays out of it (a larger
@@ -179,47 +185,32 @@ def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
     return rhs
 
 
-class _LaneDOP853(DOP853):
-    """DOP853 whose error norm is that of the worst lane.
-
-    The state holds the rows (r, w', z, z') of n lanes, and in an eigen-shot
-    a trailing quadrature row, which the norm leaves out: the lane rows
-    alone set the steps.  scipy's norm is the RMS over all components, which
-    lets one lane's error grow by up to √n; the norm of the worst lane keeps
-    `tol` a promise for every shot.
-    """
-
-    def _estimate_error_norm(self, K, h, scale):
-        if K.shape[1] % 4:
-            K, scale = K[:, :-1], scale[:-1]
-        err5 = (np.dot(K.T, self.E5) / scale).reshape(4, -1)
-        err3 = (np.dot(K.T, self.E3) / scale).reshape(4, -1)
-        e5, e3 = np.sum(err5 * err5, axis=0), np.sum(err3 * err3, axis=0)
-        denom = 4.0 * (e5 + 0.01 * e3)
-        norm = np.divide(e5, np.sqrt(denom), out=np.zeros_like(e5), where=denom > 0.0)
-        return abs(h) * float(np.max(norm))
-
-
 class _CompiledDOP853:
     """scipy's compiled DOP853 (Hairer-Nørsett-Wanner's code behind
     `scipy.integrate.ode`) for one state size, with the controller of
-    scipy's Python DOP853: safety 0.9, step factors 0.2 and 10, β = 0, and
-    no stiffness test.  For one lane its error norm is that of `_LaneDOP853`.
-    Accepted steps follow the same rule; a rejected step is retried at
-    0.2 h, where the Python code takes max(0.2, 0.9 err^(-1/8)) h.
+    scipy's Python DOP853: safety 0.9, step factors 0.2 and 10, β = 0, no
+    stiffness test, and the RMS error norm.  Accepted steps follow the same
+    rule; a rejected step is retried at 0.2 h, where the Python code takes
+    max(0.2, 0.9 err^(-1/8)) h, and the first step comes out n^(-1/16)
+    smaller for n rows.  A grid records only its last state, which is all
+    `branch` reads of it; a state of up to five rows records every step.
 
     The compiled code keeps a reference to each callable it is handed
     (scipy 1.17), so an instance is reused from run to run and hands it the
-    same right-hand side each time, which calls the run's `fun`; a fresh
-    `ode` would keep its integrator, the run's closures and every recorded
-    step alive.  What is left is one bound method per run, which
-    `ode.set_initial_value` makes.
+    same callables each time: the right-hand side, which calls the run's
+    `fun`, and the integrator's `_solout`, bound once here since
+    `ode.set_initial_value` hands over that attribute on every run.  A
+    fresh `ode` would keep its integrator, the run's closures and every
+    recorded step alive.
     """
 
     def __init__(self, size: int):
         self.ode = ode(self._rhs).set_integrator(
             "dop853", nsteps=_MAX_STEPS, safety=0.9, dfactor=0.2, ifactor=10.0, beta=0.0)
-        self.ode.set_solout(self._record)
+        integrator = self.ode._integrator
+        integrator._solout = integrator._solout
+        if size <= 5:
+            self.ode.set_solout(self._record)
         self.nan = (math.nan,) * size
         self.fun, self.row_scale = None, 1.0
         self.steps: list = []
@@ -239,9 +230,10 @@ class _CompiledDOP853:
 
     def run(self, fun, t_span, y0: np.ndarray, rtol: float, atol: float,
             row_scale: float = 1.0):
-        """(t, *y) at every accepted step, RHS evaluations and the return
-        code of one run, with the last row's derivative times `row_scale`.
-        An exception raised by `fun` is raised again as itself."""
+        """(t, *y) at every recorded step (at the end if none is recorded),
+        RHS evaluations and the return code of one run, with the last row's
+        derivative times `row_scale`.  An exception raised by `fun` is raised
+        again as itself."""
         solver, integrator = self.ode, self.ode._integrator
         self.fun, self.row_scale, self.steps, self.errors = fun, row_scale, [], []
         integrator.rtol, integrator.atol = rtol, atol
@@ -257,20 +249,22 @@ class _CompiledDOP853:
             self.errors = []
         if errors:
             raise errors[0]
-        return self.steps, int(integrator.iwork[16]), solver.get_return_code()
+        steps = self.steps or [(solver.t, *solver.y.tolist())]
+        return steps, int(integrator.iwork[16]), solver.get_return_code()
 
 
 _IDLE: dict[int, _CompiledDOP853] = {}
 
 
 def _compiled_run(fun, t_span, y0: np.ndarray, rtol: float, atol: float) -> OdeResult:
-    """One-lane run on the compiled DOP853.  A fifth row is a quadrature
-    row: it rides scaled by `_ROW_SCALE`, and rtol and atol shrink by
-    √(4/5), so that the norm over the five rows is that of the four lane
-    rows."""
+    """A run on the compiled DOP853.  A fifth row is a quadrature row: it
+    rides scaled by `_ROW_SCALE`, and rtol and atol shrink by √(4/5), so
+    that the norm over the five rows is that of the four lane rows.  A grid
+    of L ≥ 2 lanes runs at rtol and atol over `_GRID_MARGIN`·√L."""
     size = len(y0)
     row_scale = _ROW_SCALE if size == 5 else 1.0
-    shrink = math.sqrt(0.8) if size == 5 else 1.0
+    shrink = (math.sqrt(0.8) if size == 5 else 1.0 if size < 8
+              else 1.0 / (_GRID_MARGIN * math.sqrt(size // 4)))
     start = y0.copy()
     start[4:] *= row_scale
     # taken out while it runs, so a nested or concurrent run gets its own
@@ -280,7 +274,7 @@ def _compiled_run(fun, t_span, y0: np.ndarray, rtol: float, atol: float) -> OdeR
                                        row_scale)
     finally:
         _IDLE[size] = solver
-    table = np.array(steps or [(t_span[0], *start)]).T
+    table = np.array(steps).T
     y = table[1:]
     y[4:] /= row_scale
     message = solver.ode._integrator.messages.get(code, f"return code {code}")
@@ -294,16 +288,15 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float, dense_output: bool = Fa
 
     `y0` holds the rows (r, w', z, z') of each lane and, in an eigen-shot,
     a trailing quadrature row that `fun` does not read and the error norm
-    leaves out.  A run of one lane without dense output runs on scipy's
-    compiled DOP853 (`_CompiledDOP853`): the method, controller and norm of
-    scipy's Python DOP853 at about a quarter of its cost per step.  Lanes
-    and dense runs run on scipy's `solve_ivp` under the worst-lane norm
-    (`_LaneDOP853`).
-    Either way `y` holds the state at every accepted step, and `nfev`
-    counts the evaluations of `fun`.
+    leaves out.  A dense run (always one lane, `shoot`) runs on scipy's
+    `solve_ivp` with `method="DOP853"`, whose norm over four rows is the
+    lane's.  Every other run, one lane or a grid, runs on scipy's compiled
+    DOP853 (`_CompiledDOP853`) at about a quarter of the Python cost per
+    step.  `y` holds the state at every accepted step of one lane and only
+    the last state of a grid; `nfev` counts the evaluations of `fun`.
     """
     y0 = np.asarray(y0, dtype=float)
-    if dense_output or len(y0) > 5:
-        return _scipy_solve_ivp(fun, t_span, y0, method=_LaneDOP853, rtol=rtol,
-                                atol=atol, dense_output=dense_output)
+    if dense_output:
+        return _scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+                                dense_output=True)
     return _compiled_run(fun, t_span, y0, rtol, atol)

@@ -19,8 +19,8 @@ point of the potential.  The Prüfer angles of the two halves, continued by
 at the principal eigenvalue, so a higher mode can never be returned; one
 quadrature row per half gives the mismatch's derivative, and Newton steps
 inside the Rayleigh bracket find ν₁.  Every half-run is a one-lane run on
-scipy's compiled DOP853 (`radial.solve_ivp`), whose error norm leaves the
-quadrature row out.
+scipy's compiled DOP853 (`radial.solve_ivp`), which carries the quadrature
+row scaled far below atol, so that the row sets no step.
 """
 
 from __future__ import annotations

@@ -12,15 +12,14 @@ from pullin import (DomainValidationError, DomainStats, QuadratureError,
                     exp_supnorm_constant, eigenvalue_lower_bound, exponential,
                     lambda1_ball, log_weight_integral, mems_ball_supnorm_bound,
                     mems_ball_supnorm_closed_form,
-                    mems_inverse_power, mems_profile_constant,
-                    mems_supnorm_bound, mems_supnorm_constant,
+                    mems_inverse_power, mems_supnorm_bound, mems_supnorm_constant,
                     power_growth, power_supnorm_constant,
                     pullin_distance_lower, pullin_voltage_upper,
                     radial_decay_constant, stability_necessary_check,
                     volume_unit_ball)
 from pullin.bounds import (T_MAX_MEMS, _mems_radial_integral, _mems_radial_root,
                            _mems_radial_roots, _mems_radial_rhs, _open_window,
-                           _power_window)
+                           _power_window, mems_profile_constant)
 
 MEMS = mems_inverse_power(2.0)
 EXP = exponential()

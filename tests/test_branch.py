@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853, solve_bvp
+from scipy.integrate import solve_bvp
 from scipy.optimize import minimize_scalar
 
 import pullin
@@ -306,39 +306,23 @@ def test_shoot_integrates_at_most_twice(monkeypatch):
 
 
 def test_branch_grid_is_one_integration(monkeypatch):
-    methods = []
-    real = pullin.radial._scipy_solve_ivp
+    runs = []
+    real = pullin.radial._compiled_run
 
     def counting(*args, **kwargs):
-        methods.append((len(args[2]), kwargs["method"]))
+        runs.append(len(args[2]))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pullin.radial, "_scipy_solve_ivp", counting)
+    def python(*args, **kwargs):
+        raise AssertionError("a grid ran on scipy's solve_ivp")
+
+    monkeypatch.setattr(pullin.radial, "_compiled_run", counting)
+    monkeypatch.setattr(pullin.radial, "_scipy_solve_ivp", python)
     # exp N = 10 is singular: no fold, so no fold refinement runs
     b = solve_branch(ProblemSpec(10.0, EXP), pullin.default_m_grid(EXP, 61))
     assert not b.fold_found
-    # one run of all 61 lanes, under the error norm of the worst lane
-    assert methods == [(4 * 61, pullin.radial._LaneDOP853)]
-
-
-def test_lane_error_norm_is_the_worst_lane():
-    # scipy's RMS over all components would divide one lane's error by
-    # sqrt(n) when n - 1 quiet lanes share the run
-    rng = np.random.default_rng(0)
-    K1, scale1 = rng.standard_normal((13, 4)), 1.0 + rng.random(4)
-    n = 50
-    K, scale = np.zeros((13, 4, n)), np.ones((4, n))
-    K[:, :, 7], scale[:, 7] = K1, scale1
-    solver = lambda size: pullin.radial._LaneDOP853(
-        lambda t, y: np.zeros_like(y), 0.0, np.zeros(size), 1.0)
-    one = solver(4)._estimate_error_norm(K1, 0.1, scale1)
-    assert one == pytest.approx(DOP853._estimate_error_norm(solver(4), K1, 0.1, scale1),
-                                rel=1e-14)
-    assert solver(4 * n)._estimate_error_norm(
-        K.reshape(13, 4 * n), 0.1, scale.reshape(4 * n)) == pytest.approx(one, rel=1e-14)
-    # the trailing quadrature row of an eigen-shot is left out
-    K5 = np.hstack((K1, 1e6 * rng.standard_normal((13, 1))))
-    assert solver(5)._estimate_error_norm(K5, 0.1, np.append(scale1, 1e-12)) == one
+    # one compiled run of all 61 lanes
+    assert runs == [4 * 61]
 
 
 def test_lane_keeps_its_own_tolerance_in_a_grid():
@@ -351,12 +335,30 @@ def test_lane_keeps_its_own_tolerance_in_a_grid():
     assert abs(slope[0] - alone.dlam_dm) <= 1e-9
 
 
-def test_every_lane_of_a_dense_disc_grid_meets_tolerance():
-    tol = 1e-10
-    grid = pullin.default_m_grid(EXP, 400)
-    b = solve_branch(ProblemSpec(2.0, EXP), grid, tol=tol)
-    ref = _disc_lambda(grid)
-    assert np.all(np.abs(b.lambda_values - ref) <= tol * np.maximum(1.0, ref))
+def _disc_slope(m):
+    a = np.expm1(np.asarray(m) / 2.0)
+    return 4.0 * (1.0 - a) / (1.0 + a) ** 2
+
+
+def _interval_branch(m):
+    # λ = 2c²/cosh²c with cosh c = e^(m/2), and its slope dλ/dm
+    m = np.asarray(m)
+    cosh, sinh = np.exp(m / 2.0), np.sqrt(np.expm1(m))
+    c = np.log1p(np.expm1(m / 2.0) + sinh)
+    return (2.0 * c * c / cosh ** 2,
+            2.0 * c * (cosh - c * sinh) / (cosh ** 2 * sinh))
+
+
+@pytest.mark.parametrize("N", [1.0, 2.0])
+@pytest.mark.parametrize("lanes", [61, 400])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_every_lane_of_a_dense_disc_grid_meets_tolerance(tol, lanes, N):
+    # the interval (N = 1) and disc (N = 2) branches in closed form
+    grid = pullin.default_m_grid(EXP, lanes)
+    R, slope, *_ = pullin.branch._shoot_lanes(EXP, N, grid, tol)
+    lam, ref = _interval_branch(grid) if N == 1.0 else (_disc_lambda(grid), _disc_slope(grid))
+    assert np.all(np.abs(R ** 2 - lam) <= tol * np.maximum(1.0, lam))
+    assert np.all(np.abs(slope - ref) <= tol * np.maximum(1.0, np.abs(ref)))
 
 
 def test_profile_inside_seed_radius_follows_the_series():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from pullin import (DomainValidationError, MEMS_CRITICAL_DIMENSION,
                     Regularity, alpha_critical_mems, asymptotic_envelopes,
                     classify_regularity, dim_transform, exponential,
-                    extremal_voltage_rate, mems_inverse_power, power_growth,
-                    singular_extremal)
+                    mems_inverse_power, power_growth, singular_extremal)
+from pullin.powerlaw import extremal_voltage_rate
 
 MEMS = mems_inverse_power(2.0)
 EXP = exponential()

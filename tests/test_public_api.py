@@ -13,13 +13,13 @@ EXPORTED = sorted("""
     DomainStats DomainValidationError EigenPair EnvelopePair Family
     MEMS_CRITICAL_DIMENSION NoCrossingError Nonlinearity ProblemSpec
     PullInError QuadratureError REGULAR_CRITICAL_DIMENSION RadialSolution
-    RateProfile Regularity ShootResult SingularExtremal TransformResult
+    Regularity ShootResult SingularExtremal TransformResult
     VoltageConstants alpha_critical_mems asymptotic_envelopes ball_stats
     classify_regularity default_m_grid dim_transform dudlambda
     eigenvalue_lower_bound energy_norm_bound exp_supnorm_bound
-    exp_supnorm_constant exponential extremal_voltage_rate lambda1_ball
+    exp_supnorm_constant exponential lambda1_ball
     log_weight_integral mems_ball_supnorm_bound mems_ball_supnorm_closed_form
-    mems_inverse_power mems_profile_constant mems_supnorm_bound
+    mems_inverse_power mems_supnorm_bound
     mems_supnorm_constant minimal_solution mu1 power_growth
     power_supnorm_bound power_supnorm_constant pullin_distance_lower
     pullin_voltage_upper radial_decay_constant shoot singular_extremal

@@ -1,5 +1,6 @@
-"""The runner of the radial core: one lane without dense output runs on
-scipy's compiled DOP853, lanes and dense runs on scipy's `solve_ivp`."""
+"""The runner of the radial core: every run without dense output, one lane
+or a grid, runs on scipy's compiled DOP853, a dense run on scipy's
+`solve_ivp`."""
 
 import gc
 import math
@@ -36,8 +37,8 @@ def test_one_lane_run_matches_its_lane_in_a_pair(monkeypatch, F, m, partner, N, 
     sizes = _count_python_runs(monkeypatch)
     R1, slope1, *_ = branch._shoot_lanes(F, N, np.array([m]), tol, alpha)
     R2, slope2, *_ = branch._shoot_lanes(F, N, np.array([m, partner]), tol, alpha)
-    # only the pair ran on scipy's solve_ivp
-    assert sizes == [8]
+    # neither run went to scipy's solve_ivp
+    assert sizes == []
     lam1, lam2 = (float(R[0]) ** (2.0 + alpha) for R in (R1, R2))
     assert abs(lam1 - lam2) <= tol * max(1.0, lam2)
     assert abs(slope1[0] - slope2[0]) <= tol * max(1.0, abs(slope2[0]))
@@ -59,10 +60,10 @@ def test_a_quadrature_row_stays_out_of_the_error_norm():
     # whatever the size of the row, it sets no step
     assert np.array_equal(small.t, large.t)
     assert np.array_equal(small.y[:4], large.y[:4])
-    # the same run on scipy's Python DOP853, which leaves the row out of
-    # the norm by construction: every row agrees to the tolerance
+    # the same run on scipy's Python DOP853, whose norm takes in all five
+    # rows: every row agrees to the tolerance
     python = radial._scipy_solve_ivp(rhs, (tau0, 1.0), np.append(y0, 1e-9),
-                                     method=radial._LaneDOP853, rtol=tol, atol=tol * 1e-2)
+                                     method="DOP853", rtol=tol, atol=tol * 1e-2)
     assert np.allclose(small.y[:, -1], python.y[:, -1], rtol=10 * tol, atol=0.0)
 
 
@@ -104,16 +105,20 @@ def test_an_exception_in_the_rhs_arrives_as_itself(size):
 
 
 def test_one_lane_runs_keep_no_objects_alive():
-    F, ms = mems_inverse_power(2.0), np.array([0.3])
-    branch._shoot_lanes(F, 2.0, ms, 1e-6)
-    spectral.mu1(2.0, F, pullin.shoot(F, 2.0, 0.3).lam, pullin.shoot(F, 2.0, 0.3), 1e-4)
-    gc.collect()
-    before = len(gc.get_objects())
-    for _ in range(2000):
-        branch._shoot_lanes(F, 2.0, ms, 1e-6)
-    gc.collect()
-    assert len(gc.get_objects()) - before <= 2000
-    assert math.isfinite(branch._shoot_lanes(F, 2.0, ms, 1e-6)[0][0])
+    F, one, nine = mems_inverse_power(2.0), np.array([0.3]), np.linspace(0.2, 0.4, 9)
+    u = pullin.shoot(F, 2.0, 0.3)
+    runs = [(2000, lambda: branch._shoot_lanes(F, 2.0, one, 1e-6)),
+            (2000, lambda: branch._shoot_lanes(F, 2.0, nine, 1e-6)),
+            (200, lambda: spectral.mu1(2.0, F, u.lam, u, 1e-4))]
+    for count, run in runs:
+        run()
+        gc.collect()
+        before = len(gc.get_objects())
+        for _ in range(count):
+            run()
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 50
+    assert math.isfinite(branch._shoot_lanes(F, 2.0, one, 1e-6)[0][0])
 
 
 FAMILIES = [exponential(), mems_inverse_power(2.0), power_growth(3.0)]
