@@ -9,13 +9,17 @@ included, and the bifurcation diagram is just the sampled curve m -> λ(m).
 Each shot also carries the tangent z = ∂w/∂m, which gives the slope dλ/dm
 exactly; a fold is a root of that slope.
 
-Shots run in the profile variable τ, with w = m(1 - τ²) and the radius r
-as an unknown, so the zero of w is the fixed endpoint τ = 1.  That lets one
-vectorized DOP853 run (Hairer-Nørsett-Wanner) shoot a whole grid of center
-values as lanes.  The grid and the one-lane runs that need no profile (fold
-refinement and the Newton steps of `minimal_solution`) run on scipy's
-compiled DOP853, and `shoot` is the one-lane run with dense output
-(`radial.solve_ivp`).
+A shot runs in the profile variable τ, with w = m(1 - τ²) and the radius
+r as an unknown, so the zero of w is the fixed endpoint τ = 1.  `shoot` is
+that one-lane run with dense output, and the Newton steps of
+`minimal_solution` are the same run without it (`radial.solve_ivp`).
+
+A branch needs no shot at all.  By the scaling symmetry of each family
+(`Nonlinearity.scaling_law`) every center value m is a level ℓ(m) on the
+one solution w₀ with center value 0, so `solve_branch` reads λ and dλ/dm at
+every grid point, and the fold, off one run of w₀ in Emden-Fowler
+variables (`radial.trajectory_seed`), on scipy's compiled DOP853
+(Hairer-Nørsett-Wanner).
 
 Power-law weights f = |x|^α are reduced to the constant-profile problem in
 the effective fractional dimension 2(N+α)/(2+α); a direct weighted shoot
@@ -36,12 +40,16 @@ from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError)
 from .nonlinearity import Nonlinearity
 from .powerlaw import TransformResult, dim_transform
-from .radial import lane_rhs, lane_seed, series_value, solve_ivp
+from .radial import (lane_rhs, lane_seed, series_value, solve_ivp, trajectory_rhs,
+                     trajectory_rtol, trajectory_seed, trajectory_voltage)
 
 DEFAULT_TOL = 1e-10
 # tolerance of each μ₁ that `solve_branch` fills (its own tol if larger),
 # relative to max(1, |μ₁|)
 _STABILITY_TOL = 1e-6
+# absolute and relative tolerance in t = log ℓ of the fold's brentq: a few
+# ulps, the least scipy's brentq takes
+_FOLD_XTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -116,23 +124,23 @@ def _rescaled(shot: ShootResult, exponent: float, lam: float,
     return RadialSolution(shot.m, lam, shot.N_eff, alpha, _evaluate=evaluate)
 
 
-def _shoot_lanes(F: Nonlinearity, N_eff: float, ms: np.ndarray, tol: float,
-                 alpha: float = 0.0, dense: bool = False):
-    """Shoot every center value in `ms` in one DOP853 run of the radial core
-    (`radial.lane_seed` and `radial.lane_rhs`, one lane per center value),
-    on scipy's compiled code unless `dense` (`radial.solve_ivp`).
+def _shoot_lane(F: Nonlinearity, N_eff: float, m: float, tol: float,
+                alpha: float = 0.0, dense: bool = False):
+    """Shoot the center value m in one run of the radial core
+    (`radial.lane_seed` and `radial.lane_rhs`), on scipy's compiled code
+    unless `dense` (`radial.solve_ivp`).
 
-    Returns (R, dλ/dm, seed radii, center series (3, n), solver result),
-    with dλ/dm = (2+α) R^(1+α) (-z(R)/w'(R)).
+    Returns (R, dλ/dm, seed radius, center series (a1, a2, a3), solver
+    result), with dλ/dm = (2+α) R^(1+α) (-z(R)/w'(R)).
     """
-    tau0, y0, eps, a = lane_seed(F, N_eff, ms, tol, alpha)
-    sol = solve_ivp(lane_rhs(F, N_eff, ms, alpha), (tau0, 1.0), y0, rtol=tol,
+    tau0, y0, eps, a = lane_seed(F, N_eff, m, tol, alpha)
+    sol = solve_ivp(lane_rhs(F, N_eff, m, alpha), (tau0, 1.0), y0, rtol=tol,
                     atol=tol * 1e-2, dense_output=dense)
     if not sol.success:
         raise NoCrossingError(
-            f"shooting run failed (family {F.label()}, N_eff={N_eff}, "
-            f"m in [{ms[0]}, {ms[-1]}]): {sol.message}")
-    R, dw, z, _ = sol.y[:, -1].reshape(4, -1)
+            f"shooting run failed (family {F.label()}, N_eff={N_eff}, m={m}): "
+            f"{sol.message}")
+    R, dw, z, _ = sol.y[:, -1].tolist()
     return R, (2.0 + alpha) * R ** (1.0 + alpha) * (-z / dw), eps, a, sol
 
 
@@ -168,7 +176,7 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
     """First zero R of w'' + (N-1)/r w' + r^α F(w) = 0, w(0)=m, w'(0)=0, the
     voltage λ = R^(2+α) and its slope dλ/dm along the branch.
 
-    The one-lane run of the shooting core (see `_shoot_lanes`), with dense
+    The one-lane run of the shooting core (see `_shoot_lane`), with dense
     output for the profile.
     """
     dim_transform(N_eff, alpha)  # refuses N_eff and alpha outside its domain
@@ -176,11 +184,8 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
         raise DomainValidationError(
             f"center value must lie in (0, {F.endpoint}), got {m}")
 
-    R, slope, eps, a, sol = _shoot_lanes(F, N_eff, np.array([float(m)]), tol, alpha,
-                                         dense=True)
-    R = float(R[0])
-    return ShootResult(R, R ** (2.0 + alpha), float(slope[0]), m, N_eff, alpha,
-                       float(eps[0]), tuple(float(aj) for aj in a[:, 0]),
+    R, slope, eps, a, sol = _shoot_lane(F, N_eff, m, tol, alpha, dense=True)
+    return ShootResult(R, R ** (2.0 + alpha), slope, m, N_eff, alpha, eps, a,
                        _rows_at_radius(sol, float(m)))
 
 
@@ -252,11 +257,12 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
     and (optionally) the stability eigenvalue at every point, to within
     max(tol, 1e-6) * max(1, |μ₁|).
 
-    The whole grid is shot in one lane run.  The stable branch is the
+    The whole grid is read off one run of the Emden-Fowler trajectory
+    (`_trajectory`), one step per grid point.  The stable branch is the
     leading run of grid points where dλ/dm > 0, and the fold is the brentq
-    root of dλ/dm (one-lane runs) in the grid cell that ends it.  A schedule
-    that starts with dλ/dm <= 0 starts past the fold: it has no stable point
-    and no fold.
+    root of dλ/dm on the same trajectory, in the grid cell that ends it,
+    where q = dℓ/d log ρ crosses 2/κ.  A schedule that starts with
+    dλ/dm <= 0 starts past the fold: it has no stable point and no fold.
 
     Power-law problems are solved through the constant-profile reduction in
     the effective dimension and rescaled back, which preserves center values
@@ -277,21 +283,19 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
             raise DomainValidationError(
                 f"m_grid must lie inside (0, {F.endpoint})")
 
-    R, slopes, *_ = _shoot_lanes(F, tr.N_eff, grid, tol)
-    lam_core = R ** 2.0
+    law = F.scaling_law()
+    levels = law.level(grid)
+    point = _trajectory(F, tr.N_eff, levels, tol)
+    ts = np.log(levels)
+    lam_core, slopes = (np.array(v) for v in zip(*map(point, ts)))
     n_stable = int(np.logical_and.accumulate(slopes > 0.0).sum())
     if 0 < n_stable < len(grid):
         k = n_stable - 1
-        known = {grid[j]: (lam_core[j], slopes[j]) for j in (k, k + 1)}
-
-        def slope(m):
-            if m not in known:
-                R_m, slope_m, *_ = _shoot_lanes(F, tr.N_eff, np.array([m]), tol)
-                known[m] = (float(R_m[0]) ** 2.0, float(slope_m[0]))
-            return known[m][1]
-
-        m_star = brentq(slope, grid[k], grid[k + 1], xtol=tol * max(1.0, grid[k + 1]))
-        lam_star_core = max(known[m_star][0], float(np.max(lam_core)))
+        # each evaluation is one step, so the root is polished to a few ulps in t
+        t_star = brentq(lambda t: point(t)[1], ts[k], ts[k + 1],
+                        xtol=_FOLD_XTOL, rtol=_FOLD_XTOL)
+        m_star = float(law.center_value(math.exp(t_star)))
+        lam_star_core = max(point(t_star)[0], float(np.max(lam_core)))
     else:
         m_star, lam_star_core = math.nan, float(np.max(lam_core))
 
@@ -309,6 +313,42 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
 
     return Branch(problem, points, lam_star_core * tr.voltage_factor,
                   float(m_star), n_stable, skipped)
+
+
+def _trajectory(F: Nonlinearity, N_eff: float, levels: np.ndarray, tol: float):
+    """t -> (λ, dλ/dm) at the level ℓ = e^t of the Emden-Fowler trajectory
+    (`radial.trajectory_seed`), for ℓ between the first and the last of the
+    increasing `levels`.
+
+    One main run records its steps from the seed, below the first level, to
+    the last level; each t is then read with one step from the last
+    recorded step below it, so that a point's bits depend only on the steps
+    below it.  Readings are kept, so the brentq of the fold reuses the
+    grid's.
+    """
+    rtol = trajectory_rtol(tol)
+    t0, rows0, y0 = trajectory_seed(F, N_eff, tol, float(levels[0]))
+    rhs = trajectory_rhs(F, N_eff)
+
+    def run(t_span, rows, first_step=None):
+        sol = solve_ivp(rhs, t_span, rows, rtol=rtol, atol=0.0, first_step=first_step)
+        if not sol.success:
+            raise NoCrossingError(
+                f"trajectory run failed (family {F.label()}, N_eff={N_eff}, "
+                f"log-levels [{t_span[0]}, {t_span[1]}]): {sol.message}")
+        return sol
+
+    main = run((t0, math.log(levels[-1])), rows0)
+    known = {}
+
+    def point(t):
+        if t not in known:
+            k = int(np.searchsorted(main.t, t)) - 1
+            step = run((main.t[k], t), main.y[:, k], first_step=t - main.t[k])
+            known[t] = trajectory_voltage(F, y0, math.exp(t), step.y[:, -1].tolist())
+        return known[t]
+
+    return point
 
 
 def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
@@ -346,8 +386,8 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
 
     m = lo + (hi - lo) * (lam0 - lam_lo) / (lam_hi - lam_lo)
     for _ in range(100):
-        R, slope, *_ = _shoot_lanes(problem.F, tr.N_eff, np.array([m]), tol)
-        g, slope = float(R[0]) ** 2.0 - lam0, float(slope[0])
+        R, slope, *_ = _shoot_lane(problem.F, tr.N_eff, m, tol)
+        g = R ** 2.0 - lam0
         if g < 0.0:
             lo = m
         else:

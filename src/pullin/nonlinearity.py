@@ -35,12 +35,44 @@ class VoltageConstants(NamedTuple):
     recip_integral: float  # integral of du / F(u) over [0, a)
 
 
+class ScalingLaw(NamedTuple):
+    """The scaling symmetry of w'' + (N-1)/r w' + F(w) = 0 (Gelfand 1963;
+    Joseph-Lundgren 1973), which maps the solution w₀ with center value 0
+    onto the solution with any center value m.
+
+    Along w₀, the level ℓ ≥ 0 of m is the drop d = -w₀ read on the
+    family's own scale: ℓ = d for e^u (σ = 0), log(1 + d) for (1-u)^(-p)
+    (σ = -1) and -log(1 - d) for (1+u)^p (σ = +1).  The solution with
+    center value m = (e^(σℓ) - 1)/σ has its first zero where w₀ has dropped
+    to level ℓ, and its voltage is λ = ρ² e^(-κℓ) at that radius ρ of w₀.
+    """
+
+    kappa: float
+    sigma: float
+
+    def level(self, m):
+        """ℓ of the center value m: m, -log(1-m) or log(1+m)."""
+        return m if not self.sigma else np.log1p(self.sigma * m) / self.sigma
+
+    def center_value(self, level):
+        """m of the level ℓ: ℓ, 1 - e^(-ℓ) or e^ℓ - 1."""
+        return level if not self.sigma else np.expm1(self.sigma * level) / self.sigma
+
+    def drop_level(self, drop: float) -> float:
+        """ℓ of the drop d = -w₀ along w₀: d, log(1+d) or -log(1-d)."""
+        return drop if not self.sigma else -math.log1p(-self.sigma * drop) / self.sigma
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """One member of the three supported families.
 
     `p` is the exponent for the inverse-power and power-growth families and is
-    ignored for the exponential family.
+    ignored for the exponential family.  Each family writes its derivatives
+    once (`derivative`) and its scaling symmetry once (`scaling_law`): the
+    solutions of w'' + (N-1)/r w' + F(w) = 0 for all center values are
+    rescalings of the one with center value 0, which is what lets a whole
+    branch come from one run.
     """
 
     family: Family
@@ -110,6 +142,21 @@ class Nonlinearity:
             c *= p - j
         e = p - order
         return (lambda u: (1.0 + u) ** e) if order == 0 else (lambda u: c * (1.0 + u) ** e)
+
+    def scaling_law(self) -> ScalingLaw:
+        """(κ, σ) of the family's scaling symmetry (see `ScalingLaw`):
+        (1, 0) for e^u, (p+1, -1) for (1-u)^(-p) and (p-1, +1) for
+        (1+u)^p.  With a = log ρ, q = dℓ/da and y = log λ along w₀,
+
+            dy/da = 2 - κq,    dq/da = (2-N) q + σq² + e^y,
+
+        so dλ/dm = 0 where q = 2/κ.
+        """
+        if self.family is Family.EXPONENTIAL:
+            return ScalingLaw(1.0, 0.0)
+        if self.family is Family.MEMS_INVERSE_POWER:
+            return ScalingLaw(self.p + 1.0, -1.0)
+        return ScalingLaw(self.p - 1.0, 1.0)
 
     def deriv_inverse(self, z: float) -> float:
         """The unique v >= 0 with F'(v) = z, clamped to 0 for z < F'(0).

@@ -1,10 +1,8 @@
-"""The radial integration core: center series, lane seed and right-hand
-side in the profile variable.
+"""The radial integration core: center series, the one-lane run in the
+profile variable, and the Emden-Fowler trajectory of the scaling symmetry.
 
-Every radial integration is a run of this core: `branch` shoots a grid of
-center values as lanes, and each eigen-shot of `spectral` is a one-lane run
-with a shift ν in the tangent equation.  A run integrates, for each center
-value m, the profile w with its linear mode z,
+A one-lane run integrates, for one center value m, the profile w with its
+linear mode z,
 
     w'' + (N-1)/r w' + r^α F(w) = 0,             w(0) = m,
     z'' + (N-1)/r z' + r^α (ν + F'(w)) z = 0,    z(0) = 1,
@@ -15,15 +13,23 @@ removable singularity of (N-1)/r at r = 0 rules out starting at the
 center, so each run from the center starts at a small seed radius where
 the center series is still exact to the integrator tolerance (the right
 half-runs of `spectral` start from the edge values at τ = 1 and go back).
+`shoot`, the Newton steps of `minimal_solution` and every eigen half-run
+of `spectral` are one-lane runs (`lane_seed`, `lane_rhs`).
+
+A whole branch comes from one run of the trajectory instead: by the
+scaling symmetry of each family (`Nonlinearity.scaling_law`) every center
+value m is a level ℓ(m) on the one solution w₀ with center value 0, and
+the voltage and its slope there are functions of the two rows
+(y, q) = (log λ, dℓ/d log ρ) of w₀ at that level (`trajectory_seed`,
+`trajectory_rhs`, `trajectory_voltage`).  The trajectory runs in
+t = log ℓ under a pure relative error control (`trajectory_rtol`).
 
 Every run goes through `solve_ivp`, which has the signature and the result
-of scipy's.  Every run without dense output (a grid, fold refinement, the
-Newton steps of `minimal_solution`, every eigen half-run) runs on scipy's
-compiled DOP853 (Hairer-Nørsett-Wanner, *Solving ODEs I*, §II.10) with the
-method, step controller and RMS error norm of scipy's Python DOP853, a
-grid of L lanes at its tolerances over 2√L (`_GRID_MARGIN`); the dense run
-of `shoot` runs on the Python one.  One seed (`lane_seed`) and one
-right-hand side (`lane_rhs`) serve every run.
+of scipy's.  Every run without dense output (the trajectory and its
+steps, the Newton steps of `minimal_solution`, every eigen half-run) runs
+on scipy's compiled DOP853 (Hairer-Nørsett-Wanner, *Solving ODEs I*,
+§II.10) with the method, step controller and RMS error norm of scipy's
+Python DOP853; the dense run of `shoot` runs on the Python one.
 """
 
 from __future__ import annotations
@@ -37,17 +43,23 @@ from scipy.integrate import solve_ivp as _scipy_solve_ivp
 from scipy.integrate._ivp.ivp import OdeResult
 
 from .errors import DomainValidationError
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, ScalingLaw
 
-# steps allowed in one compiled run (the longest run on the default
-# schedules, the exp N = 10 grid of 400 lanes, takes 441)
+# steps allowed in one compiled run
 _MAX_STEPS = 100_000
-# a grid of L lanes runs at rtol and atol over _GRID_MARGIN·√L: the norm is
-# the RMS over all 4L rows, and √L makes it at least each lane's err5 term
-# (the err3 blend is formed on sums, so this is no strict per-lane bound).
-# With √L alone, the `shooting` benchmark's `err_to_tol` (worst closed-form
-# error over tol) rose 2.07e-5 -> 3.22e-5; with 2√L it fell to 1.61e-5
-_GRID_MARGIN = 2.0
+# the trajectory runs at rtol = tol * _TRAJECTORY_RTOL and atol 0.  Only a
+# relative control resolves the slopes of the singular tails: on the 50-point
+# exp N = 9, 10 and 12 grids they go down to 1.4e-29, 5.1e-32 and 3.6e-23,
+# and with atol = rtol/100 the last two or three of them came out as noise
+# between 2.6e-20 and 7.4e-16, with flipped signs (spurious folds) at N = 9
+# and 10.  At tol 1e-10 the 61-point exp N = 1 grid reads λ off its closed
+# form by 5.6e-14 at tol * 1e-3, 1.5e-14 at 3e-4 and 4.2e-15 at 1e-4, where
+# the lane grid this replaced read 1.6e-14; the main runs take 21-34% more
+# steps at 1e-4 than at 1e-3
+_TRAJECTORY_RTOL = 1e-4
+# below about 1e-15 the error estimate of a step is rounding noise: at
+# tol 1e-14 (rtol 1e-18) a step of the fold's brentq failed as too small
+_TRAJECTORY_RTOL_MIN = 1e-15
 # a compiled run carries the quadrature row of an eigen-shot times
 # _ROW_SCALE: below atol its terms vanish from the error norm, which sums
 # over every row, so a row of up to about 1e97 stays out of it (a larger
@@ -102,73 +114,51 @@ def series_state(coeffs, base: float, s: float, k: float, eps: float):
             k * s / eps * (c1 + s * (2.0 * c2 + 3.0 * s * c3)))
 
 
-def lane_seed(F: Nonlinearity, N: float, ms: np.ndarray, tol: float,
+def lane_seed(F: Nonlinearity, N: float, m: float, tol: float,
               alpha: float = 0.0, nu: float = 0.0):
-    """Common start τ₀ and initial state (r, w', z, z') of a run over the
-    center values `ms`.
+    """Start τ₀ and initial state (r, w', z, z') of the one-lane run from
+    the center value m.
 
-    Each lane's seed s = r^(2+α) is where the last term of its third-order
-    center series falls to tol (relative to m for w), so the series
-    remainder stays below tol.  All lanes then start at the smallest
-    σ₀ = τ₀² among them: each takes the s where its series reads
-    w = m(1 - σ₀), which only shrinks its remainder.  Each lane's arithmetic
-    runs on Python floats and each of the two powers goes through one numpy
-    array call, so a lane of a grid has the bits of its one-lane seed.
-    Every run starts here, so tol is checked here.
+    The seed s = r^(2+α) is where the last term of the third-order center
+    series of w (relative to m) or of z falls to tol, so the series
+    remainder stays below tol, and at most a tenth of the curvature length
+    m / |a1|.  Every one-lane run starts here, so tol is checked here.
 
-    Returns (τ₀, initial state, seed radii, center series (3, n) of w).
+    Returns (τ₀, initial state, seed radius, center series (a1, a2, a3) of w).
     """
     if not 0.0 < tol < 1.0:
         raise DomainValidationError(f"tol must lie in (0, 1), got {tol}")
     k = 2.0 + alpha
-    series = [center_series(F, N, k, m, nu) for m in ms]
-    ms = [float(m) for m in ms]
-    roots = (np.array([(tol * m / abs(a[2]), tol / abs(b[2]) if b[2] else math.inf)
-                       for m, (a, b) in zip(ms, series)]) ** (1.0 / 3.0)).tolist()
-    # the last clause keeps the seed well inside the curvature length m / |a1|
-    sigma0 = min(-series_value(a, 0.0, min(*root, 0.1 * m / abs(a[0]))) / m
-                 for m, (a, _), root in zip(ms, series, roots))
-    seeds = []
-    for m, (a, _) in zip(ms, series):
-        # Newton on the cubic from its linear root, where a1 s dominates (two
-        # steps reach rounding level on the default grids, and a lane meets
-        # a step of exactly 0 after three or four)
-        a1, a2, a3 = a
-        drop = m * sigma0
-        s = -drop / a1
-        for _ in range(6):
-            step = series_value(a, drop, s) / (a1 + s * (2.0 * a2 + 3.0 * s * a3))
-            if not step:
-                break  # every later step would be exactly 0 as well
-            s -= step
-        seeds.append(s)
-    eps = (np.array(seeds) ** (1.0 / k)).tolist()
-    dw, z, dz = zip(*[(series_state(a, m, s, k, e)[1], *series_state(b, 1.0, s, k, e))
-                      for m, (a, b), s, e in zip(ms, series, seeds, eps)])
-    y0 = np.array(eps + [*dw, *z, *dz])
-    return math.sqrt(sigma0), y0, np.array(eps), np.array([a for a, _ in series]).T
+    m = float(m)
+    a, b = center_series(F, N, k, m, nu)
+    s = min((tol * m / abs(a[2])) ** (1.0 / 3.0),
+            (tol / abs(b[2])) ** (1.0 / 3.0) if b[2] else math.inf,
+            0.1 * m / abs(a[0]))
+    eps = s ** (1.0 / k)
+    tau0 = math.sqrt(-series_value(a, 0.0, s) / m)
+    dw = series_state(a, m, s, k, eps)[1]
+    y0 = np.array([eps, dw, *series_state(b, 1.0, s, k, eps)])
+    return tau0, y0, eps, a
 
 
-def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
+def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0,
              nu: float = 0.0, weight: bool = False):
-    """Right-hand side d/dτ of the rows (r, w', z, z') of every lane, with
-    d/dτ = (dr/dτ) d/dr and dr/dτ = -2mτ/w'.
+    """Right-hand side d/dτ of the rows (r, w', z, z') of the one-lane run
+    from the center value m, with d/dτ = (dr/dτ) d/dr and dr/dτ = -2mτ/w'.
 
     Near the center (α = 0) w' ~ r and m - w ~ r², so dr/dτ stays finite,
     where dr/dσ in σ = τ² would blow up like σ^(-1/2).  Since w stays in
-    [0, m], F and F' need no domain check (`F.derivative`).  One lane
-    runs on Python floats, since numpy would cost more in call overhead than
-    the formula, and returns a tuple.  With `weight` (one lane only) a fifth
-    row carries the weighted square integral ∫ r^(N-1) z² dr of the linear
-    mode.
+    [0, m], F and F' need no domain check (`F.derivative`).  It runs on
+    Python floats, since numpy would cost more in call overhead than the
+    formula, and returns a tuple.  With `weight` a fifth row carries the
+    weighted square integral ∫ r^(N-1) z² dr of the linear mode.
     """
     c = N - 1.0
     f0, f1 = F.derivative(0), F.derivative(1)
-    one = len(ms) == 1
-    m = float(ms[0]) if one else ms
+    m = float(m)
 
     def rhs(tau, y):
-        r, dw, z, dz = y.tolist()[:4] if one else y.reshape(4, -1)
+        r, dw, z, dz = y.tolist()[:4]
         tau = float(tau)
         w = m * (1.0 - tau * tau)
         dr = -2.0 * tau * m / dw
@@ -178,11 +168,103 @@ def lane_rhs(F: Nonlinearity, N: float, ms: np.ndarray, alpha: float = 0.0,
             f, fp = ra * f, ra * fp
         cr = c / r
         rows = (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
-        if not one:
-            return np.concatenate(rows)
         return rows + (r ** c * z * z * dr,) if weight else rows
 
     return rhs
+
+
+def _singular_voltage(law: ScalingLaw, N: float) -> float:
+    """e^y* = q*(N - 2 - σq*) of the trajectory's singular point
+    (y*, q*) with q* = 2/κ; the point exists where this is positive."""
+    q_star = 2.0 / law.kappa
+    return q_star * (N - 2.0 - law.sigma * q_star)
+
+
+def trajectory_rtol(tol: float) -> float:
+    """rtol of a trajectory run at tol, whose atol is 0."""
+    return max(tol * _TRAJECTORY_RTOL, _TRAJECTORY_RTOL_MIN)
+
+
+def trajectory_seed(F: Nonlinearity, N: float, tol: float, level_max: float):
+    """Start t₀ = log ℓ₀, rows (η, u) and origin y₀ of the Emden-Fowler
+    trajectory of w₀, the solution with center value 0 (`ScalingLaw`).
+
+    The trajectory is the curve (y, q) = (log λ, dℓ/da) over the level ℓ,
+    with a = log ρ on w₀.  Its rows are η = y - y₀ and u = log(q/q*) with
+    q* = 2/κ, so the fold dλ/dm = 0 is where u crosses 0.  y₀ is y* of the
+    singular point (y*, q*) (`_singular_voltage`) where that exists, and 0
+    otherwise.  A tail that converges onto the singular point keeps its
+    relative accuracy under a pure relative error control, and u, unlike
+    q - q*, keeps the digits of q ~ ℓ near the center (with q - q*, step
+    control near the seed chases rounding noise: the inverse-square disc
+    took 42,424 RHS evaluations in its main run, against 2,958 with u).
+
+    The run starts from the third-order center series of w₀
+    (`center_series` at m = 0) in s = ρ², at the s where the series' last
+    term falls to the run's rtol relative to its first, so the remainder
+    stays below rtol, or lower, at half of `level_max`, so that every level
+    read off lies above the start.  Every trajectory run starts here, so
+    tol is checked here.
+    """
+    if not 0.0 < tol < 1.0:
+        raise DomainValidationError(f"tol must lie in (0, 1), got {tol}")
+    law = F.scaling_law()
+    a, _ = center_series(F, N, 2.0, 0.0)
+    a1, a2, a3 = a
+    s = min(math.sqrt(trajectory_rtol(tol) * abs(a1 / a3)), 0.5 * level_max / abs(a1))
+    drop = -series_value(a, 0.0, s)
+    level = law.drop_level(drop)
+    # q = dℓ/da = (dℓ/dd)·2s·dd/ds with dℓ/dd = 1/(1 - σd)
+    q = -2.0 * s * (a1 + s * (2.0 * a2 + 3.0 * s * a3)) / (1.0 - law.sigma * drop)
+    e_star = _singular_voltage(law, N)
+    y0 = math.log(e_star) if e_star > 0.0 else 0.0
+    rows = np.array([math.log(s) - law.kappa * level - y0, math.log(0.5 * law.kappa * q)])
+    return math.log(level), rows, y0
+
+
+def trajectory_rhs(F: Nonlinearity, N: float):
+    """Right-hand side d/dt of the trajectory rows (η, u) in t = log ℓ,
+    the equations of `Nonlinearity.scaling_law` with d/dt = (ℓ/q) d/da:
+
+        dη/dt = -2 (ℓ/q) expm1(u),
+        du/dt = (ℓ/q)(2 - N + σq + e^y/q),
+
+    and about the singular point, with c = N - 2 - σq*,
+
+        du/dt = (ℓ/q)(σq* expm1(u) + c expm1(η - u)),
+
+    which vanishes there without cancellation.  It runs on Python floats
+    and returns a tuple.
+    """
+    kappa, sigma = law = F.scaling_law()
+    q_star = 2.0 / kappa
+    exp, expm1 = math.exp, math.expm1
+    if _singular_voltage(law, N) > 0.0:
+        sq, c = sigma * q_star, N - 2.0 - sigma * q_star
+
+        def rhs(t, rows):
+            eta, u = rows.tolist()
+            g = exp(t - u) / q_star
+            return (-2.0 * g * expm1(u), g * (sq * expm1(u) + c * expm1(eta - u)))
+    else:
+        b = 2.0 - N
+
+        def rhs(t, rows):
+            y, u = rows.tolist()
+            q = q_star * exp(u)
+            g = exp(t) / q
+            return (-2.0 * g * expm1(u), g * (b + sigma * q + exp(y) / q))
+
+    return rhs
+
+
+def trajectory_voltage(F: Nonlinearity, y0: float, level: float, rows):
+    """(λ, dλ/dm) at the level ℓ from the trajectory rows (η, u) there:
+    λ = e^(y₀ + η) and dλ/dm = λ (2 - κq)/q · dℓ/dm = λ κ expm1(-u) e^(-σℓ)."""
+    kappa, sigma = F.scaling_law()
+    eta, u = rows
+    lam = math.exp(y0 + eta)
+    return lam, lam * kappa * math.expm1(-u) * math.exp(-sigma * level)
 
 
 class _CompiledDOP853:
@@ -192,8 +274,8 @@ class _CompiledDOP853:
     stiffness test, and the RMS error norm.  Accepted steps follow the same
     rule; a rejected step is retried at 0.2 h, where the Python code takes
     max(0.2, 0.9 err^(-1/8)) h, and the first step comes out n^(-1/16)
-    smaller for n rows.  A grid records only its last state, which is all
-    `branch` reads of it; a state of up to five rows records every step.
+    smaller for n rows, unless the run names it.  Every accepted step is
+    recorded.
 
     The compiled code keeps a reference to each callable it is handed
     (scipy 1.17), so an instance is reused from run to run and hands it the
@@ -209,8 +291,7 @@ class _CompiledDOP853:
             "dop853", nsteps=_MAX_STEPS, safety=0.9, dfactor=0.2, ifactor=10.0, beta=0.0)
         integrator = self.ode._integrator
         integrator._solout = integrator._solout
-        if size <= 5:
-            self.ode.set_solout(self._record)
+        self.ode.set_solout(self._record)
         self.nan = (math.nan,) * size
         self.fun, self.row_scale = None, 1.0
         self.steps: list = []
@@ -229,14 +310,15 @@ class _CompiledDOP853:
         self.steps.append((t, *y.tolist()))
 
     def run(self, fun, t_span, y0: np.ndarray, rtol: float, atol: float,
-            row_scale: float = 1.0):
-        """(t, *y) at every recorded step (at the end if none is recorded),
-        RHS evaluations and the return code of one run, with the last row's
-        derivative times `row_scale`.  An exception raised by `fun` is raised
-        again as itself."""
+            row_scale: float = 1.0, first_step: float = 0.0):
+        """(t, *y) at every accepted step, RHS evaluations and the return
+        code of one run, with the last row's derivative times `row_scale`
+        and the first step `first_step` (0 lets the code choose it).  An
+        exception raised by `fun` is raised again as itself."""
         solver, integrator = self.ode, self.ode._integrator
         self.fun, self.row_scale, self.steps, self.errors = fun, row_scale, [], []
         integrator.rtol, integrator.atol = rtol, atol
+        integrator.first_step = first_step
         solver.set_initial_value(y0, t_span[0])
         integrator.iwork[3] = -1  # no stiffness test, as in scipy's Python DOP853
         try:
@@ -249,29 +331,26 @@ class _CompiledDOP853:
             self.errors = []
         if errors:
             raise errors[0]
-        steps = self.steps or [(solver.t, *solver.y.tolist())]
-        return steps, int(integrator.iwork[16]), solver.get_return_code()
+        return self.steps, int(integrator.iwork[16]), solver.get_return_code()
 
 
 _IDLE: dict[int, _CompiledDOP853] = {}
 
 
-def _compiled_run(fun, t_span, y0: np.ndarray, rtol: float, atol: float) -> OdeResult:
+def _compiled_run(fun, t_span, y0: np.ndarray, rtol: float, atol: float,
+                  first_step: float = 0.0) -> OdeResult:
     """A run on the compiled DOP853.  A fifth row is a quadrature row: it
     rides scaled by `_ROW_SCALE`, and rtol and atol shrink by √(4/5), so
-    that the norm over the five rows is that of the four lane rows.  A grid
-    of L ≥ 2 lanes runs at rtol and atol over `_GRID_MARGIN`·√L."""
+    that the norm over the five rows is that of the four lane rows."""
     size = len(y0)
-    row_scale = _ROW_SCALE if size == 5 else 1.0
-    shrink = (math.sqrt(0.8) if size == 5 else 1.0 if size < 8
-              else 1.0 / (_GRID_MARGIN * math.sqrt(size // 4)))
+    row_scale, shrink = (_ROW_SCALE, math.sqrt(0.8)) if size == 5 else (1.0, 1.0)
     start = y0.copy()
     start[4:] *= row_scale
     # taken out while it runs, so a nested or concurrent run gets its own
     solver = _IDLE.pop(size, None) or _CompiledDOP853(size)
     try:
         steps, nfev, code = solver.run(fun, t_span, start, shrink * rtol, shrink * atol,
-                                       row_scale)
+                                       row_scale, first_step)
     finally:
         _IDLE[size] = solver
     table = np.array(steps).T
@@ -282,21 +361,22 @@ def _compiled_run(fun, t_span, y0: np.ndarray, rtol: float, atol: float) -> OdeR
                      status=0 if code > 0 else -1, success=code > 0, message=message)
 
 
-def solve_ivp(fun, t_span, y0, rtol: float, atol: float, dense_output: bool = False):
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float, dense_output: bool = False,
+              first_step=None):
     """A run of the radial core, with the signature and the result of
     scipy's `solve_ivp` (DOP853 and no other options).
 
-    `y0` holds the rows (r, w', z, z') of each lane and, in an eigen-shot,
-    a trailing quadrature row that `fun` does not read and the error norm
-    leaves out.  A dense run (always one lane, `shoot`) runs on scipy's
-    `solve_ivp` with `method="DOP853"`, whose norm over four rows is the
-    lane's.  Every other run, one lane or a grid, runs on scipy's compiled
+    `y0` holds the rows (r, w', z, z') of a one-lane run and, in an
+    eigen-shot, a trailing quadrature row that `fun` does not read and the
+    error norm leaves out; or the two rows of the trajectory.  A dense run
+    (`shoot`) runs on scipy's `solve_ivp` with `method="DOP853"`, whose norm
+    over four rows is the lane's.  Every other run runs on scipy's compiled
     DOP853 (`_CompiledDOP853`) at about a quarter of the Python cost per
-    step.  `y` holds the state at every accepted step of one lane and only
-    the last state of a grid; `nfev` counts the evaluations of `fun`.
+    step.  `y` holds the state at every accepted step; `nfev` counts the
+    evaluations of `fun`.
     """
     y0 = np.asarray(y0, dtype=float)
     if dense_output:
         return _scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                                dense_output=True)
-    return _compiled_run(fun, t_span, y0, rtol, atol)
+                                dense_output=True, first_step=first_step)
+    return _compiled_run(fun, t_span, y0, rtol, atol, first_step or 0.0)

@@ -101,8 +101,8 @@ def _radial_moment(psi_at: Callable, power: float) -> float:
 def _center_start(N: float, F: Nonlinearity, m: float, nu: float, rtol: float):
     """Start (τ₀, state) of a left half-run: the center seed of the radial
     core, with z(0) = 1 and the seed ball's share ε^N/N of ∫ r^(N-1) z² dr."""
-    tau0, y0, eps, _ = lane_seed(F, N, np.array([m]), rtol, nu=nu)
-    return tau0, np.append(y0, float(eps[0]) ** N / N)
+    tau0, y0, eps, _ = lane_seed(F, N, m, rtol, nu=nu)
+    return tau0, np.append(y0, eps ** N / N)
 
 
 def _half_run(N: float, F: Nonlinearity, m: float, nu: float, start, tau_end: float,
@@ -124,7 +124,7 @@ def _half_run(N: float, F: Nonlinearity, m: float, nu: float, start, tau_end: fl
     the start of a right run is no sign change.
     """
     tau0, y0 = start
-    sol = solve_ivp(lane_rhs(F, N, np.array([m]), nu=nu, weight=True), (tau0, tau_end),
+    sol = solve_ivp(lane_rhs(F, N, m, nu=nu, weight=True), (tau0, tau_end),
                     y0, rtol=rtol, atol=rtol * 1e-2)
     if not sol.success:
         raise BracketError(f"eigen shot failed at nu={nu}: {sol.message}")

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 import pullin
 from pullin import (BeyondPullInError, DomainValidationError, ProblemSpec,
@@ -305,34 +305,84 @@ def test_shoot_integrates_at_most_twice(monkeypatch):
         assert len(calls) <= 2
 
 
+def _grid_points(F, N, grid, tol=pullin.branch.DEFAULT_TOL):
+    """(λ, dλ/dm) at every center value of `grid`, read off the trajectory
+    that `solve_branch` runs."""
+    levels = F.scaling_law().level(np.asarray(grid, dtype=float))
+    point = pullin.branch._trajectory(F, N, levels, tol)
+    lam, slope = zip(*map(point, np.log(levels)))
+    return np.array(lam), np.array(slope)
+
+
 def test_branch_grid_is_one_integration(monkeypatch):
     runs = []
     real = pullin.radial._compiled_run
 
     def counting(*args, **kwargs):
-        runs.append(len(args[2]))
-        return real(*args, **kwargs)
+        sol = real(*args, **kwargs)
+        runs.append((len(args[2]), len(sol.t) - 1))
+        return sol
 
     def python(*args, **kwargs):
         raise AssertionError("a grid ran on scipy's solve_ivp")
 
     monkeypatch.setattr(pullin.radial, "_compiled_run", counting)
     monkeypatch.setattr(pullin.radial, "_scipy_solve_ivp", python)
-    # exp N = 10 is singular: no fold, so no fold refinement runs
-    b = solve_branch(ProblemSpec(10.0, EXP), pullin.default_m_grid(EXP, 61))
-    assert not b.fold_found
-    # one compiled run of all 61 lanes
-    assert runs == [4 * 61]
+    # exp N = 10 is singular and has no fold; the inverse-square disc folds
+    for prob in (ProblemSpec(10.0, EXP), ProblemSpec(2.0, MEMS)):
+        runs.clear()
+        b = solve_branch(prob, pullin.default_m_grid(prob.F, 61))
+        # every run is a trajectory run of two rows, no τ run of four: the
+        # main run, then one step for each grid level and each evaluation of
+        # the fold's brentq
+        assert all(rows == 2 for rows, _ in runs)
+        (_, main_steps), *steps = runs
+        assert main_steps > 1
+        assert [n for _, n in steps] == [1] * len(steps)
+        assert (len(steps) > 61) is b.fold_found
 
 
 def test_lane_keeps_its_own_tolerance_in_a_grid():
-    # the norm of the worst lane: a near-singular neighbour changes the
-    # steps, not what an easy lane delivers
-    tol = 1e-10
-    alone = shoot(MEMS, 2.0, 0.3, tol)
-    R, slope, *_ = pullin.branch._shoot_lanes(MEMS, 2.0, np.array([0.3, 0.9999]), tol)
-    assert abs(R[0] ** 2 - alone.lam) <= tol * max(1.0, alone.lam)
-    assert abs(slope[0] - alone.dlam_dm) <= 1e-9
+    # a point reads one step from the steps below it, so a near-singular
+    # point above it changes none of its bits
+    (lam, slope), (lam_far, slope_far) = (_grid_points(MEMS, 2.0, [0.1, 0.3, top])
+                                          for top in (0.5, 0.9999))
+    assert (lam[1], slope[1]) == (lam_far[1], slope_far[1])
+    b = solve_branch(ProblemSpec(2.0, MEMS), [0.1, 0.3, 0.5])
+    assert b.points[1].lam == lam[1]
+
+
+# singular regimes (Joseph-Lundgren): λ(m) rises over the whole default
+# schedule toward the singular voltage, with slopes down to 5e-32 at exp
+# N = 10, which only a relative error control keeps positive
+@pytest.mark.parametrize("F, N", [(EXP, 10.0), (EXP, 12.0), (MEMS, 8.0), (MEMS, 9.0),
+                                  (MEMS, 12.0)], ids=lambda v: getattr(v, "label", lambda: v)())
+def test_a_singular_tail_rises_at_every_default_grid_point(F, N):
+    b = solve_branch(ProblemSpec(N, F))
+    _, slopes = _grid_points(F, N, b.m_values)
+    assert np.all(slopes > 0.0)
+    assert b.n_stable == len(b.points) and not b.fold_found
+
+
+# the power family (1+u)² still folds at N = 8, past its singular point's
+# dimension 4 and below its Joseph-Lundgren dimension
+@pytest.mark.parametrize("F, N", [(EXP, 3.0), (EXP, 9.0), (MEMS, 2.0), (MEMS, 5.0),
+                                  (power_growth(2.0), 8.0)],
+                         ids=lambda v: getattr(v, "label", lambda: v)())
+def test_the_stable_run_ends_in_the_fold_cell_of_tight_shots(F, N):
+    def tight(m):
+        R, slope, *_ = pullin.branch._shoot_lane(F, N, m, 1e-13)
+        return R * R, slope
+
+    grid = pullin.default_m_grid(F, 25)
+    b = solve_branch(ProblemSpec(N, F), grid)
+    k = b.fold_index
+    slopes = [tight(m)[1] for m in grid[:k + 2]]
+    assert min(slopes[:-1]) > 0.0 > slopes[-1]
+    m_ref = brentq(lambda m: tight(m)[1], grid[k], grid[k + 1], xtol=1e-14)
+    lam_ref = tight(m_ref)[0]
+    assert abs(b.m_star - m_ref) <= 1e-10 * max(1.0, m_ref)
+    assert abs(b.lambda_star - lam_ref) <= 1e-10 * max(1.0, lam_ref)
 
 
 def _disc_slope(m):
@@ -355,9 +405,10 @@ def _interval_branch(m):
 def test_every_lane_of_a_dense_disc_grid_meets_tolerance(tol, lanes, N):
     # the interval (N = 1) and disc (N = 2) branches in closed form
     grid = pullin.default_m_grid(EXP, lanes)
-    R, slope, *_ = pullin.branch._shoot_lanes(EXP, N, grid, tol)
+    got = solve_branch(ProblemSpec(N, EXP), grid, tol).lambda_values
+    _, slope = _grid_points(EXP, N, grid, tol)
     lam, ref = _interval_branch(grid) if N == 1.0 else (_disc_lambda(grid), _disc_slope(grid))
-    assert np.all(np.abs(R ** 2 - lam) <= tol * np.maximum(1.0, lam))
+    assert np.all(np.abs(got - lam) <= tol * np.maximum(1.0, lam))
     assert np.all(np.abs(slope - ref) <= tol * np.maximum(1.0, np.abs(ref)))
 
 
@@ -415,13 +466,13 @@ def test_center_series_overflow_is_a_domain_error():
 
 def test_minimal_solution_takes_few_shots(monkeypatch, mems_disc_branch):
     calls = []
-    real = pullin.branch._shoot_lanes
+    real = pullin.branch._shoot_lane
 
     def counting(*args, **kwargs):
         calls.append(kwargs.get("dense", False))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pullin.branch, "_shoot_lanes", counting)
+    monkeypatch.setattr(pullin.branch, "_shoot_lane", counting)
     for lam in (1e-4, 0.2, 0.5, 0.7):
         calls.clear()
         u = minimal_solution(ProblemSpec(2.0, MEMS), lam, mems_disc_branch)
@@ -436,13 +487,13 @@ def test_minimal_solution_in_the_fold_cell_takes_no_run_at_the_fold(
     b = mems_disc_branch
     last = b.stable_points()[-1]
     centers = []
-    real = pullin.branch._shoot_lanes
+    real = pullin.branch._shoot_lane
 
-    def recording(F, N_eff, ms, *args, **kwargs):
-        centers.extend(ms.tolist())
-        return real(F, N_eff, ms, *args, **kwargs)
+    def recording(F, N_eff, m, *args, **kwargs):
+        centers.append(m)
+        return real(F, N_eff, m, *args, **kwargs)
 
-    monkeypatch.setattr(pullin.branch, "_shoot_lanes", recording)
+    monkeypatch.setattr(pullin.branch, "_shoot_lane", recording)
     for frac in (0.5, 1.0 - 1e-9):
         lam = last.lam + frac * (b.lambda_star - last.lam)
         centers.clear()
@@ -462,11 +513,11 @@ def test_minimal_solution_refuses_a_voltage_above_its_table():
 
 
 def test_refusals_print_the_branch_voltage_in_full():
-    # at 6 digits the refused voltage would read as inside (0, 16)
+    # at 6 digits the branch voltage would read as 16, the refused voltage
     prob = ProblemSpec(10.0, EXP)
     b = solve_branch(prob, pullin.default_m_grid(EXP, 5))
-    lam = 15.999999999999
-    assert lam > b.lambda_star
+    lam = 16.0
+    assert 15.9999999999 < b.lambda_star < lam
     with pytest.raises(BeyondPullInError, match=re.escape(f"λ*={b.lambda_star})")):
         minimal_solution(prob, lam, b)
     with pytest.raises(BeyondPullInError, match=re.escape(f"λ*={b.lambda_star})")):
@@ -524,14 +575,14 @@ def test_a_schedule_that_starts_rising_keeps_its_first_fold():
     # run ends in the first cell where dλ/dm turns from + to -, so m* and λ*
     # are those that cell gives
     b = solve_branch(ProblemSpec(3.0, EXP))
-    _, slopes, *_ = pullin.branch._shoot_lanes(EXP, 3.0, b.m_values, pullin.branch.DEFAULT_TOL)
+    _, slopes = _grid_points(EXP, 3.0, b.m_values)
     rising = slopes > 0.0
     turns = np.flatnonzero(rising[:-1] & ~rising[1:])
     assert turns.size > 1  # the branch folds more than once on this schedule
     assert b.fold_index == turns[0]
     assert b.stable_points() == [p for p in b.points if p.m < b.m_star]
-    assert b.m_star == pytest.approx(1.6074567750945838, rel=1e-12)
-    assert b.lambda_star == pytest.approx(3.321992118341856, rel=1e-12)
+    assert b.m_star == pytest.approx(1.6074567750838542, rel=1e-12)
+    assert b.lambda_star == pytest.approx(3.3219921183398253, rel=1e-12)
 
 
 @pytest.mark.parametrize("F, ms", [(EXP, (0.3, 1.0, 2.5)),
@@ -540,12 +591,13 @@ def test_a_schedule_that_starts_rising_keeps_its_first_fold():
 @pytest.mark.parametrize("N", [1.0, 2.5, 5.0])
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 def test_one_lane_shot_matches_its_lane(F, ms, N, alpha):
-    # a one-lane run takes the scalar right-hand side, a grid run the
-    # vectorized one; both solve the same equations to tol
-    from pullin.branch import _shoot_lanes
+    # a shot runs the weighted τ equations of its center value, a branch
+    # the trajectory of the reduced problem; both solve them to tol
     tol = 1e-10
-    R, slopes, *_ = _shoot_lanes(F, N, np.array(ms), tol, alpha)
+    tr = pullin.dim_transform(N, alpha)
+    b = solve_branch(ProblemSpec(N, F, alpha), ms, tol)
+    _, slopes = _grid_points(F, tr.N_eff, ms, tol)
     for j, m in enumerate(ms):
         sr = shoot(F, N, m, tol, alpha)
-        assert sr.lam == pytest.approx(R[j] ** (2.0 + alpha), rel=10 * tol)
-        assert sr.dlam_dm == pytest.approx(slopes[j], rel=10 * tol)
+        assert sr.lam == pytest.approx(b.points[j].lam, rel=10 * tol)
+        assert sr.dlam_dm == pytest.approx(tr.voltage_factor * slopes[j], rel=10 * tol)

@@ -352,9 +352,12 @@ def test_branch_warns_when_the_schedule_starts_past_the_fold(capsys, schedule):
 
 
 _EXIT_PATHS = [
-    # a refused computation: the voltage lies above the branch's λ*
-    ("asymptotics --family exp --N 10 --lambda 15.999999999999 --m-points 5", 1,
-     "outside (0, λ*=15.9999999999"),
+    # a voltage 2e-15 below the branch's λ* = 15.999999999999998 has its
+    # minimal solution; the singular λ* = 16 itself is refused as input
+    ("asymptotics --family exp --N 10 --lambda 15.999999999999 --m-points 5", 0,
+     '"lambda_star_branch": 16,'),
+    ("asymptotics --family exp --N 10 --lambda 16 --m-points 5", 2,
+     "voltage 16.0 outside (0, λ* = 16)"),
     ("verify --criteria exp_constant_table", 1, "[FAIL] exp_constant_table"),
     ("branch --alpha -2", 2, "--alpha must be finite and > -2"),
     ("branch --m-points 2", 2, "--m-points must be at least 3"),

@@ -157,3 +157,21 @@ def test_derivatives_against_sympy(F):
         d = sympy.diff(expr, u, order)
         for x in points:
             assert method(x) == pytest.approx(float(d.subs(u, x)), rel=1e-12)
+
+
+@pytest.mark.parametrize("F, center_value", [
+    (exponential(), lambda level: level),
+    (mems_inverse_power(2.0), lambda level: -np.expm1(-level)),
+    (power_growth(3.0), np.expm1),
+], ids=lambda v: v.label() if hasattr(v, "label") else "")
+def test_the_scaling_law_maps_levels_to_center_values(F, center_value):
+    law = F.scaling_law()
+    levels = np.array([1e-6, 0.3, 2.0, 9.0])
+    np.testing.assert_allclose(law.center_value(levels), center_value(levels), rtol=1e-14)
+    # near m = 1, m itself keeps only the digits of 1 - m = e^(-ℓ)
+    np.testing.assert_allclose(law.level(law.center_value(levels)), levels, rtol=1e-12)
+    # w₀ dropped by d is w at center value m = d/(1 - σd) rescaled: d, d/(1+d)
+    # and d/(1-d) for σ = 0, -1 and +1
+    for d in (1e-6, 0.3, 0.7):
+        assert law.center_value(law.drop_level(d)) == pytest.approx(d / (1.0 - law.sigma * d),
+                                                                    rel=1e-14)

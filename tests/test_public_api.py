@@ -53,10 +53,11 @@ def test_an_unknown_name_is_refused_and_submodules_still_import():
 
 
 # The evaluation surface of `Nonlinearity`: one unchecked formula per
-# family (`derivative`) and the checked `value` and `deriv` on top of it.
+# family (`derivative`) and the checked `value` and `deriv` on top of it,
+# and the family's scaling symmetry (`scaling_law`).
 NONLINEARITY = sorted("""
-    deriv deriv_inverse derivative endpoint family is_singular label p value
-    voltage_constants
+    deriv deriv_inverse derivative endpoint family is_singular label p
+    scaling_law value voltage_constants
 """.split())
 
 

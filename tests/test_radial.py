@@ -1,6 +1,6 @@
-"""The runner of the radial core: every run without dense output, one lane
-or a grid, runs on scipy's compiled DOP853, a dense run on scipy's
-`solve_ivp`."""
+"""The radial core: the one-lane run and the trajectory, and their runner:
+every run without dense output runs on scipy's compiled DOP853, a dense run
+on scipy's `solve_ivp`."""
 
 import gc
 import math
@@ -33,23 +33,28 @@ def _count_python_runs(monkeypatch):
                                            (mems_inverse_power(2.0), 0.4, 0.8),
                                            (power_growth(3.0), 1.0, 2.0)])
 def test_one_lane_run_matches_its_lane_in_a_pair(monkeypatch, F, m, partner, N, alpha):
+    # the one-lane run at m against the branch point at m on a schedule that
+    # holds m and its partner, read off the trajectory of the reduced problem
     tol = 1e-10
     sizes = _count_python_runs(monkeypatch)
-    R1, slope1, *_ = branch._shoot_lanes(F, N, np.array([m]), tol, alpha)
-    R2, slope2, *_ = branch._shoot_lanes(F, N, np.array([m, partner]), tol, alpha)
+    R, slope, *_ = branch._shoot_lane(F, N, m, tol, alpha)
+    b = pullin.solve_branch(pullin.ProblemSpec(N, F, alpha), [0.5 * m, m, partner], tol)
     # neither run went to scipy's solve_ivp
     assert sizes == []
-    lam1, lam2 = (float(R[0]) ** (2.0 + alpha) for R in (R1, R2))
+    lam1, lam2 = R ** (2.0 + alpha), b.points[1].lam
     assert abs(lam1 - lam2) <= tol * max(1.0, lam2)
-    assert abs(slope1[0] - slope2[0]) <= tol * max(1.0, abs(slope2[0]))
+    tr = pullin.dim_transform(N, alpha)
+    levels = F.scaling_law().level(np.array([m, partner]))
+    _, slope2 = branch._trajectory(F, tr.N_eff, levels, tol)(math.log(levels[0]))
+    slope2 *= tr.voltage_factor
+    assert abs(slope - slope2) <= tol * max(1.0, abs(slope2))
 
 
 def test_a_quadrature_row_stays_out_of_the_error_norm():
     # the half-run's fifth row rides scaled, under √(4/5) of rtol and atol
     F, m, nu, tol = mems_inverse_power(2.0), 0.5, -1.0, 1e-8
-    ms = np.array([m])
-    tau0, y0, *_ = radial.lane_seed(F, 2.0, ms, tol, nu=nu)
-    rhs = radial.lane_rhs(F, 2.0, ms, nu=nu, weight=True)
+    tau0, y0, *_ = radial.lane_seed(F, 2.0, m, tol, nu=nu)
+    rhs = radial.lane_rhs(F, 2.0, m, nu=nu, weight=True)
 
     def run(row):
         return radial.solve_ivp(rhs, (tau0, 1.0), np.append(y0, row), rtol=tol,
@@ -68,21 +73,24 @@ def test_a_quadrature_row_stays_out_of_the_error_norm():
 
 
 def _blowup(*_, **__):
-    # r' = 10⁶ r² blows up at τ = τ₀ + 10⁻⁶/r(τ₀), before τ = 1
-    def rhs(tau, y):
+    # y₀' = 10⁶(1 + y₀²) blows up within π·10⁻⁶ of any start, before the end
+    def rhs(t, y):
         r = float(y[0])
-        return (1e6 * r * r, 0.0, 0.0, 0.0, 0.0)[:len(y)]
+        return (1e6 * (1.0 + r * r), 0.0, 0.0, 0.0, 0.0)[:len(y)]
     return rhs
 
 
 def test_a_failing_run_raises_the_package_error(monkeypatch):
-    F, ms = mems_inverse_power(2.0), np.array([0.3])
+    F = mems_inverse_power(2.0)
     monkeypatch.setattr(branch, "lane_rhs", _blowup)
+    monkeypatch.setattr(branch, "trajectory_rhs", _blowup)
     monkeypatch.setattr(spectral, "lane_rhs", _blowup)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NoCrossingError, match="step size"):
-            branch._shoot_lanes(F, 2.0, ms, 1e-8)
+            branch._shoot_lane(F, 2.0, 0.3, 1e-8)
+        with pytest.raises(NoCrossingError, match="trajectory run failed.*step size"):
+            pullin.solve_branch(pullin.ProblemSpec(2.0, F), [0.1, 0.2, 0.3], 1e-8)
         start = spectral._center_start(2.0, F, 0.3, 0.0, 1e-8)
         with pytest.raises(BracketError, match="step size"):
             spectral._half_run(2.0, F, 0.3, 0.0, start, 1.0, 1e-8)
@@ -105,10 +113,11 @@ def test_an_exception_in_the_rhs_arrives_as_itself(size):
 
 
 def test_one_lane_runs_keep_no_objects_alive():
-    F, one, nine = mems_inverse_power(2.0), np.array([0.3]), np.linspace(0.2, 0.4, 9)
+    F, nine = mems_inverse_power(2.0), np.linspace(0.2, 0.4, 9)
+    prob = pullin.ProblemSpec(2.0, F)
     u = pullin.shoot(F, 2.0, 0.3)
-    runs = [(2000, lambda: branch._shoot_lanes(F, 2.0, one, 1e-6)),
-            (2000, lambda: branch._shoot_lanes(F, 2.0, nine, 1e-6)),
+    runs = [(2000, lambda: branch._shoot_lane(F, 2.0, 0.3, 1e-6)),
+            (200, lambda: pullin.solve_branch(prob, nine, 1e-6)),
             (200, lambda: spectral.mu1(2.0, F, u.lam, u, 1e-4))]
     for count, run in runs:
         run()
@@ -118,7 +127,7 @@ def test_one_lane_runs_keep_no_objects_alive():
             run()
         gc.collect()
         assert len(gc.get_objects()) - before <= 50
-    assert math.isfinite(branch._shoot_lanes(F, 2.0, one, 1e-6)[0][0])
+    assert math.isfinite(branch._shoot_lane(F, 2.0, 0.3, 1e-6)[0])
 
 
 FAMILIES = [exponential(), mems_inverse_power(2.0), power_growth(3.0)]
@@ -128,49 +137,57 @@ FAMILIES = [exponential(), mems_inverse_power(2.0), power_growth(3.0)]
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 @pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.label())
 def test_the_lane_that_sets_the_start_has_its_one_lane_seed(F, alpha, nu):
-    ms = branch.default_m_grid(F, 61)
-    tau0, y0, eps, a = radial.lane_seed(F, 2.5, ms, 1e-10, alpha, nu)
-    ones = [radial.lane_seed(F, 2.5, ms[j:j + 1], 1e-10, alpha, nu) for j in range(61)]
-    # every lane's series is its one-lane series, bit for bit
-    for j, (_, _, _, a1) in enumerate(ones):
-        assert np.array_equal(a[:, j], a1[:, 0])
-    # the lane with the smallest start sets the common one, and starts
-    # there with the state and the seed radius of its one-lane run
-    j = int(np.argmin([one[0] for one in ones]))
-    tau1, y1, eps1, _ = ones[j]
-    assert tau0 == tau1
-    assert np.array_equal(y0.reshape(4, -1)[:, j], y1)
-    assert eps[j] == eps1[0]
+    # each one-lane run starts where its center series' remainder rule puts
+    # it, with the state of the series there
+    tol, k = 1e-10, 2.0 + alpha
+    for m in branch.default_m_grid(F, 61):
+        tau0, y0, eps, a = radial.lane_seed(F, 2.5, m, tol, alpha, nu)
+        a_ref, b = radial.center_series(F, 2.5, k, m, nu)
+        assert a == a_ref
+        s = eps ** k
+        # the last terms of w and z stay below tol (w relative to m), and
+        # one of the three bounds on s binds
+        terms = (abs(a[2]) * s ** 3 / (tol * m), abs(b[2]) * s ** 3 / tol,
+                 s * abs(a[0]) / (0.1 * m))
+        assert max(terms) == pytest.approx(1.0, rel=1e-12)
+        assert m * (1.0 - tau0 ** 2) == pytest.approx(radial.series_value(a, m, s), rel=1e-15)
+        w_r = radial.series_state(a, m, s, k, eps)[1]
+        np.testing.assert_allclose(y0, [eps, w_r, *radial.series_state(b, 1.0, s, k, eps)],
+                                   rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("nu", [0.0, -3.5])
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 @pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.label())
 def test_a_lane_of_the_rhs_is_its_one_lane_rhs(F, alpha, nu):
-    ms = branch.default_m_grid(F, 61)
-    tau0, y0, *_ = radial.lane_seed(F, 2.5, ms, 1e-10, alpha, nu)
-    lanes = radial.lane_rhs(F, 2.5, ms, alpha, nu)
-    # C `pow` of a float and numpy's vectorized power may differ in the last
-    # bit, in F, F' and r^α; the two terms of the row of z'' cancel, so that
-    # bit reaches 1.9e-15 of the row at ν = -3.5.  Without a power the
-    # lanes keep every bit.
-    exact = F.family is pullin.Family.EXPONENTIAL and alpha == 0.0
-    for tau in (tau0, 0.5, 0.9):
-        rows = lanes(tau, y0).reshape(4, -1)
-        for j in range(len(ms)):
-            one = radial.lane_rhs(F, 2.5, ms[j:j + 1], alpha, nu)(tau, y0.reshape(4, -1)[:, j])
-            assert isinstance(one, tuple) and len(one) == 4
-            # the rows of r and z have no power in them
-            assert rows[0, j] == one[0] and rows[2, j] == one[2]
-            np.testing.assert_allclose(rows[[1, 3], j], [one[1], one[3]],
-                                       rtol=0.0 if exact else 4e-15, atol=0.0)
+    # the scalar right-hand side of a lane against its equations on arrays,
+    # with the domain-checked F and F'
+    N, ms = 2.5, branch.default_m_grid(F, 61)
+    states = [radial.lane_seed(F, N, m, 1e-10, alpha, nu)[:2] for m in ms]
+    for tau in (None, 0.5, 0.9):
+        rows = np.array([radial.lane_rhs(F, N, m, alpha, nu)(tau0 if tau is None else tau, y0)
+                         for m, (tau0, y0) in zip(ms, states)]).T
+        taus = np.array([tau0 if tau is None else tau for tau0, _ in states])
+        r, dw, z, dz = np.array([y0 for _, y0 in states]).T
+        w = ms * (1.0 - taus ** 2)
+        dr = -2.0 * taus * ms / dw
+        weight = r ** alpha
+        terms = ((dr,), (weight * F.value(w) * dr, (N - 1.0) / r * dw * dr), (dz * dr,),
+                 (weight * (F.deriv(w) + nu) * z * dr, (N - 1.0) / r * dz * dr))
+        # C `pow` of a float and numpy's vectorized power may differ in the
+        # last bit (F, F' and r^α), and the two terms of a row may cancel
+        for row, sign, parts in zip(rows, (1.0, -1.0, 1.0, -1.0), terms):
+            bound = 4e-15 * sum(np.abs(p) for p in parts)
+            assert np.all(np.abs(row - sign * sum(parts)) <= bound)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, 2.0, 5.0, math.inf, math.nan])
 def test_a_tol_outside_the_unit_interval_is_refused_before_any_run(tol):
     F = mems_inverse_power(2.0)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
-        radial.lane_seed(F, 2.0, np.array([0.3]), tol)
+        radial.lane_seed(F, 2.0, 0.3, tol)
+    with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
+        radial.trajectory_seed(F, 2.0, tol, 0.1)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
         pullin.shoot(F, 2.0, 0.3, tol=tol)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
