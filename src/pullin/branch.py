@@ -11,15 +11,15 @@ exactly; a fold is a root of that slope.
 
 A shot runs in the profile variable τ, with w = m(1 - τ²) and the radius
 r as an unknown, so the zero of w is the fixed endpoint τ = 1.  `shoot` is
-that one-lane run with dense output, and the Newton steps of
-`minimal_solution` are the same run without it (`radial.solve_ivp`).
+that one-lane run with dense output (`radial.solve_ivp`).
 
 A branch needs no shot at all.  By the scaling symmetry of each family
 (`Nonlinearity.scaling_law`) every center value m is a level ℓ(m) on the
 one solution w₀ with center value 0, so `solve_branch` reads λ and dλ/dm at
 every grid point, and the fold, off one run of w₀ in Emden-Fowler
 variables (`radial.trajectory_seed`), on scipy's compiled DOP853
-(Hairer-Nørsett-Wanner).
+(Hairer-Nørsett-Wanner).  `minimal_solution` finds its center value on the
+same trajectory, and makes one shot there for the profile.
 
 Power-law weights f = |x|^α are reduced to the constant-profile problem in
 the effective fractional dimension 2(N+α)/(2+α); a direct weighted shoot
@@ -128,7 +128,8 @@ def _shoot_lane(F: Nonlinearity, N_eff: float, m: float, tol: float,
                 alpha: float = 0.0, dense: bool = False):
     """Shoot the center value m in one run of the radial core
     (`radial.lane_seed` and `radial.lane_rhs`), on scipy's compiled code
-    unless `dense` (`radial.solve_ivp`).
+    unless `dense` (`radial.solve_ivp`).  `shoot` is its dense run; the
+    compiled one is the tight reference of the tests (at tol 1e-13).
 
     Returns (R, dλ/dm, seed radius, center series (a1, a2, a3), solver
     result), with dλ/dm = (2+α) R^(1+α) (-z(R)/w'(R)).
@@ -343,7 +344,8 @@ def _trajectory(F: Nonlinearity, N_eff: float, levels: np.ndarray, tol: float):
 
     def point(t):
         if t not in known:
-            k = int(np.searchsorted(main.t, t)) - 1
+            # the last recorded t can fall ulps short of the end: read from before it
+            k = int(np.searchsorted(main.t[:-1], t)) - 1
             step = run((main.t[k], t), main.y[:, k], first_step=t - main.t[k])
             known[t] = trajectory_voltage(F, y0, math.exp(t), step.y[:, -1].tolist())
         return known[t]
@@ -356,15 +358,12 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
     """Stable-branch solution at voltage lam: the smallest center value with
     λ(m) = lam.
 
-    One table of the stable branch brackets the root: u = 0 at voltage 0,
-    the grid points below the fold, then the fold (m*, λ*) that
-    `solve_branch` refined, when the branch has one.  Inverse interpolation
-    in the cell holding lam starts Newton steps on λ(m) - lam with the exact
-    slope dλ/dm of each shot; a step that would leave the bracket is
-    replaced by bisection.  The steps are one-lane runs without dense
-    output.  Once λ(m) matches lam to tol (relative) or the bracket has
-    shrunk to 1e-12, a dense `shoot` at that center value is the answer, if
-    it meets the same test; otherwise the steps go on from it.
+    One table of the stable branch brackets the root: the grid points below
+    the fold, then the fold (m*, λ*) that `solve_branch` refined, when the
+    branch has one.  The center value is the brentq root of λ(t) - lam in
+    t = log ℓ on the Emden-Fowler trajectory (`_trajectory`) over the table
+    cell that holds lam, one step per evaluation, as for the fold.  One
+    dense `shoot` there is the answer, if it meets |λ(m) - lam| <= tol·lam.
     """
     if branch.problem != problem:
         raise DomainValidationError("branch was computed for a different problem")
@@ -372,38 +371,34 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
         raise BeyondPullInError(
             f"voltage {lam} outside (0, λ*={branch.lambda_star})")
     tr = problem.transform()
-    lam0 = lam / tr.voltage_factor
+    F, lam0 = problem.F, lam / tr.voltage_factor
 
-    table = [(0.0, 0.0)] + [(p.m, p.lam / tr.voltage_factor)
-                            for p in branch.stable_points()]
+    table = [(p.m, p.lam / tr.voltage_factor) for p in branch.stable_points()]
     if branch.fold_found:
         table.append((branch.m_star, branch.lambda_star / tr.voltage_factor))
     j = int(np.searchsorted([lam_k for _, lam_k in table], lam0))
     if j == len(table):
         # only a schedule that starts past the fold leaves lam above the table
         raise BeyondPullInError(f"voltage {lam} not bracketed by the stable branch")
-    (lo, lam_lo), (hi, lam_hi) = table[j - 1], table[j]
-
-    m = lo + (hi - lo) * (lam0 - lam_lo) / (lam_hi - lam_lo)
-    for _ in range(100):
-        R, slope, *_ = _shoot_lane(problem.F, tr.N_eff, m, tol)
-        g = R ** 2.0 - lam0
-        if g < 0.0:
-            lo = m
-        else:
-            hi = m
-        narrow = hi - lo <= 1e-12 * max(1.0, m)
-        if abs(g) <= tol * lam0 or narrow:
-            # the answer carries its profile: shoot again with dense output,
-            # which has to meet the same test
-            shot = shoot(problem.F, tr.N_eff, m, tol)
-            if abs(shot.lam - lam0) <= tol * lam0 or narrow:
-                return _rescaled(shot, tr.radius_exponent,
-                                 shot.lam * tr.voltage_factor, problem.alpha)
-            g, slope = shot.lam - lam0, shot.dlam_dm
-        newton = m - g / slope if slope > 0.0 else hi
-        m = newton if lo < newton < hi else 0.5 * (lo + hi)
-    raise BracketError(f"no center value with λ(m) = {lam} found in [{lo}, {hi}]")
+    # F >= 1, so u >= λ(1 - r²)/(2N), the torsion function: m >= λ/(2N), and
+    # λ(m) < 2N·m.  So λ - lam0 changes sign on the cell however low its
+    # lower end, and the trajectory's seed lies below it.
+    m_lo = max(table[j - 1][0] if j else 0.0, lam0 / (2.0 * tr.N_eff))
+    law = F.scaling_law()
+    levels = law.level(np.array([m_lo, table[j][0]]))
+    point = _trajectory(F, tr.N_eff, levels, tol)
+    t_lo, t_hi = np.log(levels)
+    g = lambda t: point(t)[0] - lam0
+    # this run reads the table's ends to rounding, not to the bit: an end that
+    # reads lam0 or past it is the root (brentq reuses both readings)
+    if g(t_lo) < 0.0 < g(t_hi):
+        t = brentq(g, t_lo, t_hi, xtol=_FOLD_XTOL, rtol=_FOLD_XTOL)
+    else:
+        t = t_lo if g(t_lo) >= 0.0 else t_hi
+    shot = shoot(F, tr.N_eff, float(law.center_value(math.exp(t))), tol)
+    if abs(shot.lam - lam0) > tol * lam0:
+        raise BracketError(f"shot at m={shot.m} misses voltage {lam} by over tol={tol}")
+    return _rescaled(shot, tr.radius_exponent, shot.lam * tr.voltage_factor, problem.alpha)
 
 
 def dudlambda(problem: ProblemSpec, lam: float, h: float,

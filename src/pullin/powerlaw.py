@@ -71,16 +71,20 @@ def classify_regularity(F: Nonlinearity, N: float, alpha: float = 0.0) -> Regula
     """Classical (bounded extremal) versus singular regime.
 
     Inverse-square family: classical iff N(α) < (14 + 4·sqrt(6))/3, i.e.
-    N <= 7 or α above the critical exponent.  Regular families: classical iff
-    N(α) < 10 (sharp for the exponential family).
+    N <= 7 or α above the critical exponent.  Exponential family: classical
+    iff N(α) < 10.  Power family (1+u)^p: singular iff N(α) > 10 and p is at
+    least the Joseph-Lundgren exponent 1 + 4/(N(α) - 4 - 2·sqrt(N(α) - 1)).
     """
-    tr = dim_transform(N, alpha)
+    N_eff = dim_transform(N, alpha).N_eff
     if F.family is Family.MEMS_INVERSE_POWER:
         require_mems_default(F, "regularity classification")
-        return (Regularity.CLASSICAL if tr.N_eff < MEMS_CRITICAL_DIMENSION
-                else Regularity.SINGULAR)
-    return (Regularity.CLASSICAL if tr.N_eff < REGULAR_CRITICAL_DIMENSION
-            else Regularity.SINGULAR)
+        singular = N_eff >= MEMS_CRITICAL_DIMENSION
+    elif F.family is Family.POWER_GROWTH:
+        singular = (N_eff > REGULAR_CRITICAL_DIMENSION
+                    and F.p >= 1.0 + 4.0 / (N_eff - 4.0 - 2.0 * math.sqrt(N_eff - 1.0)))
+    else:
+        singular = N_eff >= REGULAR_CRITICAL_DIMENSION
+    return Regularity.SINGULAR if singular else Regularity.CLASSICAL
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ removable singularity of (N-1)/r at r = 0 rules out starting at the
 center, so each run from the center starts at a small seed radius where
 the center series is still exact to the integrator tolerance (the right
 half-runs of `spectral` start from the edge values at τ = 1 and go back).
-`shoot`, the Newton steps of `minimal_solution` and every eigen half-run
-of `spectral` are one-lane runs (`lane_seed`, `lane_rhs`).
+`shoot` and every eigen half-run of `spectral` are one-lane runs
+(`lane_seed`, `lane_rhs`).
 
 A whole branch comes from one run of the trajectory instead: by the
 scaling symmetry of each family (`Nonlinearity.scaling_law`) every center
@@ -26,10 +26,10 @@ t = log ℓ under a pure relative error control (`trajectory_rtol`).
 
 Every run goes through `solve_ivp`, which has the signature and the result
 of scipy's.  Every run without dense output (the trajectory and its
-steps, the Newton steps of `minimal_solution`, every eigen half-run) runs
-on scipy's compiled DOP853 (Hairer-Nørsett-Wanner, *Solving ODEs I*,
-§II.10) with the method, step controller and RMS error norm of scipy's
-Python DOP853; the dense run of `shoot` runs on the Python one.
+steps, every eigen half-run) runs on scipy's compiled DOP853
+(Hairer-Nørsett-Wanner, *Solving ODEs I*, §II.10) with the method, step
+controller and RMS error norm of scipy's Python DOP853; the dense run of
+`shoot` runs on the Python one.
 """
 
 from __future__ import annotations

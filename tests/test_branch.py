@@ -465,20 +465,24 @@ def test_center_series_overflow_is_a_domain_error():
 
 
 def test_minimal_solution_takes_few_shots(monkeypatch, mems_disc_branch):
-    calls = []
-    real = pullin.branch._shoot_lane
+    runs = []
+    real = pullin.branch.solve_ivp
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("dense", False))
-        return real(*args, **kwargs)
+    def recording(fun, t_span, y0, *args, **kwargs):
+        runs.append((len(y0), kwargs.get("dense_output", False)))
+        return real(fun, t_span, y0, *args, **kwargs)
 
-    monkeypatch.setattr(pullin.branch, "_shoot_lane", counting)
+    monkeypatch.setattr(pullin.branch, "solve_ivp", recording)
     for lam in (1e-4, 0.2, 0.5, 0.7):
-        calls.clear()
+        runs.clear()
         u = minimal_solution(ProblemSpec(2.0, MEMS), lam, mems_disc_branch)
         assert u.lam == pytest.approx(lam, rel=1e-10)
-        # Newton steps without dense output, then one dense shot of the answer
-        assert calls.count(False) <= 4 and calls.count(True) == 1 and calls[-1]
+        # trajectory runs of two rows (the main run, then one step per
+        # evaluation of the brentq), then one dense shot of four of the answer
+        *trajectory, answer = runs
+        assert answer == (4, True)
+        assert trajectory == [(2, False)] * len(trajectory)
+        assert 2 <= len(trajectory) <= 10
 
 
 def test_minimal_solution_in_the_fold_cell_takes_no_run_at_the_fold(
@@ -501,6 +505,44 @@ def test_minimal_solution_in_the_fold_cell_takes_no_run_at_the_fold(
         assert u.lam == pytest.approx(lam, rel=1e-10)
         assert last.m < u.m < b.m_star
         assert b.m_star not in centers
+
+
+# the center value is a brentq root on the trajectory: it meets tol in λ,
+# and at tol 1e-10 it is the root of tight one-lane shots
+_MINIMAL_CASES = [(EXP, 2.0), (EXP, 3.0), (EXP, 10.0), (MEMS, 2.0), (MEMS, 5.0),
+                  (MEMS, 9.0), (power_growth(3.0), 3.0)]
+_MINIMAL_FRACTIONS = (1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("F, N", _MINIMAL_CASES, ids=lambda v: getattr(v, "label", lambda: v)())
+def test_minimal_solution_is_the_root_of_its_voltage(F, N, tol):
+    def tight(m):
+        return pullin.branch._shoot_lane(F, N, m, 1e-13)[0] ** 2
+
+    prob = ProblemSpec(N, F)
+    b = solve_branch(prob, tol=tol)
+    for frac in _MINIMAL_FRACTIONS:
+        lam = frac * b.lambda_star
+        u = minimal_solution(prob, lam, b, tol)
+        assert abs(u.lam - lam) <= tol * lam
+        # 1e-9 below λ* the root is too flat for the tight shots' own error
+        if tol == 1e-10 and frac < 1.0 - 1e-9:
+            lo, hi = u.m * (1.0 - 1e-6), u.m * (1.0 + 1e-6)
+            assert tight(lo) < lam < tight(hi)
+            m_ref = brentq(lambda m: tight(m) - lam, lo, hi, xtol=1e-16, rtol=1e-15)
+            assert abs(u.m - m_ref) <= 1e-10 * max(1.0, m_ref)
+    # a voltage one ulp below λ* still has its solution
+    lam = math.nextafter(b.lambda_star, 0.0)
+    assert abs(minimal_solution(prob, lam, b, tol).lam - lam) <= tol * lam
+
+
+def test_a_grid_that_ends_a_few_ulps_past_its_last_step_reads_its_end():
+    # the compiled run's last recorded level falls short of this schedule's
+    # top by a few ulps; reading the top from there took a step of 2e-17
+    grid = [0.5, 0.9, 0.9802548378789799]
+    b = solve_branch(ProblemSpec(2.0, EXP), grid, tol=1e-6)
+    assert np.all(np.abs(b.lambda_values - _disc_lambda(np.array(grid))) <= 1e-6)
 
 
 def test_minimal_solution_refuses_a_voltage_above_its_table():

@@ -52,6 +52,15 @@ def test_branch_command_deterministic(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_branch_command_reads_a_schedule_top_past_its_last_step(capsys):
+    # the trajectory's last recorded level falls a few ulps short of this top
+    code, out, _ = run_cli(capsys, "branch", "--family", "exp", "--N", "2",
+                           "--m-min", "0.5", "--m-max", "0.9802548378789799",
+                           "--m-points", "3", "--tol", "1e-6")
+    assert code == 0
+    assert len(json.loads(out)["result"]["points"]) == 3
+
+
 def test_branch_csv_and_json_carry_the_same_numbers(tmp_path, capsys):
     args = ["branch", "--family", "exp", "--N", "3", "--m-points", "16",
             "--m-max", "5.0"]

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pullin import (DomainValidationError, MEMS_CRITICAL_DIMENSION,
-                    Regularity, alpha_critical_mems, asymptotic_envelopes,
-                    classify_regularity, dim_transform, exponential,
-                    mems_inverse_power, power_growth, singular_extremal)
+                    ProblemSpec, Regularity, alpha_critical_mems,
+                    asymptotic_envelopes, classify_regularity, default_m_grid,
+                    dim_transform, exponential, mems_inverse_power,
+                    power_growth, singular_extremal, solve_branch)
 from pullin.powerlaw import extremal_voltage_rate
 
 MEMS = mems_inverse_power(2.0)
@@ -78,6 +79,17 @@ def test_classification_regular_families():
     # positive weight exponents push the effective dimension toward 2
     assert classify_regularity(EXP, 12.0, 1.0) is Regularity.CLASSICAL
     assert classify_regularity(power_growth(3.0), 11.0, 1.0) is Regularity.CLASSICAL
+
+
+# (1+u)^p is singular past N = 10 only from the Joseph-Lundgren exponent
+# 1 + 4/(N - 4 - 2 sqrt(N - 1)) on (6.92 at N = 11, 3.93 at N = 12): the
+# branch folds exactly when the classification says classical
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0, 8.0, 12.0])
+@pytest.mark.parametrize("N", [10.0, 11.0, 12.0])
+def test_power_family_regularity_matches_the_fold(N, p):
+    F = power_growth(p)
+    folds = solve_branch(ProblemSpec(N, F), default_m_grid(F, 200)).fold_found
+    assert (classify_regularity(F, N) is Regularity.CLASSICAL) is folds
 
 
 def test_classification_requires_inverse_square():
