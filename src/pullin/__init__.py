@@ -10,7 +10,7 @@ bounds, and the power-law-weight reduction to fractional dimension.
 and `spectral`, which need scipy, are imported on first use.
 """
 
-import importlib
+import importlib as _importlib
 
 from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError, PullInError, QuadratureError)
@@ -39,7 +39,7 @@ _LAZY = {
 def __getattr__(name):
     for module, names in _LAZY.items():
         if name in names:
-            value = getattr(importlib.import_module("." + module, __name__), name)
+            value = getattr(_importlib.import_module("." + module, __name__), name)
             globals()[name] = value
             return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

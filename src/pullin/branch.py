@@ -11,15 +11,17 @@ exactly; a fold is a root of that slope.
 
 A shot runs in the profile variable τ, with w = m(1 - τ²) and the radius
 r as an unknown, so the zero of w is the fixed endpoint τ = 1.  `shoot` is
-that one-lane run with dense output (`radial.solve_ivp`).
+that one-lane run on scipy's compiled DOP853 (`radial.solve_ivp`), and
+reads its profile between the recorded steps (`radial.StepReader`).
 
 A branch needs no shot at all.  By the scaling symmetry of each family
 (`Nonlinearity.scaling_law`) every center value m is a level ℓ(m) on the
 one solution w₀ with center value 0, so `solve_branch` reads λ and dλ/dm at
 every grid point, and the fold, off one run of w₀ in Emden-Fowler
 variables (`radial.trajectory_seed`), on scipy's compiled DOP853
-(Hairer-Nørsett-Wanner).  `minimal_solution` finds its center value on the
-same trajectory, and makes one shot there for the profile.
+(Hairer-Nørsett-Wanner), all grid points in one array step.
+`minimal_solution` finds its center value on the branch's own run, and
+makes one shot there for the profile.
 
 Power-law weights f = |x|^α are reduced to the constant-profile problem in
 the effective fractional dimension 2(N+α)/(2+α); a direct weighted shoot
@@ -40,8 +42,8 @@ from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError)
 from .nonlinearity import Nonlinearity
 from .powerlaw import TransformResult, dim_transform
-from .radial import (lane_rhs, lane_seed, series_value, solve_ivp, trajectory_rhs,
-                     trajectory_rtol, trajectory_seed, trajectory_voltage)
+from .radial import (StepReader, lane_rhs, lane_seed, series_value, solve_ivp,
+                     trajectory_rhs, trajectory_rtol, trajectory_seed, trajectory_voltage)
 
 DEFAULT_TOL = 1e-10
 # tolerance of each μ₁ that `solve_branch` fills (its own tol if larger),
@@ -99,12 +101,12 @@ class ShootResult:
     alpha: float
     seed_radius: float
     _series: tuple = field(repr=False)  # (a1, a2, a3) of the center series
-    _rows: Callable = field(repr=False)  # rho -> rows (w, w') of the dense output
+    _rows: Callable = field(repr=False)  # rho -> rows (w, w') of the run
 
     def profile(self, rho):
         """Unscaled profile w at raw radius rho in [0, first_zero]: the center
-        series in s = rho^(2+α) below the seed radius, the dense output
-        beyond.  Returns a float for scalar rho, an array otherwise."""
+        series in s = rho^(2+α) below the seed radius, the run beyond.
+        Returns a float for scalar rho, an array otherwise."""
         rho = np.asarray(rho, dtype=float)
         eps = self.seed_radius
         series = series_value(self._series, self.m, rho ** (2.0 + self.alpha))
@@ -125,34 +127,42 @@ def _rescaled(shot: ShootResult, exponent: float, lam: float,
 
 
 def _shoot_lane(F: Nonlinearity, N_eff: float, m: float, tol: float,
-                alpha: float = 0.0, dense: bool = False):
+                alpha: float = 0.0):
     """Shoot the center value m in one run of the radial core
-    (`radial.lane_seed` and `radial.lane_rhs`), on scipy's compiled code
-    unless `dense` (`radial.solve_ivp`).  `shoot` is its dense run; the
-    compiled one is the tight reference of the tests (at tol 1e-13).
+    (`radial.lane_seed` and `radial.lane_rhs`) on scipy's compiled DOP853.
+    `shoot` is this run; at tol 1e-13 it is the tight reference of the
+    tests.
 
-    Returns (R, dλ/dm, seed radius, center series (a1, a2, a3), solver
-    result), with dλ/dm = (2+α) R^(1+α) (-z(R)/w'(R)).
+    Returns (R, dλ/dm, seed radius, center series (a1, a2, a3), reader of
+    the run's rows between its recorded steps), with
+    dλ/dm = (2+α) R^(1+α) (-z(R)/w'(R)).
     """
     tau0, y0, eps, a = lane_seed(F, N_eff, m, tol, alpha)
-    sol = solve_ivp(lane_rhs(F, N_eff, m, alpha), (tau0, 1.0), y0, rtol=tol,
-                    atol=tol * 1e-2, dense_output=dense)
-    if not sol.success:
-        raise NoCrossingError(
-            f"shooting run failed (family {F.label()}, N_eff={N_eff}, m={m}): "
-            f"{sol.message}")
+    rhs = lane_rhs(F, N_eff, m, alpha)
+
+    def run(t_span, rows):
+        sol = solve_ivp(rhs, t_span, rows, rtol=tol, atol=tol * 1e-2)
+        if not sol.success:
+            raise NoCrossingError(
+                f"shooting run failed (family {F.label()}, N_eff={N_eff}, m={m}): "
+                f"{sol.message}")
+        return sol
+
+    sol = run((tau0, 1.0), y0)
     R, dw, z, _ = sol.y[:, -1].tolist()
-    return R, (2.0 + alpha) * R ** (1.0 + alpha) * (-z / dw), eps, a, sol
+    return (R, (2.0 + alpha) * R ** (1.0 + alpha) * (-z / dw), eps, a,
+            StepReader(sol, rhs, tol, tol * 1e-2, run))
 
 
-def _rows_at_radius(sol, m: float):
+def _rows_at_radius(read: StepReader, m: float):
     """rho -> rows (w, w') of a one-lane run at raw radius rho.
 
-    r(τ) increases, so the accepted step whose radii bracket rho gives a
+    r(τ) increases, so the recorded step whose radii bracket rho gives a
     linear first guess for τ, and Newton steps with dr/dτ = -2mτ/w' on the
-    dense output finish it; then w = m(1 - τ²).
+    reads between the recorded steps finish it, all radii in one array
+    step each; then w = m(1 - τ²).
     """
-    taus, radii = sol.t, sol.y[0]
+    taus, radii = read.t, read.y[0]
 
     def rows(rho):
         rho = np.asarray(rho, dtype=float)
@@ -160,7 +170,7 @@ def _rows_at_radius(sol, m: float):
         tau = taus[i - 1] + ((taus[i] - taus[i - 1]) * (rho - radii[i - 1])
                              / (radii[i] - radii[i - 1]))
         for _ in range(8):
-            r, dw = sol.sol(tau)[:2]
+            r, dw = read(tau)[:2]
             step = (r - rho) * dw / (2.0 * m * tau)
             tau = np.clip(tau + step, taus[0], 1.0)
             # from a linear guess the fourth step is at rounding level; w'
@@ -177,17 +187,17 @@ def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
     """First zero R of w'' + (N-1)/r w' + r^α F(w) = 0, w(0)=m, w'(0)=0, the
     voltage λ = R^(2+α) and its slope dλ/dm along the branch.
 
-    The one-lane run of the shooting core (see `_shoot_lane`), with dense
-    output for the profile.
+    The one-lane run of the shooting core (see `_shoot_lane`), whose
+    profile is read between its recorded steps.
     """
     dim_transform(N_eff, alpha)  # refuses N_eff and alpha outside its domain
     if not 0.0 < m < F.endpoint:
         raise DomainValidationError(
             f"center value must lie in (0, {F.endpoint}), got {m}")
 
-    R, slope, eps, a, sol = _shoot_lane(F, N_eff, m, tol, alpha, dense=True)
+    R, slope, eps, a, read = _shoot_lane(F, N_eff, m, tol, alpha)
     return ShootResult(R, R ** (2.0 + alpha), slope, m, N_eff, alpha, eps, a,
-                       _rows_at_radius(sol, float(m)))
+                       _rows_at_radius(read, float(m)))
 
 
 def default_m_grid(F: Nonlinearity, n_points: int = 400) -> np.ndarray:
@@ -225,6 +235,9 @@ class Branch:
     m_star: float
     n_stable: int
     stability_skipped: int = 0
+    # (tol, first log-level, reader t -> (λ, dλ/dm)) of the run behind the
+    # branch, which `minimal_solution` reads again
+    _run: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def fold_found(self) -> bool:
@@ -259,10 +272,10 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
     max(tol, 1e-6) * max(1, |μ₁|).
 
     The whole grid is read off one run of the Emden-Fowler trajectory
-    (`_trajectory`), one step per grid point.  The stable branch is the
-    leading run of grid points where dλ/dm > 0, and the fold is the brentq
-    root of dλ/dm on the same trajectory, in the grid cell that ends it,
-    where q = dℓ/d log ρ crosses 2/κ.  A schedule that starts with
+    (`_trajectory`), in one array step.  The stable branch is the leading
+    run of grid points where dλ/dm > 0, and the fold is the brentq root of
+    dλ/dm on the same trajectory, in the grid cell that ends it, where
+    q = dℓ/d log ρ crosses 2/κ.  A schedule that starts with
     dλ/dm <= 0 starts past the fold: it has no stable point and no fold.
 
     Power-law problems are solved through the constant-profile reduction in
@@ -288,7 +301,7 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
     levels = law.level(grid)
     point = _trajectory(F, tr.N_eff, levels, tol)
     ts = np.log(levels)
-    lam_core, slopes = (np.array(v) for v in zip(*map(point, ts)))
+    lam_core, slopes = point(ts)
     n_stable = int(np.logical_and.accumulate(slopes > 0.0).sum())
     if 0 < n_stable < len(grid):
         k = n_stable - 1
@@ -296,61 +309,51 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
         t_star = brentq(lambda t: point(t)[1], ts[k], ts[k + 1],
                         xtol=_FOLD_XTOL, rtol=_FOLD_XTOL)
         m_star = float(law.center_value(math.exp(t_star)))
-        lam_star_core = max(point(t_star)[0], float(np.max(lam_core)))
+        lam_star_core = max(float(point(t_star)[0]), float(np.max(lam_core)))
     else:
         m_star, lam_star_core = math.nan, float(np.max(lam_core))
 
+    lam_core = lam_core.tolist()
     points = [BranchPoint(m, lam0 * tr.voltage_factor) for m, lam0 in zip(grid, lam_core)]
     skipped = 0
     if stability:
-        for point, lam0 in zip(points, lam_core):
+        for p, lam0 in zip(points, lam_core):
             try:
                 # mu1 reads only the center value of the point, and checks
                 # lam0, which is good to about tol, against its own R²
-                point.mu1 = spectral.mu1(tr.N_eff, F, lam0, point,
-                                         max(tol, _STABILITY_TOL))
+                p.mu1 = spectral.mu1(tr.N_eff, F, lam0, p, max(tol, _STABILITY_TOL))
             except BracketError:
                 skipped += 1
 
     return Branch(problem, points, lam_star_core * tr.voltage_factor,
-                  float(m_star), n_stable, skipped)
+                  float(m_star), n_stable, skipped, _run=(tol, float(ts[0]), point))
 
 
 def _trajectory(F: Nonlinearity, N_eff: float, levels: np.ndarray, tol: float):
     """t -> (λ, dλ/dm) at the level ℓ = e^t of the Emden-Fowler trajectory
     (`radial.trajectory_seed`), for ℓ between the first and the last of the
-    increasing `levels`.
+    increasing `levels`; t is a float, or an array read in one array step.
 
     One main run records its steps from the seed, below the first level, to
     the last level; each t is then read with one step from the last
-    recorded step below it, so that a point's bits depend only on the steps
-    below it.  Readings are kept, so the brentq of the fold reuses the
-    grid's.
+    recorded step below it (`radial.StepReader`), so that its bits depend
+    only on that step and on t.
     """
     rtol = trajectory_rtol(tol)
     t0, rows0, y0 = trajectory_seed(F, N_eff, tol, float(levels[0]))
     rhs = trajectory_rhs(F, N_eff)
 
-    def run(t_span, rows, first_step=None):
-        sol = solve_ivp(rhs, t_span, rows, rtol=rtol, atol=0.0, first_step=first_step)
+    def run(t_span, rows):
+        sol = solve_ivp(rhs, t_span, rows, rtol=rtol, atol=0.0)
         if not sol.success:
             raise NoCrossingError(
                 f"trajectory run failed (family {F.label()}, N_eff={N_eff}, "
                 f"log-levels [{t_span[0]}, {t_span[1]}]): {sol.message}")
         return sol
 
-    main = run((t0, math.log(levels[-1])), rows0)
-    known = {}
-
-    def point(t):
-        if t not in known:
-            # the last recorded t can fall ulps short of the end: read from before it
-            k = int(np.searchsorted(main.t[:-1], t)) - 1
-            step = run((main.t[k], t), main.y[:, k], first_step=t - main.t[k])
-            known[t] = trajectory_voltage(F, y0, math.exp(t), step.y[:, -1].tolist())
-        return known[t]
-
-    return point
+    read = StepReader(run((t0, math.log(levels[-1])), rows0),
+                      trajectory_rhs(F, N_eff, array=True), rtol, 0.0, run)
+    return lambda t: trajectory_voltage(F, y0, t, read(t))
 
 
 def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
@@ -362,8 +365,10 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
     the fold, then the fold (m*, λ*) that `solve_branch` refined, when the
     branch has one.  The center value is the brentq root of λ(t) - lam in
     t = log ℓ on the Emden-Fowler trajectory (`_trajectory`) over the table
-    cell that holds lam, one step per evaluation, as for the fold.  One
-    dense `shoot` there is the answer, if it meets |λ(m) - lam| <= tol·lam.
+    cell that holds lam, one step per evaluation, as for the fold.  It reads
+    the branch's own run when that ran at tol or tighter and the cell lies
+    within its grid; else it runs the cell.  One `shoot` there is the
+    answer, if it meets |λ(m) - lam| <= tol·lam.
     """
     if branch.problem != problem:
         raise DomainValidationError("branch was computed for a different problem")
@@ -386,11 +391,14 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
     m_lo = max(table[j - 1][0] if j else 0.0, lam0 / (2.0 * tr.N_eff))
     law = F.scaling_law()
     levels = law.level(np.array([m_lo, table[j][0]]))
-    point = _trajectory(F, tr.N_eff, levels, tol)
-    t_lo, t_hi = np.log(levels)
-    g = lambda t: point(t)[0] - lam0
-    # this run reads the table's ends to rounding, not to the bit: an end that
-    # reads lam0 or past it is the root (brentq reuses both readings)
+    t_lo, t_hi = np.log(levels).tolist()
+    if branch._run is not None and branch._run[0] <= tol and t_lo >= branch._run[1]:
+        point = branch._run[2]
+    else:
+        point = _trajectory(F, tr.N_eff, levels, tol)
+    g = lambda t: float(point(t)[0]) - lam0
+    # a reading of a table end can differ from the table in its last bits:
+    # an end that reads lam0 or past it is the root
     if g(t_lo) < 0.0 < g(t_hi):
         t = brentq(g, t_lo, t_hi, xtol=_FOLD_XTOL, rtol=_FOLD_XTOL)
     else:

@@ -24,12 +24,14 @@ the voltage and its slope there are functions of the two rows
 `trajectory_rhs`, `trajectory_voltage`).  The trajectory runs in
 t = log ℓ under a pure relative error control (`trajectory_rtol`).
 
-Every run goes through `solve_ivp`, which has the signature and the result
-of scipy's.  Every run without dense output (the trajectory and its
-steps, every eigen half-run) runs on scipy's compiled DOP853
-(Hairer-Nørsett-Wanner, *Solving ODEs I*, §II.10) with the method, step
-controller and RMS error norm of scipy's Python DOP853; the dense run of
-`shoot` runs on the Python one.
+Every run goes through `solve_ivp`, which returns the result of scipy's,
+and runs on scipy's compiled DOP853 (Hairer-Nørsett-Wanner,
+*Solving ODEs I*, §II.10) with the method, step controller and RMS error
+norm of scipy's Python DOP853.  A run records its accepted steps, and
+`StepReader` reads it at any point between them with one more DOP853 step
+from the recorded step below (`_dop853_step`), for one point or for an
+array of them at once: the levels of a branch, the root evaluations on it,
+and the profile of a shot.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import warnings
 
 import numpy as np
 from scipy.integrate import ode
-from scipy.integrate import solve_ivp as _scipy_solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.ivp import OdeResult
 
 from .errors import DomainValidationError
@@ -148,18 +150,18 @@ def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0,
 
     Near the center (α = 0) w' ~ r and m - w ~ r², so dr/dτ stays finite,
     where dr/dσ in σ = τ² would blow up like σ^(-1/2).  Since w stays in
-    [0, m], F and F' need no domain check (`F.derivative`).  It runs on
-    Python floats, since numpy would cost more in call overhead than the
-    formula, and returns a tuple.  With `weight` a fifth row carries the
-    weighted square integral ∫ r^(N-1) z² dr of the linear mode.
+    [0, m], F and F' need no domain check (`F.derivative`).  It takes the
+    rows as a sequence of floats, as a compiled run hands them over, since
+    numpy would cost more in call overhead than the formula, or of arrays,
+    as a `StepReader` does, and returns a tuple.  With `weight` a fifth row
+    carries the weighted square integral ∫ r^(N-1) z² dr of the linear mode.
     """
     c = N - 1.0
     f0, f1 = F.derivative(0), F.derivative(1)
     m = float(m)
 
     def rhs(tau, y):
-        r, dw, z, dz = y.tolist()[:4]
-        tau = float(tau)
+        r, dw, z, dz = y[:4]
         w = m * (1.0 - tau * tau)
         dr = -2.0 * tau * m / dw
         f, fp = f0(w), f1(w) + nu
@@ -222,7 +224,7 @@ def trajectory_seed(F: Nonlinearity, N: float, tol: float, level_max: float):
     return math.log(level), rows, y0
 
 
-def trajectory_rhs(F: Nonlinearity, N: float):
+def trajectory_rhs(F: Nonlinearity, N: float, array: bool = False):
     """Right-hand side d/dt of the trajectory rows (η, u) in t = log ℓ,
     the equations of `Nonlinearity.scaling_law` with d/dt = (ℓ/q) d/da:
 
@@ -233,24 +235,27 @@ def trajectory_rhs(F: Nonlinearity, N: float):
 
         du/dt = (ℓ/q)(σq* expm1(u) + c expm1(η - u)),
 
-    which vanishes there without cancellation.  It runs on Python floats
-    and returns a tuple.
+    which vanishes there without cancellation.  It takes the rows as a
+    sequence and returns a tuple.  On Python floats it runs on `math`; with
+    `array` on numpy's exp and expm1, which give a float the bits they give
+    it in an array of any size, so a `StepReader` reads a level to the same
+    bits alone or in a batch.
     """
     kappa, sigma = law = F.scaling_law()
     q_star = 2.0 / kappa
-    exp, expm1 = math.exp, math.expm1
+    exp, expm1 = (np.exp, np.expm1) if array else (math.exp, math.expm1)
     if _singular_voltage(law, N) > 0.0:
         sq, c = sigma * q_star, N - 2.0 - sigma * q_star
 
         def rhs(t, rows):
-            eta, u = rows.tolist()
-            g = exp(t - u) / q_star
-            return (-2.0 * g * expm1(u), g * (sq * expm1(u) + c * expm1(eta - u)))
+            eta, u = rows
+            g, e = exp(t - u) / q_star, expm1(u)
+            return (-2.0 * g * e, g * (sq * e + c * expm1(eta - u)))
     else:
         b = 2.0 - N
 
         def rhs(t, rows):
-            y, u = rows.tolist()
+            y, u = rows
             q = q_star * exp(u)
             g = exp(t) / q
             return (-2.0 * g * expm1(u), g * (b + sigma * q + exp(y) / q))
@@ -258,13 +263,99 @@ def trajectory_rhs(F: Nonlinearity, N: float):
     return rhs
 
 
-def trajectory_voltage(F: Nonlinearity, y0: float, level: float, rows):
-    """(λ, dλ/dm) at the level ℓ from the trajectory rows (η, u) there:
-    λ = e^(y₀ + η) and dλ/dm = λ (2 - κq)/q · dℓ/dm = λ κ expm1(-u) e^(-σℓ)."""
+def trajectory_voltage(F: Nonlinearity, y0: float, t, rows):
+    """(λ, dλ/dm) at the level ℓ = e^t from the trajectory rows (η, u)
+    there: λ = e^(y₀ + η) and dλ/dm = λ (2 - κq)/q · dℓ/dm =
+    λ κ expm1(-u) e^(-σℓ).  Floats or arrays, on numpy's exp and expm1."""
     kappa, sigma = F.scaling_law()
     eta, u = rows
-    lam = math.exp(y0 + eta)
-    return lam, lam * kappa * math.expm1(-u) * math.exp(-sigma * level)
+    lam = np.exp(y0 + eta)
+    return lam, lam * kappa * np.expm1(-u) * np.exp(-sigma * np.exp(t))
+
+
+# the DOP853 tableau, as (index, coefficient) pairs of its nonzero entries:
+# the c and a of stages 2-12, the weights b, and the error weights E5 and E3
+_STAGES = [(float(dop853_coefficients.C[s]),
+            [(j, float(a)) for j, a in enumerate(dop853_coefficients.A[s, :s]) if a])
+           for s in range(1, dop853_coefficients.N_STAGES)]
+_WEIGHTS, _ERROR5, _ERROR3 = ([(j, float(e)) for j, e in enumerate(v) if e]
+                              for v in (dop853_coefficients.B, dop853_coefficients.E5,
+                                        dop853_coefficients.E3))
+# a read whose error norm exceeds this, a step the compiled code would have
+# rejected, is redone as a compiled run
+_READ_NORM_MAX = 1.0
+
+
+def _combine(terms, K, i):
+    """Σ a_j K_j[i] over the (j, a_j) of `terms`, term by term in order."""
+    acc = None
+    for j, a in terms:
+        term = a * K[j][i]
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _dop853_step(fun, t, rows, h, rtol: float, atol: float):
+    """One DOP853 step of length h from the rows at t, and its error norm.
+
+    The stages, the solution and the error estimates of the compiled code
+    (`dop853_coefficients`), with its norm: |h| E5²/√(n (E5² + E3²/100))
+    of the errors scaled by atol + rtol·max(|y|, |y_new|), summed over the
+    n rows.  Every sum runs term by term, with no matrix product, so t, h
+    and each row may be floats or arrays of one shape, and an element's
+    bits do not depend on the others computed with it (as long as `fun`'s
+    do not).  Returns (rows at t + h, error norm); a norm above 1 is a step
+    the compiled code would reject.
+    """
+    K = [fun(t, rows)]
+    for c, terms in _STAGES:
+        K.append(fun(t + c * h, [y + h * _combine(terms, K, i) for i, y in enumerate(rows)]))
+    new = [y + h * _combine(_WEIGHTS, K, i) for i, y in enumerate(rows)]
+    err5 = err3 = 0.0
+    for i, (y, y_new) in enumerate(zip(rows, new)):
+        scale = atol + rtol * np.maximum(abs(y), abs(y_new))
+        e5, e3 = _combine(_ERROR5, K, i) / scale, _combine(_ERROR3, K, i) / scale
+        err5, err3 = err5 + e5 * e5, err3 + e3 * e3
+    denominator = err5 + 0.01 * err3
+    return new, abs(h) * err5 / np.sqrt(np.where(denominator > 0.0, denominator, 1.0) * len(rows))
+
+
+class StepReader:
+    """The rows of a recorded run (`t`, `y`, as `solve_ivp` returns them) at
+    any t between its first and last recorded t, a float or an array.
+
+    Each t is read with one DOP853 step (`_dop853_step` of `fun`) from the
+    last recorded step below it, so its bits depend only on that step and
+    on t, not on the other t read with it, given a `fun` whose bits do not
+    (`trajectory_rhs` with `array`).  The last recorded t can fall ulps
+    short of the run's end, so a t past it is read from the step before.
+    A read whose error norm exceeds `_READ_NORM_MAX` is redone by
+    `rerun(t_span, rows)`, a compiled run from that recorded step to t.
+    Returns the rows as a list: floats for a float t, else arrays of its
+    shape.
+    """
+
+    def __init__(self, sol: OdeResult, fun, rtol: float, atol: float, rerun):
+        self.t, self.y = sol.t, sol.y
+        self.fun, self.rtol, self.atol, self.rerun = fun, rtol, atol, rerun
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        shape, t = t.shape, t.ravel()
+        k = np.maximum(np.searchsorted(self.t[:-1], t) - 1, 0)
+        start, rows = self.t[k], self.y[:, k]
+        if not shape:
+            t, start, rows, k = float(t[0]), float(start[0]), rows[:, 0].tolist(), int(k[0])
+        new, norm = _dop853_step(self.fun, start, list(rows), t - start, self.rtol, self.atol)
+        if not shape:
+            if norm > _READ_NORM_MAX:
+                new = self.rerun((start, t), self.y[:, k]).y[:, -1].tolist()
+            return new
+        for i in np.flatnonzero(norm > _READ_NORM_MAX):
+            end = self.rerun((start[i], t[i]), self.y[:, k[i]]).y[:, -1]
+            for row, value in zip(new, end):
+                row[i] = value
+        return [row.reshape(shape) for row in new]
 
 
 class _CompiledDOP853:
@@ -274,8 +365,7 @@ class _CompiledDOP853:
     stiffness test, and the RMS error norm.  Accepted steps follow the same
     rule; a rejected step is retried at 0.2 h, where the Python code takes
     max(0.2, 0.9 err^(-1/8)) h, and the first step comes out n^(-1/16)
-    smaller for n rows, unless the run names it.  Every accepted step is
-    recorded.
+    smaller for n rows.  Every accepted step is recorded.
 
     The compiled code keeps a reference to each callable it is handed
     (scipy 1.17), so an instance is reused from run to run and hands it the
@@ -299,7 +389,7 @@ class _CompiledDOP853:
 
     def _rhs(self, t, y):
         try:
-            rows = self.fun(t, y)
+            rows = self.fun(t, y.tolist())
         except Exception as exc:  # the compiled code would lose it
             self.errors.append(exc)
             return self.nan
@@ -310,15 +400,13 @@ class _CompiledDOP853:
         self.steps.append((t, *y.tolist()))
 
     def run(self, fun, t_span, y0: np.ndarray, rtol: float, atol: float,
-            row_scale: float = 1.0, first_step: float = 0.0):
+            row_scale: float = 1.0):
         """(t, *y) at every accepted step, RHS evaluations and the return
-        code of one run, with the last row's derivative times `row_scale`
-        and the first step `first_step` (0 lets the code choose it).  An
-        exception raised by `fun` is raised again as itself."""
+        code of one run, with the last row's derivative times `row_scale`.
+        An exception raised by `fun` is raised again as itself."""
         solver, integrator = self.ode, self.ode._integrator
         self.fun, self.row_scale, self.steps, self.errors = fun, row_scale, [], []
         integrator.rtol, integrator.atol = rtol, atol
-        integrator.first_step = first_step
         solver.set_initial_value(y0, t_span[0])
         integrator.iwork[3] = -1  # no stiffness test, as in scipy's Python DOP853
         try:
@@ -337,8 +425,7 @@ class _CompiledDOP853:
 _IDLE: dict[int, _CompiledDOP853] = {}
 
 
-def _compiled_run(fun, t_span, y0: np.ndarray, rtol: float, atol: float,
-                  first_step: float = 0.0) -> OdeResult:
+def _compiled_run(fun, t_span, y0: np.ndarray, rtol: float, atol: float) -> OdeResult:
     """A run on the compiled DOP853.  A fifth row is a quadrature row: it
     rides scaled by `_ROW_SCALE`, and rtol and atol shrink by √(4/5), so
     that the norm over the five rows is that of the four lane rows."""
@@ -350,7 +437,7 @@ def _compiled_run(fun, t_span, y0: np.ndarray, rtol: float, atol: float,
     solver = _IDLE.pop(size, None) or _CompiledDOP853(size)
     try:
         steps, nfev, code = solver.run(fun, t_span, start, shrink * rtol, shrink * atol,
-                                       row_scale, first_step)
+                                       row_scale)
     finally:
         _IDLE[size] = solver
     table = np.array(steps).T
@@ -361,22 +448,15 @@ def _compiled_run(fun, t_span, y0: np.ndarray, rtol: float, atol: float,
                      status=0 if code > 0 else -1, success=code > 0, message=message)
 
 
-def solve_ivp(fun, t_span, y0, rtol: float, atol: float, dense_output: bool = False,
-              first_step=None):
-    """A run of the radial core, with the signature and the result of
-    scipy's `solve_ivp` (DOP853 and no other options).
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float):
+    """A run of the radial core on scipy's compiled DOP853
+    (`_CompiledDOP853`), with the result of scipy's `solve_ivp` (DOP853 and
+    no other options).  `fun(t, rows)` gets the rows as a list of floats.
 
     `y0` holds the rows (r, w', z, z') of a one-lane run and, in an
     eigen-shot, a trailing quadrature row that `fun` does not read and the
-    error norm leaves out; or the two rows of the trajectory.  A dense run
-    (`shoot`) runs on scipy's `solve_ivp` with `method="DOP853"`, whose norm
-    over four rows is the lane's.  Every other run runs on scipy's compiled
-    DOP853 (`_CompiledDOP853`) at about a quarter of the Python cost per
-    step.  `y` holds the state at every accepted step; `nfev` counts the
-    evaluations of `fun`.
+    error norm leaves out; or the two rows of the trajectory.  `y` holds
+    the state at every accepted step, which a `StepReader` reads between
+    them; `nfev` counts the evaluations of `fun`.
     """
-    y0 = np.asarray(y0, dtype=float)
-    if dense_output:
-        return _scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                                dense_output=True, first_step=first_step)
-    return _compiled_run(fun, t_span, y0, rtol, atol, first_step or 0.0)
+    return _compiled_run(fun, t_span, np.asarray(y0, dtype=float), rtol, atol)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
+from scipy.integrate._ivp.rk import RungeKutta
 from scipy.optimize import brentq, minimize_scalar
 
 import pullin
@@ -314,6 +315,13 @@ def _grid_points(F, N, grid, tol=pullin.branch.DEFAULT_TOL):
     return np.array(lam), np.array(slope)
 
 
+def _no_python_stepper(monkeypatch):
+    def python(self):
+        raise AssertionError("a run took a step of scipy's Python stepper")
+
+    monkeypatch.setattr(RungeKutta, "step", python)
+
+
 def test_branch_grid_is_one_integration(monkeypatch):
     runs = []
     real = pullin.radial._compiled_run
@@ -323,23 +331,54 @@ def test_branch_grid_is_one_integration(monkeypatch):
         runs.append((len(args[2]), len(sol.t) - 1))
         return sol
 
-    def python(*args, **kwargs):
-        raise AssertionError("a grid ran on scipy's solve_ivp")
-
     monkeypatch.setattr(pullin.radial, "_compiled_run", counting)
-    monkeypatch.setattr(pullin.radial, "_scipy_solve_ivp", python)
+    _no_python_stepper(monkeypatch)
     # exp N = 10 is singular and has no fold; the inverse-square disc folds
     for prob in (ProblemSpec(10.0, EXP), ProblemSpec(2.0, MEMS)):
         runs.clear()
         b = solve_branch(prob, pullin.default_m_grid(prob.F, 61))
-        # every run is a trajectory run of two rows, no τ run of four: the
-        # main run, then one step for each grid level and each evaluation of
-        # the fold's brentq
-        assert all(rows == 2 for rows, _ in runs)
-        (_, main_steps), *steps = runs
-        assert main_steps > 1
-        assert [n for _, n in steps] == [1] * len(steps)
-        assert (len(steps) > 61) is b.fold_found
+        # one compiled run of the trajectory's two rows: the grid levels are
+        # one array step on its recorded steps, and each evaluation of the
+        # fold's brentq one float step
+        assert len(runs) == 1
+        rows, main_steps = runs[0]
+        assert rows == 2 and main_steps > 1
+        assert b.fold_found is (prob.N == 2.0)
+
+
+def test_no_run_takes_a_step_of_scipys_python_stepper(monkeypatch):
+    _no_python_stepper(monkeypatch)
+    prob = ProblemSpec(2.0, MEMS)
+    b = solve_branch(prob, np.geomspace(0.05, 0.9, 9), stability=True)
+    assert b.fold_found and any(p.mu1 is not None for p in b.points)
+    for alpha in (0.0, 1.0):
+        shot = shoot(MEMS, 2.0, 0.3, alpha=alpha)
+        assert 0.0 < shot.solution().at(0.5) < 0.3
+    u = minimal_solution(prob, 0.5, b)
+    assert u.lam == pytest.approx(0.5, rel=1e-10)
+    assert pullin.dudlambda(prob, 0.5, 1e-3, b)(0.5) > 0.0
+    assert pullin.mu1(2.0, MEMS, u.lam, u) > 0.0
+
+
+# the interval (N = 1) and disc (N = 2) profiles in closed form, with
+# cosh c = e^(m/2) and 1 + a = e^(m/2)
+def _interval_profile(m, r):
+    return m - 2.0 * np.log(np.cosh(math.acosh(math.exp(m / 2.0)) * r))
+
+
+def _disc_profile(m, r):
+    a = math.expm1(m / 2.0)
+    return 2.0 * np.log((1.0 + a) / (1.0 + a * r * r))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("N, m", [(1.0, m) for m in (0.1, 0.5, 1.0, EXP_2D_M_STAR, 2.0)]
+                         + [(2.0, m) for m in (0.1, 0.5, 1.0, EXP_2D_M_STAR, 2.0, 5.0)])
+def test_a_shot_profile_meets_its_tolerance(N, m, tol):
+    r = np.linspace(0.0, 1.0, 101)
+    u = shoot(EXP, N, m, tol).solution().at(r)
+    exact = (_interval_profile if N == 1.0 else _disc_profile)(m, r)
+    assert np.max(np.abs(u - exact)) <= tol * m
 
 
 def test_lane_keeps_its_own_tolerance_in_a_grid():
@@ -469,20 +508,29 @@ def test_minimal_solution_takes_few_shots(monkeypatch, mems_disc_branch):
     real = pullin.branch.solve_ivp
 
     def recording(fun, t_span, y0, *args, **kwargs):
-        runs.append((len(y0), kwargs.get("dense_output", False)))
+        runs.append(len(y0))
         return real(fun, t_span, y0, *args, **kwargs)
 
     monkeypatch.setattr(pullin.branch, "solve_ivp", recording)
-    for lam in (1e-4, 0.2, 0.5, 0.7):
+    prob = ProblemSpec(2.0, MEMS)
+    loose = solve_branch(prob, tol=1e-6)
+    # the branch's own run at its tol or a looser one: no trajectory run,
+    # one four-row compiled shot of the answer
+    for lam, b, tol in ((0.2, mems_disc_branch, 1e-10), (0.5, mems_disc_branch, 1e-10),
+                        (0.7, mems_disc_branch, 1e-10), (0.5, mems_disc_branch, 1e-6),
+                        (0.5, loose, 1e-6)):
         runs.clear()
-        u = minimal_solution(ProblemSpec(2.0, MEMS), lam, mems_disc_branch)
+        u = minimal_solution(prob, lam, b, tol)
+        assert abs(u.lam - lam) <= tol * lam
+        assert runs == [4]
+    # a voltage below the first grid point, or a branch at a looser tol, runs
+    # the cell: one trajectory run of two rows, then the shot
+    assert mems_disc_branch.points[0].lam > 1e-4
+    for lam, b in ((1e-4, mems_disc_branch), (0.5, loose)):
+        runs.clear()
+        u = minimal_solution(prob, lam, b)
         assert u.lam == pytest.approx(lam, rel=1e-10)
-        # trajectory runs of two rows (the main run, then one step per
-        # evaluation of the brentq), then one dense shot of four of the answer
-        *trajectory, answer = runs
-        assert answer == (4, True)
-        assert trajectory == [(2, False)] * len(trajectory)
-        assert 2 <= len(trajectory) <= 10
+        assert runs == [2, 4]
 
 
 def test_minimal_solution_in_the_fold_cell_takes_no_run_at_the_fold(

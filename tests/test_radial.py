@@ -1,6 +1,6 @@
-"""The radial core: the one-lane run and the trajectory, and their runner:
-every run without dense output runs on scipy's compiled DOP853, a dense run
-on scipy's `solve_ivp`."""
+"""The radial core: the one-lane run and the trajectory, their runner,
+scipy's compiled DOP853, and the DOP853 step that reads between the steps
+a run records."""
 
 import gc
 import math
@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp.rk import RungeKutta
 
 import pullin
 from pullin import (BracketError, NoCrossingError, exponential, mems_inverse_power,
@@ -15,15 +17,15 @@ from pullin import (BracketError, NoCrossingError, exponential, mems_inverse_pow
 from pullin import branch, radial, spectral
 
 
-def _count_python_runs(monkeypatch):
+def _count_python_steps(monkeypatch):
     sizes = []
-    real = radial._scipy_solve_ivp
+    real = RungeKutta.step
 
-    def counting(*args, **kwargs):
-        sizes.append(len(args[2]))
-        return real(*args, **kwargs)
+    def counting(self):
+        sizes.append(self.n)
+        return real(self)
 
-    monkeypatch.setattr(radial, "_scipy_solve_ivp", counting)
+    monkeypatch.setattr(RungeKutta, "step", counting)
     return sizes
 
 
@@ -36,10 +38,10 @@ def test_one_lane_run_matches_its_lane_in_a_pair(monkeypatch, F, m, partner, N, 
     # the one-lane run at m against the branch point at m on a schedule that
     # holds m and its partner, read off the trajectory of the reduced problem
     tol = 1e-10
-    sizes = _count_python_runs(monkeypatch)
+    sizes = _count_python_steps(monkeypatch)
     R, slope, *_ = branch._shoot_lane(F, N, m, tol, alpha)
     b = pullin.solve_branch(pullin.ProblemSpec(N, F, alpha), [0.5 * m, m, partner], tol)
-    # neither run went to scipy's solve_ivp
+    # neither run took a step of scipy's Python stepper
     assert sizes == []
     lam1, lam2 = R ** (2.0 + alpha), b.points[1].lam
     assert abs(lam1 - lam2) <= tol * max(1.0, lam2)
@@ -67,8 +69,8 @@ def test_a_quadrature_row_stays_out_of_the_error_norm():
     assert np.array_equal(small.y[:4], large.y[:4])
     # the same run on scipy's Python DOP853, whose norm takes in all five
     # rows: every row agrees to the tolerance
-    python = radial._scipy_solve_ivp(rhs, (tau0, 1.0), np.append(y0, 1e-9),
-                                     method="DOP853", rtol=tol, atol=tol * 1e-2)
+    python = scipy_solve_ivp(rhs, (tau0, 1.0), np.append(y0, 1e-9),
+                             method="DOP853", rtol=tol, atol=tol * 1e-2)
     assert np.allclose(small.y[:, -1], python.y[:, -1], rtol=10 * tol, atol=0.0)
 
 
@@ -203,3 +205,93 @@ def test_a_tol_outside_the_unit_interval_is_refused_before_any_run(tol):
 def test_the_center_series_refuses_a_center_value_outside_the_domain():
     with pytest.raises(pullin.DomainValidationError, match="outside"):
         radial.center_series(mems_inverse_power(2.0), 2.0, 2.0, -0.1)
+
+
+def _levels(F, N, n, tol):
+    """The log-levels of the n-point default grid and their reader."""
+    levels = F.scaling_law().level(branch.default_m_grid(F, n))
+    return np.log(levels), branch._trajectory(F, N, levels, tol)
+
+
+@pytest.mark.parametrize("F, N", [(exponential(), 3.0), (mems_inverse_power(2.0), 2.0),
+                                  (exponential(), 10.0)], ids=["exp-3", "mems-2", "exp-10"])
+def test_a_level_reads_the_same_bits_alone_and_in_any_batch(F, N):
+    ts, point = _levels(F, N, 400, 1e-10)
+    rng = np.random.default_rng(0)
+    whole = point(ts)
+    for i, t in enumerate(ts.tolist()):
+        # alone on floats, alone in an array, and at each place of a triple
+        alone = [point(t), [v[0] for v in point(ts[i:i + 1])]]
+        others = rng.choice(len(ts), 2, replace=False)
+        for place in range(3):
+            triple = np.insert(ts[others], place, t)
+            alone.append([v[place] for v in point(triple)])
+        for lam, slope in alone:
+            assert (float(lam), float(slope)) == (whole[0][i], whole[1][i])
+
+
+def _record_norms(monkeypatch):
+    norms = []
+    real = radial._dop853_step
+
+    def recording(*args):
+        new, norm = real(*args)
+        norms.extend(np.ravel(norm).tolist())
+        return new, norm
+
+    monkeypatch.setattr(radial, "_dop853_step", recording)
+    return norms
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("F, N", [(exponential(), 1.0), (exponential(), 2.0),
+                                  (exponential(), 3.0), (exponential(), 10.0),
+                                  (mems_inverse_power(2.0), 2.0), (mems_inverse_power(2.0), 5.0),
+                                  (mems_inverse_power(2.0), 9.0), (power_growth(3.0), 3.0)],
+                         ids=lambda v: getattr(v, "label", lambda: v)())
+def test_every_read_is_a_step_the_compiled_code_accepts(monkeypatch, F, N, tol):
+    # the levels and the fold of a default 400-point grid, and the profiles
+    # of shots across it
+    norms = _record_norms(monkeypatch)
+    b = pullin.solve_branch(pullin.ProblemSpec(N, F), tol=tol)
+    grid_reads = len(norms)
+    for m in b.m_values[::57]:
+        pullin.shoot(F, N, m, tol).solution().at(np.linspace(0.0, 1.0, 101))
+    assert grid_reads >= 400 and len(norms) > grid_reads + 7 * 101
+    assert max(norms) <= 1.0
+
+
+def test_a_rejected_read_is_redone_as_a_compiled_run(monkeypatch):
+    F, N, tol = exponential(), 2.0, 1e-8
+    ts, point = _levels(F, N, 61, tol)
+    norms = _record_norms(monkeypatch)
+    lam, slope = point(ts)
+    worst, second = sorted(norms)[-2:][::-1]
+    runs = []
+    real = radial._compiled_run
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "_compiled_run", counting)
+    # a threshold between the two largest norms rejects one read of the grid
+    monkeypatch.setattr(radial, "_READ_NORM_MAX", 0.5 * (worst + second))
+    lam2, slope2 = _levels(F, N, 61, tol)[1](ts)
+    assert len(runs) == 2  # the main run and the one read
+    i = norms.index(worst)
+    assert runs[1][1] == ts[i]
+    changed = np.flatnonzero((lam2 != lam) | (slope2 != slope))
+    assert changed.tolist() in ([], [i])
+    assert abs(lam2[i] - lam[i]) <= tol * max(1.0, lam[i])
+    assert abs(slope2[i] - slope[i]) <= tol * max(1.0, abs(slope[i]))
+    # a float read, rejected by a threshold below every norm
+    monkeypatch.setattr(radial, "_READ_NORM_MAX", -1.0)
+    runs.clear()
+    t = 0.5 * (ts[20] + ts[21])
+    lam3, slope3 = point(t)
+    assert len(runs) == 1
+    monkeypatch.setattr(radial, "_READ_NORM_MAX", 1.0)
+    lam4, slope4 = point(t)
+    assert abs(lam3 - lam4) <= tol * max(1.0, lam4)
+    assert abs(slope3 - slope4) <= tol * max(1.0, abs(slope4))
