@@ -26,7 +26,7 @@ from .powerlaw import (MEMS_CRITICAL_DIMENSION, REGULAR_CRITICAL_DIMENSION,
 _LAZY = {
     "bounds": """BoundReport DomainStats ball_stats energy_norm_bound
         eigenvalue_lower_bound exp_supnorm_bound exp_supnorm_constant
-        log_weight_integral mems_ball_supnorm_bound
+        mems_ball_supnorm_bound
         mems_ball_supnorm_closed_form mems_supnorm_bound mems_supnorm_constant power_supnorm_bound power_supnorm_constant
         pullin_distance_lower pullin_voltage_upper radial_decay_constant
         stability_necessary_check""".split(),

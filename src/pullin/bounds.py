@@ -202,23 +202,15 @@ def exp_supnorm_constant(N: float) -> BoundReport:
         f"N={N:g}", 3.0 <= N <= 9.0, f"dimension {N:g} outside [3, 9]")
 
 
-def log_weight_integral(p: float, R: float) -> float:
-    """Integral of (-log r)^p · r over (0, R], for p >= 0 and 0 < R <= 1.
+def _log_weight(p, R: float):
+    """Integral of (-log r)^p · r over (0, R], for a float or an array of
+    p >= 0 and 0 < R <= 1 (unchecked).
 
     With r = e^(-x/2) it is the upper incomplete gamma function
     2^(-(p+1)) Γ(p+1, -2 log R) (DLMF §8.2).  Satisfies the by-parts
     recursion Λ(p, R) = R²/2·(-log R)^p + p/2·Λ(p-1, R).  Reads +inf
     where Γ(p+1)/2^(p+1) leaves double range (p >= 200 or so).
     """
-    if p < 0 or not 0.0 < R <= 1.0:
-        raise DomainValidationError(f"need p >= 0 and 0 < R <= 1, got ({p}, {R})")
-    with np.errstate(over="ignore"):
-        return float(_log_weight(p, R))
-
-
-def _log_weight(p, R: float):
-    """`log_weight_integral` for a float or an array of p, without the
-    domain checks."""
     scale = np.exp(gammaln(p + 1.0) - (p + 1.0) * math.log(2.0))
     return scale * gammaincc(p + 1.0, -2.0 * math.log(R))
 

@@ -224,8 +224,8 @@ class Branch:
     fold, `fold_found` is False, `m_star` is NaN and `lambda_star` is a lower
     estimate: either λ(m) climbs over the whole schedule (singular regimes
     where it rises monotonically toward its limit), or the schedule starts
-    past the fold and no point is stable.  `fold_index` is the k of the grid
-    cell [m_k, m_k+1] holding the fold; `stability_skipped` counts the
+    past the fold and no point is stable.  With a fold, the grid cell
+    [m_k, m_k+1] with k = n_stable - 1 holds it; `stability_skipped` counts the
     points whose stability eigenvalue could not be bracketed (mu1 is None).
     """
 
@@ -244,10 +244,6 @@ class Branch:
         return 0 < self.n_stable < len(self.points)
 
     @property
-    def fold_index(self) -> Optional[int]:
-        return self.n_stable - 1 if self.fold_found else None
-
-    @property
     def m_values(self) -> np.ndarray:
         return np.array([p.m for p in self.points])
 
@@ -258,11 +254,6 @@ class Branch:
     def stable_points(self) -> list[BranchPoint]:
         """Points on the minimal branch (center value below the first fold)."""
         return self.points[:self.n_stable]
-
-    def max_relative_jump(self) -> float:
-        """Largest voltage jump between adjacent points, for mesh checks."""
-        lam = self.lambda_values
-        return float(np.max(np.abs(np.diff(lam)) / np.maximum(lam[1:], 1e-300)))
 
 
 def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,

@@ -27,11 +27,12 @@ t = log ℓ under a pure relative error control (`trajectory_rtol`).
 Every run goes through `solve_ivp`, which returns the result of scipy's,
 and runs on scipy's compiled DOP853 (Hairer-Nørsett-Wanner,
 *Solving ODEs I*, §II.10) with the method, step controller and RMS error
-norm of scipy's Python DOP853.  A run records its accepted steps, and
-`StepReader` reads it at any point between them with one more DOP853 step
-from the recorded step below (`_dop853_step`), for one point or for an
-array of them at once: the levels of a branch, the root evaluations on it,
-and the profile of a shot.
+norm of scipy's Python DOP853, over every row it is given (`spectral`
+scales the quadrature row of an eigen half-run out of that norm itself).
+A run records its accepted steps, and `StepReader` reads it at any point
+between them with one more DOP853 step from the recorded step below
+(`_dop853_step`), for one point or for an array of them at once: the
+levels of a branch, the root evaluations on it, and the profile of a shot.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ _TRAJECTORY_RTOL = 1e-4
 # below about 1e-15 the error estimate of a step is rounding noise: at
 # tol 1e-14 (rtol 1e-18) a step of the fold's brentq failed as too small
 _TRAJECTORY_RTOL_MIN = 1e-15
-# a compiled run carries the quadrature row of an eigen-shot times
-# _ROW_SCALE: below atol its terms vanish from the error norm, which sums
-# over every row, so a row of up to about 1e97 stays out of it (a larger
-# one only shrinks the steps), and one above about 1e-187 keeps every bit
-_ROW_SCALE = 2.0 ** -400
 
 
 def center_series(F: Nonlinearity, N: float, k: float, m: float, nu: float = 0.0):
@@ -144,7 +140,7 @@ def lane_seed(F: Nonlinearity, N: float, m: float, tol: float,
 
 
 def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0,
-             nu: float = 0.0, weight: bool = False):
+             nu: float = 0.0, weight: float = 0.0):
     """Right-hand side d/dτ of the rows (r, w', z, z') of the one-lane run
     from the center value m, with d/dτ = (dr/dτ) d/dr and dr/dτ = -2mτ/w'.
 
@@ -153,8 +149,9 @@ def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0,
     [0, m], F and F' need no domain check (`F.derivative`).  It takes the
     rows as a sequence of floats, as a compiled run hands them over, since
     numpy would cost more in call overhead than the formula, or of arrays,
-    as a `StepReader` does, and returns a tuple.  With `weight` a fifth row
-    carries the weighted square integral ∫ r^(N-1) z² dr of the linear mode.
+    as a `StepReader` does, and returns a tuple.  With a nonzero `weight` a
+    fifth row carries `weight` times the weighted square integral
+    ∫ r^(N-1) z² dr of the linear mode.
     """
     c = N - 1.0
     f0, f1 = F.derivative(0), F.derivative(1)
@@ -170,7 +167,7 @@ def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0,
             f, fp = ra * f, ra * fp
         cr = c / r
         rows = (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
-        return rows + (r ** c * z * z * dr,) if weight else rows
+        return rows + (r ** c * z * z * dr * weight,) if weight else rows
 
     return rhs
 
@@ -383,29 +380,26 @@ class _CompiledDOP853:
         integrator._solout = integrator._solout
         self.ode.set_solout(self._record)
         self.nan = (math.nan,) * size
-        self.fun, self.row_scale = None, 1.0
+        self.fun = None
         self.steps: list = []
         self.errors: list = []
 
     def _rhs(self, t, y):
         try:
-            rows = self.fun(t, y.tolist())
+            return self.fun(t, y.tolist())
         except Exception as exc:  # the compiled code would lose it
             self.errors.append(exc)
             return self.nan
-        scale = self.row_scale
-        return rows if scale == 1.0 else (*rows[:-1], rows[-1] * scale)
 
     def _record(self, t, y):
         self.steps.append((t, *y.tolist()))
 
-    def run(self, fun, t_span, y0: np.ndarray, rtol: float, atol: float,
-            row_scale: float = 1.0):
+    def run(self, fun, t_span, y0: np.ndarray, rtol: float, atol: float):
         """(t, *y) at every accepted step, RHS evaluations and the return
-        code of one run, with the last row's derivative times `row_scale`.
-        An exception raised by `fun` is raised again as itself."""
+        code of one run.  An exception raised by `fun` is raised again as
+        itself."""
         solver, integrator = self.ode, self.ode._integrator
-        self.fun, self.row_scale, self.steps, self.errors = fun, row_scale, [], []
+        self.fun, self.steps, self.errors = fun, [], []
         integrator.rtol, integrator.atol = rtol, atol
         solver.set_initial_value(y0, t_span[0])
         integrator.iwork[3] = -1  # no stiffness test, as in scipy's Python DOP853
@@ -425,38 +419,26 @@ class _CompiledDOP853:
 _IDLE: dict[int, _CompiledDOP853] = {}
 
 
-def _compiled_run(fun, t_span, y0: np.ndarray, rtol: float, atol: float) -> OdeResult:
-    """A run on the compiled DOP853.  A fifth row is a quadrature row: it
-    rides scaled by `_ROW_SCALE`, and rtol and atol shrink by √(4/5), so
-    that the norm over the five rows is that of the four lane rows."""
-    size = len(y0)
-    row_scale, shrink = (_ROW_SCALE, math.sqrt(0.8)) if size == 5 else (1.0, 1.0)
-    start = y0.copy()
-    start[4:] *= row_scale
-    # taken out while it runs, so a nested or concurrent run gets its own
-    solver = _IDLE.pop(size, None) or _CompiledDOP853(size)
-    try:
-        steps, nfev, code = solver.run(fun, t_span, start, shrink * rtol, shrink * atol,
-                                       row_scale)
-    finally:
-        _IDLE[size] = solver
-    table = np.array(steps).T
-    y = table[1:]
-    y[4:] /= row_scale
-    message = solver.ode._integrator.messages.get(code, f"return code {code}")
-    return OdeResult(t=table[0], y=y, sol=None, nfev=nfev, njev=0, nlu=0,
-                     status=0 if code > 0 else -1, success=code > 0, message=message)
-
-
-def solve_ivp(fun, t_span, y0, rtol: float, atol: float):
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
     """A run of the radial core on scipy's compiled DOP853
     (`_CompiledDOP853`), with the result of scipy's `solve_ivp` (DOP853 and
     no other options).  `fun(t, rows)` gets the rows as a list of floats.
 
-    `y0` holds the rows (r, w', z, z') of a one-lane run and, in an
-    eigen-shot, a trailing quadrature row that `fun` does not read and the
-    error norm leaves out; or the two rows of the trajectory.  `y` holds
-    the state at every accepted step, which a `StepReader` reads between
-    them; `nfev` counts the evaluations of `fun`.
+    `y0` holds the rows (r, w', z, z') of a one-lane run, with the scaled
+    quadrature row of a `spectral` half-run after them, or the two rows of
+    the trajectory; the error norm takes in every row.  `y` holds the state
+    at every accepted step, which a `StepReader` reads between them; `nfev`
+    counts the evaluations of `fun`.
     """
-    return _compiled_run(fun, t_span, np.asarray(y0, dtype=float), rtol, atol)
+    y0 = np.asarray(y0, dtype=float)
+    size = len(y0)
+    # taken out while it runs, so a nested or concurrent run gets its own
+    solver = _IDLE.pop(size, None) or _CompiledDOP853(size)
+    try:
+        steps, nfev, code = solver.run(fun, t_span, y0, rtol, atol)
+    finally:
+        _IDLE[size] = solver
+    table = np.array(steps).T
+    message = solver.ode._integrator.messages.get(code, f"return code {code}")
+    return OdeResult(t=table[0], y=table[1:], sol=None, nfev=nfev, njev=0, nlu=0,
+                     status=0 if code > 0 else -1, success=code > 0, message=message)

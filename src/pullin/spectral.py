@@ -19,8 +19,9 @@ point of the potential.  The Prüfer angles of the two halves, continued by
 at the principal eigenvalue, so a higher mode can never be returned; one
 quadrature row per half gives the mismatch's derivative, and Newton steps
 inside the Rayleigh bracket find ν₁.  Every half-run is a one-lane run on
-scipy's compiled DOP853 (`radial.solve_ivp`), which carries the quadrature
-row scaled far below atol, so that the row sets no step.
+scipy's compiled DOP853 (`radial.solve_ivp`), whose error norm sums over
+every row; the half-run carries its quadrature row scaled far below atol,
+so that the row sets no step.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ _RAYLEIGH_MARGIN = 1e-6
 _LAM_MISMATCH = 1e3
 # matching point τ_m of the half-runs when ν + F'(w) > 0 on the whole radius
 _TAU_OSCILLATORY = 0.5
+# a half-run carries its quadrature row times _ROW_SCALE: below atol its
+# terms vanish from the error norm, which sums over every row, so a row of
+# up to about 1e97 stays out of it (a larger one only shrinks the steps),
+# and one above about 1e-187 keeps every bit.  rtol and atol shrink by
+# _ROW_SHRINK = √(4/5), so that the norm over the five rows is that of the
+# four lane rows
+_ROW_SCALE = 2.0 ** -400
+_ROW_SHRINK = math.sqrt(0.8)
 
 
 @dataclass
@@ -118,19 +127,24 @@ def _half_run(N: float, F: Nonlinearity, m: float, nu: float, start, tau_end: fl
     going back.  For the solution at center value m, λ = R² and ψ(r) = z(Rr)
     is the trial eigenfunction at μ = R²ν.
 
+    The run sets its steps on the four lane rows alone: I rides scaled by
+    `_ROW_SCALE`, under √(4/5) of rtol and of atol = rtol/100.
+
     Returns (zeros, (r, w', z, z', I) at tau_end), where `zeros` counts the
     sign changes of z between accepted steps (at these tolerances a step
     spans a small fraction of a half-wave of z, so none is missed); z = 0 at
     the start of a right run is no sign change.
     """
-    tau0, y0 = start
-    sol = solve_ivp(lane_rhs(F, N, m, nu=nu, weight=True), (tau0, tau_end),
-                    y0, rtol=rtol, atol=rtol * 1e-2)
+    tau0, (*rows, row) = start
+    sol = solve_ivp(lane_rhs(F, N, m, nu=nu, weight=_ROW_SCALE), (tau0, tau_end),
+                    [*rows, row * _ROW_SCALE], rtol=_ROW_SHRINK * rtol,
+                    atol=_ROW_SHRINK * (rtol * 1e-2))
     if not sol.success:
         raise BracketError(f"eigen shot failed at nu={nu}: {sol.message}")
     z = sol.y[2]
     zeros = int(np.count_nonzero(np.signbit(z[1:]) != np.signbit(z[:-1])))
-    return zeros, tuple(sol.y[:, -1].tolist())
+    *rows, row = sol.y[:, -1].tolist()
+    return zeros, (*rows, row / _ROW_SCALE)
 
 
 def _match_point(F: Nonlinearity, m: float, nu: float, tau0: float) -> float:

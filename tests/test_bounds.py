@@ -10,7 +10,7 @@ import pullin
 from pullin import (DomainValidationError, DomainStats, QuadratureError,
                     ball_stats, energy_norm_bound, exp_supnorm_bound,
                     exp_supnorm_constant, eigenvalue_lower_bound, exponential,
-                    lambda1_ball, log_weight_integral, mems_ball_supnorm_bound,
+                    lambda1_ball, mems_ball_supnorm_bound,
                     mems_ball_supnorm_closed_form,
                     mems_inverse_power, mems_supnorm_bound, mems_supnorm_constant,
                     power_growth, power_supnorm_constant,
@@ -19,7 +19,7 @@ from pullin import (DomainValidationError, DomainStats, QuadratureError,
                     volume_unit_ball)
 from pullin.bounds import (T_MAX_MEMS, _mems_radial_integral, _mems_radial_root,
                            _mems_radial_roots, _mems_radial_rhs, _open_window,
-                           _power_window, mems_profile_constant)
+                           _log_weight, _power_window, mems_profile_constant)
 
 MEMS = mems_inverse_power(2.0)
 EXP = exponential()
@@ -60,7 +60,9 @@ def test_domain_stats_validation():
                         f_phi_integral=1.0),
     lambda: DomainStats(lambda1=1.0, volume=1.0, N=2.0, inf_f=0.0, sup_f=0.0,
                         f_phi_integral=0.0),
-    lambda: log_weight_integral(1.0, 1.5),
+    # a disc of area π·1.5² has radius 1.5, outside the log weight's (0, 1]
+    lambda: exp_supnorm_bound(DomainStats(lambda1=LAM1_BALL_2D, volume=math.pi * 1.5 ** 2,
+                                          N=2.0, inf_f=1.0, sup_f=1.0, f_phi_integral=1.0)),
     # a disc of area 4 has radius 1.13, outside the log weight's (0, 1]
     lambda: exp_supnorm_bound(DomainStats(lambda1=LAM1_BALL_2D, volume=4.0, N=2.0,
                                           inf_f=1.0, sup_f=1.0, f_phi_integral=1.0)),
@@ -208,14 +210,14 @@ def test_eigenvalue_lower_bound_consistency():
 
 def test_log_weight_integral_frozen():
     # integral of -log(r)*r over (0,1) by parts equals 1/4
-    assert log_weight_integral(1.0, 1.0) == pytest.approx(0.25, abs=1e-12)
+    assert _log_weight(1.0, 1.0) == pytest.approx(0.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("R", [0.3, 0.7, 1.0])
 def test_log_weight_integral_recursion(p, R):
-    lhs = log_weight_integral(p, R)
-    rhs = R * R / 2.0 * (-math.log(R)) ** p + p / 2.0 * log_weight_integral(p - 1.0, R)
+    lhs = _log_weight(p, R)
+    rhs = R * R / 2.0 * (-math.log(R)) ** p + p / 2.0 * _log_weight(p - 1.0, R)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -226,7 +228,7 @@ def test_log_weight_integral_incomplete_gamma_oracle(p, R):
     with mpmath.workdps(30):
         ref = float(mpmath.gammainc(p + 1, -2 * mpmath.log(R))
                     / mpmath.mpf(2) ** (p + 1))
-    assert log_weight_integral(p, R) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert _log_weight(p, R) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_mems_constant_and_cube_bound():
@@ -660,7 +662,8 @@ def test_exp_bound_in_dimension_2_matches_the_per_point_scan():
         # on a Python float an overflow at small t raises OverflowError,
         # which the scan reads as +inf
         t = float(t)
-        lam_val = log_weight_integral((2.0 * t + 1.0) / (2.0 * t), R)
+        with np.errstate(over="ignore"):
+            lam_val = float(_log_weight((2.0 * t + 1.0) / (2.0 * t), R))
         return ((4.0 / (2.0 - t)) ** (1.0 / t)
                 * (stats.volume / (2.0 * math.pi)) ** (1.0 / (2.0 * t + 1.0))
                 * lam_val ** (2.0 * t / (2.0 * t + 1.0)))
@@ -724,7 +727,8 @@ def test_printed_ball_bounds_are_pinned():
                         f_phi_integral=1.0),
     lambda: DomainStats(lambda1=1.0, volume=1.0, N=math.inf, inf_f=1.0, sup_f=1.0,
                         f_phi_integral=1.0),
-    lambda: log_weight_integral(1.0, math.nan),
+    lambda: exp_supnorm_bound(DomainStats(lambda1=1.0, volume=math.inf, N=2.0, inf_f=1.0,
+                                          sup_f=1.0, f_phi_integral=1.0)),
     lambda: power_supnorm_constant(3.0, math.inf),
     lambda: energy_norm_bound(EXP, 1.0, math.nan),
 ], ids=["lambda1_nan", "lambda1_inf", "volume_nan", "volume_inf", "decay_tau_nan",

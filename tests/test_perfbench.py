@@ -23,7 +23,8 @@ def test_tracer_installs_and_restores_its_hooks():
         tracer = tracing.Tracer(caps).install()
         try:
             assert all(getattr(*key) is not fn for key, fn in before.items())
-            branch.shoot(exponential(), 2.0, 1.0)
+            u = branch.shoot(exponential(), 2.0, 1.0)
+            spectral.mu1(2.0, exponential(), u.lam, u)
         finally:
             tracer.uninstall()
     finally:
@@ -32,6 +33,9 @@ def test_tracer_installs_and_restores_its_hooks():
     assert all(getattr(*key) is fn for key, fn in before.items())
     assert tracer.counts["branch.shoot.calls"] == 1
     assert tracer.counts["branch.integrator_calls"] == 1
+    # the eigen-shots of mu1 reach the tracer through `spectral.solve_ivp`
+    assert tracer.counts["spectral.mu1.eigen_shots"] > 0
+    assert tracer.counts["spectral.mu1.rhs_evals"] > 0
 
 
 def test_tracer_passes_array_objectives_through():

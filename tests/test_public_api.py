@@ -18,7 +18,7 @@ EXPORTED = sorted("""
     classify_regularity default_m_grid dim_transform dudlambda
     eigenvalue_lower_bound energy_norm_bound exp_supnorm_bound
     exp_supnorm_constant exponential lambda1_ball
-    log_weight_integral mems_ball_supnorm_bound mems_ball_supnorm_closed_form
+    mems_ball_supnorm_bound mems_ball_supnorm_closed_form
     mems_inverse_power mems_supnorm_bound
     mems_supnorm_constant minimal_solution mu1 power_growth
     power_supnorm_bound power_supnorm_constant pullin_distance_lower

@@ -52,11 +52,43 @@ def test_one_lane_run_matches_its_lane_in_a_pair(monkeypatch, F, m, partner, N, 
     assert abs(slope - slope2) <= tol * max(1.0, abs(slope2))
 
 
-def test_a_quadrature_row_stays_out_of_the_error_norm():
+def test_a_quadrature_row_stays_out_of_the_error_norm(monkeypatch):
     # the half-run's fifth row rides scaled, under √(4/5) of rtol and atol
     F, m, nu, tol = mems_inverse_power(2.0), 0.5, -1.0, 1e-8
     tau0, y0, *_ = radial.lane_seed(F, 2.0, m, tol, nu=nu)
-    rhs = radial.lane_rhs(F, 2.0, m, nu=nu, weight=True)
+    sols = []
+    real = spectral.solve_ivp
+
+    def recording(*args, **kwargs):
+        sols.append(real(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(spectral, "solve_ivp", recording)
+
+    def run(row):
+        return spectral._half_run(2.0, F, m, nu, (tau0, np.append(y0, row)), 1.0, tol)[1]
+
+    small_end, large_end = run(1e-9), run(1e60)
+    small, large = sols
+    assert small.success and large.success
+    # whatever the size of the row, it sets no step
+    assert np.array_equal(small.t, large.t)
+    assert np.array_equal(small.y[:4], large.y[:4])
+    assert small_end[:4] == large_end[:4]
+    # the same run on scipy's Python DOP853, unscaled, whose norm takes in
+    # all five rows: every row agrees to the tolerance
+    rhs = radial.lane_rhs(F, 2.0, m, nu=nu, weight=1.0)
+    python = scipy_solve_ivp(rhs, (tau0, 1.0), np.append(y0, 1e-9),
+                             method="DOP853", rtol=tol, atol=tol * 1e-2)
+    assert np.allclose(small_end, python.y[:, -1], rtol=10 * tol, atol=0.0)
+
+
+def test_a_plain_run_sets_its_steps_on_every_row():
+    # a five-row run of `solve_ivp` is a plain run: its norm takes in the
+    # fifth row as it is, so a large one shortens the steps
+    F, m, nu, tol = mems_inverse_power(2.0), 0.5, -1.0, 1e-8
+    tau0, y0, *_ = radial.lane_seed(F, 2.0, m, tol, nu=nu)
+    rhs = radial.lane_rhs(F, 2.0, m, nu=nu, weight=1.0)
 
     def run(row):
         return radial.solve_ivp(rhs, (tau0, 1.0), np.append(y0, row), rtol=tol,
@@ -64,14 +96,7 @@ def test_a_quadrature_row_stays_out_of_the_error_norm():
 
     small, large = run(1e-9), run(1e60)
     assert small.success and large.success
-    # whatever the size of the row, it sets no step
-    assert np.array_equal(small.t, large.t)
-    assert np.array_equal(small.y[:4], large.y[:4])
-    # the same run on scipy's Python DOP853, whose norm takes in all five
-    # rows: every row agrees to the tolerance
-    python = scipy_solve_ivp(rhs, (tau0, 1.0), np.append(y0, 1e-9),
-                             method="DOP853", rtol=tol, atol=tol * 1e-2)
-    assert np.allclose(small.y[:, -1], python.y[:, -1], rtol=10 * tol, atol=0.0)
+    assert len(small.t) < len(large.t)
 
 
 def _blowup(*_, **__):
@@ -268,13 +293,13 @@ def test_a_rejected_read_is_redone_as_a_compiled_run(monkeypatch):
     lam, slope = point(ts)
     worst, second = sorted(norms)[-2:][::-1]
     runs = []
-    real = radial._compiled_run
+    real = radial._CompiledDOP853.run
 
-    def counting(*args, **kwargs):
-        runs.append(args[1])
-        return real(*args, **kwargs)
+    def counting(self, fun, t_span, *args):
+        runs.append(t_span)
+        return real(self, fun, t_span, *args)
 
-    monkeypatch.setattr(radial, "_compiled_run", counting)
+    monkeypatch.setattr(radial._CompiledDOP853, "run", counting)
     # a threshold between the two largest norms rejects one read of the grid
     monkeypatch.setattr(radial, "_READ_NORM_MAX", 0.5 * (worst + second))
     lam2, slope2 = _levels(F, N, 61, tol)[1](ts)
