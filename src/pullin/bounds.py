@@ -456,13 +456,19 @@ def _mems_radial_root(t: float, N: float, lambda1: float) -> float:
     increasing in m; 1 when G(1 - 1e-9) <= RHS, 0 when G(0) >= RHS.
 
     The integral is an incomplete beta function except for N >= 3,
-    t <= 3(N-2)/4 (see `_mems_radial_integral`)."""
+    t <= 3(N-2)/4 (see `_mems_radial_integral`).  Where b = q - a < 0 there,
+    (1 - m + Cs)^(-q) < (Cs)^(-q), so G(m; t) < C^(-q)/(ρ(a - q)) for every
+    m < 1, and where that closed form is at most RHS the root is 1 without a
+    quadrature; b = 0 and the points it does not settle take `quad`."""
     try:
         # Python-float arithmetic: past double range it raises
         rhs_val = _mems_radial_rhs(float(t), N)
     except OverflowError:
         return 1.0
     a, q, C, rho = _mems_radial_parameters(t, N, lambda1)
+    # in logarithms, since C^(-q) can leave double range
+    if a > q and -q * math.log(C) - math.log(rho) - math.log(a - q) <= math.log(rhs_val):
+        return 1.0
 
     def G(m):
         return _mems_radial_integral(m, a, q, C) / rho
@@ -486,8 +492,8 @@ def _mems_radial_roots(t, N: float, lambda1: float):
     u = log(1 - m), where log G is close to linear: bracketed secant steps
     with the Illinois halving (Dowell & Jarratt 1971) on
     log G(m; t) - log RHS(t) between u = log(1e-9) and 0, until a step moves
-    m by at most 1e-12.  The points with b <= 0 take the scalar root, each
-    on `quad`."""
+    m by at most 1e-12.  The points with b <= 0 take the scalar root, which
+    settles b < 0 in closed form where it can and else takes `quad`."""
     if np.ndim(t) == 0:
         try:
             return _mems_radial_root(t, N, lambda1)

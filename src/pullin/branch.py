@@ -11,15 +11,18 @@ exactly; a fold is a root of that slope.
 
 A shot runs in the profile variable τ, with w = m(1 - τ²) and the radius
 r as an unknown, so the zero of w is the fixed endpoint τ = 1.  `shoot` is
-that one-lane run on scipy's compiled DOP853 (`radial.solve_ivp`), and
-reads its profile between the recorded steps (`radial.StepReader`).
+that one-lane run of the radial core on scipy's compiled DOP853
+(`radial.solve_ivp`), and reads its profile between the recorded steps
+(`radial.StepReader`).
 
 A branch needs no shot at all.  By the scaling symmetry of each family
 (`Nonlinearity.scaling_law`) every center value m is a level ℓ(m) on the
 one solution w₀ with center value 0, so `solve_branch` reads λ and dλ/dm at
 every grid point, and the fold, off one run of w₀ in Emden-Fowler
-variables (`radial.trajectory_seed`), on scipy's compiled DOP853
-(Hairer-Nørsett-Wanner), all grid points in one array step.
+variables (`_trajectory`, `trajectory_rhs`), on scipy's compiled DOP853
+(Hairer-Nørsett-Wanner), all grid points in one array step.  The
+trajectory's seed, rtol rule and right-hand side live here, next to their
+only caller; `radial` holds what `shoot` and `spectral` share.
 `minimal_solution` finds its center value on the branch's own run, and
 makes one shot there for the profile.
 
@@ -42,8 +45,7 @@ from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError)
 from .nonlinearity import Nonlinearity
 from .powerlaw import TransformResult, dim_transform
-from .radial import (StepReader, lane_rhs, lane_seed, series_value, solve_ivp,
-                     trajectory_rhs, trajectory_rtol, trajectory_seed, trajectory_voltage)
+from .radial import StepReader, center_series, lane_rhs, lane_seed, series_value, solve_ivp
 
 DEFAULT_TOL = 1e-10
 # tolerance of each μ₁ that `solve_branch` fills (its own tol if larger),
@@ -52,6 +54,19 @@ _STABILITY_TOL = 1e-6
 # absolute and relative tolerance in t = log ℓ of the fold's brentq: a few
 # ulps, the least scipy's brentq takes
 _FOLD_XTOL = 4.0 * np.finfo(float).eps
+# the trajectory runs at rtol = tol * _TRAJECTORY_RTOL and atol 0.  Only a
+# relative control resolves the slopes of the singular tails: on the 50-point
+# exp N = 9, 10 and 12 grids they go down to 1.4e-29, 5.1e-32 and 3.6e-23,
+# and with atol = rtol/100 the last two or three of them came out as noise
+# between 2.6e-20 and 7.4e-16, with flipped signs (spurious folds) at N = 9
+# and 10.  At tol 1e-10 the 61-point exp N = 1 grid reads λ off its closed
+# form by 5.6e-14 at tol * 1e-3, 1.5e-14 at 3e-4 and 4.2e-15 at 1e-4, where
+# the lane grid this replaced read 1.6e-14; the main runs take 21-34% more
+# steps at 1e-4 than at 1e-3
+_TRAJECTORY_RTOL = 1e-4
+# below about 1e-15 the error estimate of a step is rounding noise: at
+# tol 1e-14 (rtol 1e-18) a step of the fold's brentq failed as too small
+_TRAJECTORY_RTOL_MIN = 1e-15
 
 
 @dataclass(frozen=True)
@@ -101,7 +116,7 @@ class ShootResult:
     alpha: float
     seed_radius: float
     _series: tuple = field(repr=False)  # (a1, a2, a3) of the center series
-    _rows: Callable = field(repr=False)  # rho -> rows (w, w') of the run
+    _read: StepReader = field(repr=False)  # the run between its recorded steps
 
     def profile(self, rho):
         """Unscaled profile w at raw radius rho in [0, first_zero]: the center
@@ -113,58 +128,16 @@ class ShootResult:
         out = np.where(rho < eps, series, self._rows(np.clip(rho, eps, self.first_zero))[0])
         return float(out) if out.ndim == 0 else out
 
-    def solution(self) -> RadialSolution:
-        """Rescale to the unit ball: u(r) = w(R r), voltage λ = R^(2+α)."""
-        return _rescaled(self, 1.0, self.lam, self.alpha)
+    def _rows(self, rho):
+        """Rows (w, w') of the run at raw radius rho.
 
-
-def _rescaled(shot: ShootResult, exponent: float, lam: float,
-              alpha: float) -> RadialSolution:
-    """The unit-ball solution u(r) = w(R r^exponent) at voltage lam."""
-    R = shot.first_zero
-    evaluate = lambda rr: shot.profile(R * np.asarray(rr, dtype=float) ** exponent)
-    return RadialSolution(shot.m, lam, shot.N_eff, alpha, _evaluate=evaluate)
-
-
-def _shoot_lane(F: Nonlinearity, N_eff: float, m: float, tol: float,
-                alpha: float = 0.0):
-    """Shoot the center value m in one run of the radial core
-    (`radial.lane_seed` and `radial.lane_rhs`) on scipy's compiled DOP853.
-    `shoot` is this run; at tol 1e-13 it is the tight reference of the
-    tests.
-
-    Returns (R, dλ/dm, seed radius, center series (a1, a2, a3), reader of
-    the run's rows between its recorded steps), with
-    dλ/dm = (2+α) R^(1+α) (-z(R)/w'(R)).
-    """
-    tau0, y0, eps, a = lane_seed(F, N_eff, m, tol, alpha)
-    rhs = lane_rhs(F, N_eff, m, alpha)
-
-    def run(t_span, rows):
-        sol = solve_ivp(rhs, t_span, rows, rtol=tol, atol=tol * 1e-2)
-        if not sol.success:
-            raise NoCrossingError(
-                f"shooting run failed (family {F.label()}, N_eff={N_eff}, m={m}): "
-                f"{sol.message}")
-        return sol
-
-    sol = run((tau0, 1.0), y0)
-    R, dw, z, _ = sol.y[:, -1].tolist()
-    return (R, (2.0 + alpha) * R ** (1.0 + alpha) * (-z / dw), eps, a,
-            StepReader(sol, rhs, tol, tol * 1e-2, run))
-
-
-def _rows_at_radius(read: StepReader, m: float):
-    """rho -> rows (w, w') of a one-lane run at raw radius rho.
-
-    r(τ) increases, so the recorded step whose radii bracket rho gives a
-    linear first guess for τ, and Newton steps with dr/dτ = -2mτ/w' on the
-    reads between the recorded steps finish it, all radii in one array
-    step each; then w = m(1 - τ²).
-    """
-    taus, radii = read.t, read.y[0]
-
-    def rows(rho):
+        r(τ) increases, so the recorded step whose radii bracket rho gives a
+        linear first guess for τ, and Newton steps with dr/dτ = -2mτ/w' on
+        the reads between the recorded steps finish it, all radii in one
+        array step each; then w = m(1 - τ²).
+        """
+        read, m = self._read, float(self.m)
+        taus, radii = read.t, read.y[0]
         rho = np.asarray(rho, dtype=float)
         i = np.clip(np.searchsorted(radii, rho), 1, len(taus) - 1)
         tau = taus[i - 1] + ((taus[i] - taus[i - 1]) * (rho - radii[i - 1])
@@ -179,25 +152,49 @@ def _rows_at_radius(read: StepReader, m: float):
                 break
         return np.array([m * (1.0 - tau * tau), dw])
 
-    return rows
+    def solution(self) -> RadialSolution:
+        """Rescale to the unit ball: u(r) = w(R r), voltage λ = R^(2+α)."""
+        return _rescaled(self, 1.0, self.lam, self.alpha)
+
+
+def _rescaled(shot: ShootResult, exponent: float, lam: float,
+              alpha: float) -> RadialSolution:
+    """The unit-ball solution u(r) = w(R r^exponent) at voltage lam."""
+    R = shot.first_zero
+    evaluate = lambda rr: shot.profile(R * np.asarray(rr, dtype=float) ** exponent)
+    return RadialSolution(shot.m, lam, shot.N_eff, alpha, _evaluate=evaluate)
 
 
 def shoot(F: Nonlinearity, N_eff: float, m: float, tol: float = DEFAULT_TOL,
           alpha: float = 0.0) -> ShootResult:
     """First zero R of w'' + (N-1)/r w' + r^α F(w) = 0, w(0)=m, w'(0)=0, the
-    voltage λ = R^(2+α) and its slope dλ/dm along the branch.
+    voltage λ = R^(2+α) and its slope dλ/dm = (2+α) R^(1+α) (-z(R)/w'(R))
+    along the branch.
 
-    The one-lane run of the shooting core (see `_shoot_lane`), whose
-    profile is read between its recorded steps.
+    One run of the radial core (`radial.lane_seed` and `radial.lane_rhs`)
+    on scipy's compiled DOP853 at rtol tol and atol tol·1e-2, whose profile
+    is read between its recorded steps; at tol 1e-13 it is the tight
+    reference of the tests.
     """
     dim_transform(N_eff, alpha)  # refuses N_eff and alpha outside its domain
     if not 0.0 < m < F.endpoint:
         raise DomainValidationError(
             f"center value must lie in (0, {F.endpoint}), got {m}")
+    tau0, y0, eps, a = lane_seed(F, N_eff, m, tol, alpha)
+    rhs = lane_rhs(F, N_eff, m, alpha)
 
-    R, slope, eps, a, read = _shoot_lane(F, N_eff, m, tol, alpha)
-    return ShootResult(R, R ** (2.0 + alpha), slope, m, N_eff, alpha, eps, a,
-                       _rows_at_radius(read, float(m)))
+    def run(t_span, rows):
+        sol = solve_ivp(rhs, t_span, rows, rtol=tol, atol=tol * 1e-2)
+        if not sol.success:
+            raise NoCrossingError(
+                f"shooting run failed (family {F.label()}, N_eff={N_eff}, m={m}): "
+                f"{sol.message}")
+        return sol
+
+    sol = run((tau0, 1.0), y0)
+    R, dw, z, _ = sol.y[:, -1].tolist()
+    return ShootResult(R, R ** (2.0 + alpha), (2.0 + alpha) * R ** (1.0 + alpha) * (-z / dw),
+                       m, N_eff, alpha, eps, a, StepReader(sol, rhs, tol, tol * 1e-2, run))
 
 
 def default_m_grid(F: Nonlinearity, n_points: int = 400) -> np.ndarray:
@@ -322,16 +319,48 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
 
 def _trajectory(F: Nonlinearity, N_eff: float, levels: np.ndarray, tol: float):
     """t -> (λ, dλ/dm) at the level ℓ = e^t of the Emden-Fowler trajectory
-    (`radial.trajectory_seed`), for ℓ between the first and the last of the
-    increasing `levels`; t is a float, or an array read in one array step.
+    of w₀, the solution with center value 0 (`Nonlinearity.scaling_law`),
+    for ℓ between the first and the last of the increasing `levels`; t is a
+    float, or an array read in one array step.
 
-    One main run records its steps from the seed, below the first level, to
-    the last level; each t is then read with one step from the last
-    recorded step below it (`radial.StepReader`), so that its bits depend
-    only on that step and on t.
+    The trajectory is the curve (y, q) = (log λ, dℓ/da) over the level ℓ,
+    with a = log ρ on w₀.  Its rows are η = y - y₀ and u = log(q/q*) with
+    q* = 2/κ, so the fold dλ/dm = 0 is where u crosses 0.  y₀ is y* of the
+    singular point (y*, q*), e^y* = q*(N - 2 - σq*), where that is
+    positive, and 0 otherwise.  A tail that converges onto the singular
+    point keeps its relative accuracy under a pure relative error control
+    (atol 0, rtol = tol·1e-4, at least 1e-15), and u, unlike q - q*, keeps
+    the digits of q ~ ℓ near the center (with q - q*, step control near
+    the seed chases rounding noise: the inverse-square disc took 42,424 RHS
+    evaluations in its main run, against 2,958 with u).  At the level
+    ℓ = e^t, λ = e^(y₀ + η) and dλ/dm = λ (2 - κq)/q · dℓ/dm =
+    λ κ expm1(-u) e^(-σℓ).
+
+    The run starts from the third-order center series of w₀
+    (`radial.center_series` at m = 0) in s = ρ², at the s where the
+    series' last term falls to the run's rtol relative to its first, so the
+    remainder stays below rtol, or lower, at half of the first level, so
+    that every level read off lies above the start.  Every trajectory run
+    starts here, so tol is checked here.  One main run records its steps
+    from there to the last level; each t is then read with one step from
+    the last recorded step below it (`radial.StepReader`), so that its bits
+    depend only on that step and on t.
     """
-    rtol = trajectory_rtol(tol)
-    t0, rows0, y0 = trajectory_seed(F, N_eff, tol, float(levels[0]))
+    if not 0.0 < tol < 1.0:
+        raise DomainValidationError(f"tol must lie in (0, 1), got {tol}")
+    kappa, sigma = law = F.scaling_law()
+    q_star = 2.0 / kappa
+    c = N_eff - 2.0 - sigma * q_star
+    y0 = math.log(q_star * c) if c > 0.0 else 0.0
+    rtol = max(tol * _TRAJECTORY_RTOL, _TRAJECTORY_RTOL_MIN)
+    a, _ = center_series(F, N_eff, 2.0, 0.0)
+    a1, a2, a3 = a
+    s = min(math.sqrt(rtol * abs(a1 / a3)), 0.5 * float(levels[0]) / abs(a1))
+    drop = -series_value(a, 0.0, s)
+    level = law.drop_level(drop)
+    # q = dℓ/da = (dℓ/dd)·2s·dd/ds with dℓ/dd = 1/(1 - σd)
+    q = -2.0 * s * (a1 + s * (2.0 * a2 + 3.0 * s * a3)) / (1.0 - sigma * drop)
+    rows0 = np.array([math.log(s) - kappa * level - y0, math.log(0.5 * kappa * q)])
     rhs = trajectory_rhs(F, N_eff)
 
     def run(t_span, rows):
@@ -342,9 +371,56 @@ def _trajectory(F: Nonlinearity, N_eff: float, levels: np.ndarray, tol: float):
                 f"log-levels [{t_span[0]}, {t_span[1]}]): {sol.message}")
         return sol
 
-    read = StepReader(run((t0, math.log(levels[-1])), rows0),
+    read = StepReader(run((math.log(level), math.log(levels[-1])), rows0),
                       trajectory_rhs(F, N_eff, array=True), rtol, 0.0, run)
-    return lambda t: trajectory_voltage(F, y0, t, read(t))
+
+    def point(t):
+        eta, u = read(t)
+        lam = np.exp(y0 + eta)
+        return lam, lam * kappa * np.expm1(-u) * np.exp(-sigma * np.exp(t))
+
+    return point
+
+
+def trajectory_rhs(F: Nonlinearity, N: float, array: bool = False):
+    """Right-hand side d/dt of the trajectory rows (η, u) in t = log ℓ
+    (`_trajectory`), the equations of `Nonlinearity.scaling_law` with
+    d/dt = (ℓ/q) d/da:
+
+        dη/dt = -2 (ℓ/q) expm1(u),
+        du/dt = (ℓ/q)(2 - N + σq + e^y/q),
+
+    and about the singular point, with c = N - 2 - σq* > 0,
+
+        du/dt = (ℓ/q)(σq* expm1(u) + c expm1(η - u)),
+
+    which vanishes there without cancellation.  It takes the rows as a
+    sequence and returns a tuple.  On Python floats it runs on `math`; with
+    `array` on numpy's exp and expm1, which give a float the bits they give
+    it in an array of any size, so a `StepReader` reads a level to the same
+    bits alone or in a batch.
+    """
+    kappa, sigma = F.scaling_law()
+    q_star = 2.0 / kappa
+    exp, expm1 = (np.exp, np.expm1) if array else (math.exp, math.expm1)
+    c = N - 2.0 - sigma * q_star
+    if c > 0.0:
+        sq = sigma * q_star
+
+        def rhs(t, rows):
+            eta, u = rows
+            g, e = exp(t - u) / q_star, expm1(u)
+            return (-2.0 * g * e, g * (sq * e + c * expm1(eta - u)))
+    else:
+        b = 2.0 - N
+
+        def rhs(t, rows):
+            y, u = rows
+            q = q_star * exp(u)
+            g = exp(t) / q
+            return (-2.0 * g * expm1(u), g * (b + sigma * q + exp(y) / q))
+
+    return rhs
 
 
 def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,

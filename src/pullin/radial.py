@@ -1,5 +1,7 @@
-"""The radial integration core: center series, the one-lane run in the
-profile variable, and the Emden-Fowler trajectory of the scaling symmetry.
+"""The radial integration core that `branch` and `spectral` share: the
+center series, the one-lane run in the profile variable, its runner on
+scipy's compiled DOP853, and the DOP853 step that reads a run between the
+steps it records.
 
 A one-lane run integrates, for one center value m, the profile w with its
 linear mode z,
@@ -13,16 +15,9 @@ removable singularity of (N-1)/r at r = 0 rules out starting at the
 center, so each run from the center starts at a small seed radius where
 the center series is still exact to the integrator tolerance (the right
 half-runs of `spectral` start from the edge values at τ = 1 and go back).
-`shoot` and every eigen half-run of `spectral` are one-lane runs
-(`lane_seed`, `lane_rhs`).
-
-A whole branch comes from one run of the trajectory instead: by the
-scaling symmetry of each family (`Nonlinearity.scaling_law`) every center
-value m is a level ℓ(m) on the one solution w₀ with center value 0, and
-the voltage and its slope there are functions of the two rows
-(y, q) = (log λ, dℓ/d log ρ) of w₀ at that level (`trajectory_seed`,
-`trajectory_rhs`, `trajectory_voltage`).  The trajectory runs in
-t = log ℓ under a pure relative error control (`trajectory_rtol`).
+`branch.shoot` and every eigen half-run of `spectral` are one-lane runs
+(`lane_seed`, `lane_rhs`); the Emden-Fowler trajectory of a whole branch
+(`branch._trajectory`) starts from the center series at m = 0.
 
 Every run goes through `solve_ivp`, which returns the result of scipy's,
 and runs on scipy's compiled DOP853 (Hairer-Nørsett-Wanner,
@@ -46,23 +41,10 @@ from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.ivp import OdeResult
 
 from .errors import DomainValidationError
-from .nonlinearity import Nonlinearity, ScalingLaw
+from .nonlinearity import Nonlinearity
 
 # steps allowed in one compiled run
 _MAX_STEPS = 100_000
-# the trajectory runs at rtol = tol * _TRAJECTORY_RTOL and atol 0.  Only a
-# relative control resolves the slopes of the singular tails: on the 50-point
-# exp N = 9, 10 and 12 grids they go down to 1.4e-29, 5.1e-32 and 3.6e-23,
-# and with atol = rtol/100 the last two or three of them came out as noise
-# between 2.6e-20 and 7.4e-16, with flipped signs (spurious folds) at N = 9
-# and 10.  At tol 1e-10 the 61-point exp N = 1 grid reads λ off its closed
-# form by 5.6e-14 at tol * 1e-3, 1.5e-14 at 3e-4 and 4.2e-15 at 1e-4, where
-# the lane grid this replaced read 1.6e-14; the main runs take 21-34% more
-# steps at 1e-4 than at 1e-3
-_TRAJECTORY_RTOL = 1e-4
-# below about 1e-15 the error estimate of a step is rounding noise: at
-# tol 1e-14 (rtol 1e-18) a step of the fold's brentq failed as too small
-_TRAJECTORY_RTOL_MIN = 1e-15
 
 
 def center_series(F: Nonlinearity, N: float, k: float, m: float, nu: float = 0.0):
@@ -172,104 +154,6 @@ def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0,
     return rhs
 
 
-def _singular_voltage(law: ScalingLaw, N: float) -> float:
-    """e^y* = q*(N - 2 - σq*) of the trajectory's singular point
-    (y*, q*) with q* = 2/κ; the point exists where this is positive."""
-    q_star = 2.0 / law.kappa
-    return q_star * (N - 2.0 - law.sigma * q_star)
-
-
-def trajectory_rtol(tol: float) -> float:
-    """rtol of a trajectory run at tol, whose atol is 0."""
-    return max(tol * _TRAJECTORY_RTOL, _TRAJECTORY_RTOL_MIN)
-
-
-def trajectory_seed(F: Nonlinearity, N: float, tol: float, level_max: float):
-    """Start t₀ = log ℓ₀, rows (η, u) and origin y₀ of the Emden-Fowler
-    trajectory of w₀, the solution with center value 0 (`ScalingLaw`).
-
-    The trajectory is the curve (y, q) = (log λ, dℓ/da) over the level ℓ,
-    with a = log ρ on w₀.  Its rows are η = y - y₀ and u = log(q/q*) with
-    q* = 2/κ, so the fold dλ/dm = 0 is where u crosses 0.  y₀ is y* of the
-    singular point (y*, q*) (`_singular_voltage`) where that exists, and 0
-    otherwise.  A tail that converges onto the singular point keeps its
-    relative accuracy under a pure relative error control, and u, unlike
-    q - q*, keeps the digits of q ~ ℓ near the center (with q - q*, step
-    control near the seed chases rounding noise: the inverse-square disc
-    took 42,424 RHS evaluations in its main run, against 2,958 with u).
-
-    The run starts from the third-order center series of w₀
-    (`center_series` at m = 0) in s = ρ², at the s where the series' last
-    term falls to the run's rtol relative to its first, so the remainder
-    stays below rtol, or lower, at half of `level_max`, so that every level
-    read off lies above the start.  Every trajectory run starts here, so
-    tol is checked here.
-    """
-    if not 0.0 < tol < 1.0:
-        raise DomainValidationError(f"tol must lie in (0, 1), got {tol}")
-    law = F.scaling_law()
-    a, _ = center_series(F, N, 2.0, 0.0)
-    a1, a2, a3 = a
-    s = min(math.sqrt(trajectory_rtol(tol) * abs(a1 / a3)), 0.5 * level_max / abs(a1))
-    drop = -series_value(a, 0.0, s)
-    level = law.drop_level(drop)
-    # q = dℓ/da = (dℓ/dd)·2s·dd/ds with dℓ/dd = 1/(1 - σd)
-    q = -2.0 * s * (a1 + s * (2.0 * a2 + 3.0 * s * a3)) / (1.0 - law.sigma * drop)
-    e_star = _singular_voltage(law, N)
-    y0 = math.log(e_star) if e_star > 0.0 else 0.0
-    rows = np.array([math.log(s) - law.kappa * level - y0, math.log(0.5 * law.kappa * q)])
-    return math.log(level), rows, y0
-
-
-def trajectory_rhs(F: Nonlinearity, N: float, array: bool = False):
-    """Right-hand side d/dt of the trajectory rows (η, u) in t = log ℓ,
-    the equations of `Nonlinearity.scaling_law` with d/dt = (ℓ/q) d/da:
-
-        dη/dt = -2 (ℓ/q) expm1(u),
-        du/dt = (ℓ/q)(2 - N + σq + e^y/q),
-
-    and about the singular point, with c = N - 2 - σq*,
-
-        du/dt = (ℓ/q)(σq* expm1(u) + c expm1(η - u)),
-
-    which vanishes there without cancellation.  It takes the rows as a
-    sequence and returns a tuple.  On Python floats it runs on `math`; with
-    `array` on numpy's exp and expm1, which give a float the bits they give
-    it in an array of any size, so a `StepReader` reads a level to the same
-    bits alone or in a batch.
-    """
-    kappa, sigma = law = F.scaling_law()
-    q_star = 2.0 / kappa
-    exp, expm1 = (np.exp, np.expm1) if array else (math.exp, math.expm1)
-    if _singular_voltage(law, N) > 0.0:
-        sq, c = sigma * q_star, N - 2.0 - sigma * q_star
-
-        def rhs(t, rows):
-            eta, u = rows
-            g, e = exp(t - u) / q_star, expm1(u)
-            return (-2.0 * g * e, g * (sq * e + c * expm1(eta - u)))
-    else:
-        b = 2.0 - N
-
-        def rhs(t, rows):
-            y, u = rows
-            q = q_star * exp(u)
-            g = exp(t) / q
-            return (-2.0 * g * expm1(u), g * (b + sigma * q + exp(y) / q))
-
-    return rhs
-
-
-def trajectory_voltage(F: Nonlinearity, y0: float, t, rows):
-    """(λ, dλ/dm) at the level ℓ = e^t from the trajectory rows (η, u)
-    there: λ = e^(y₀ + η) and dλ/dm = λ (2 - κq)/q · dℓ/dm =
-    λ κ expm1(-u) e^(-σℓ).  Floats or arrays, on numpy's exp and expm1."""
-    kappa, sigma = F.scaling_law()
-    eta, u = rows
-    lam = np.exp(y0 + eta)
-    return lam, lam * kappa * np.expm1(-u) * np.exp(-sigma * np.exp(t))
-
-
 # the DOP853 tableau, as (index, coefficient) pairs of its nonzero entries:
 # the c and a of stages 2-12, the weights b, and the error weights E5 and E3
 _STAGES = [(float(dop853_coefficients.C[s]),
@@ -324,8 +208,9 @@ class StepReader:
     Each t is read with one DOP853 step (`_dop853_step` of `fun`) from the
     last recorded step below it, so its bits depend only on that step and
     on t, not on the other t read with it, given a `fun` whose bits do not
-    (`trajectory_rhs` with `array`).  The last recorded t can fall ulps
-    short of the run's end, so a t past it is read from the step before.
+    (`branch.trajectory_rhs` with `array`).  The last recorded t can fall
+    ulps short of the run's end, so a t past it is read from the step
+    before.
     A read whose error norm exceeds `_READ_NORM_MAX` is redone by
     `rerun(t_span, rows)`, a compiled run from that recorded step to t.
     Returns the rows as a list: floats for a float t, else arrays of its
@@ -426,9 +311,9 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
 
     `y0` holds the rows (r, w', z, z') of a one-lane run, with the scaled
     quadrature row of a `spectral` half-run after them, or the two rows of
-    the trajectory; the error norm takes in every row.  `y` holds the state
-    at every accepted step, which a `StepReader` reads between them; `nfev`
-    counts the evaluations of `fun`.
+    `branch`'s trajectory; the error norm takes in every row.  `y` holds
+    the state at every accepted step, which a `StepReader` reads between
+    them; `nfev` counts the evaluations of `fun`.
     """
     y0 = np.asarray(y0, dtype=float)
     size = len(y0)

@@ -604,18 +604,65 @@ def test_radial_scan_past_its_step_cap_takes_the_scalar_root(monkeypatch):
     assert np.array_equal(_mems_radial_roots(t, N, lam1), ref)
 
 
+def _settled_in_closed_form(t, N, lam1):
+    """The scan points with b = q - a < 0 where G(m; t) < C^(-q)/(ρ(a - q))
+    lies at or below RHS(t), so the root is 1 without a quadrature (also
+    where RHS leaves double range)."""
+    out = np.zeros(t.shape, dtype=bool)
+    with np.errstate(over="ignore"):
+        for i, x in enumerate(t):
+            a, q, C, rho = pullin.bounds._mems_radial_parameters(x, N, lam1)
+            if a > q:
+                rhs = _rhs_or_inf(x, N)
+                out[i] = -q * math.log(C) - math.log(rho) - math.log(a - q) <= math.log(rhs)
+    return out
+
+
+def _rhs_or_inf(t, N):
+    try:
+        return _mems_radial_rhs(float(t), N)
+    except OverflowError:
+        return math.inf
+
+
 def test_a_failed_quadrature_reads_inf_at_its_scan_point_only(monkeypatch):
     N = 5.0
     lam1 = lambda1_ball(N).eigenvalue
-    t, on_quad = _ball_window(N)
-    assert on_quad.any() and not on_quad.all()
-    good = _mems_radial_roots(t, N, lam1)
+    # a tenth of λ₁ raises C^(-q) so that the closed form settles only some
+    # of the b <= 0 points, and leaves the others to quadrature
+    t, b_nonpositive = _ball_window(N)
+    settled = _settled_in_closed_form(t, N, 0.1 * lam1)
+    on_quad = b_nonpositive & ~settled
+    assert on_quad.any() and (b_nonpositive & settled).any() and not on_quad.all()
+    good = _mems_radial_roots(t, N, 0.1 * lam1)
     monkeypatch.setattr(pullin.bounds, "quad", lambda *args, **kwargs: (1.0, 0.5))
-    bad = _mems_radial_roots(t, N, lam1)
+    bad = _mems_radial_roots(t, N, 0.1 * lam1)
     assert np.all(np.isfinite(good))
     assert np.all(np.isinf(bad[on_quad]))
     assert np.array_equal(bad[~on_quad], good[~on_quad])
+    # at λ₁ itself the bound takes no quadrature at all
     assert format(mems_ball_supnorm_bound(N, lam1).value, ".12g") == "0.935147284024"
+
+
+@pytest.mark.parametrize("N", range(3, 12))
+def test_the_ball_bound_settles_its_b_below_zero_points_without_quad(monkeypatch, N):
+    N = float(N)
+    lam1 = lambda1_ball(N).eigenvalue
+    t, b_nonpositive = _ball_window(N)
+    settled = _settled_in_closed_form(t, N, lam1)
+    # every b < 0 scan point is settled, and the quadrature agrees: G at
+    # m = 1 - 1e-9 already lies at or below RHS, so the root is 1
+    assert np.array_equal(settled, b_nonpositive) and settled.any()
+    for x in t[settled]:
+        with np.errstate(over="ignore"):
+            a, q, C, rho = pullin.bounds._mems_radial_parameters(x, N, lam1)
+        assert _mems_radial_integral(1.0 - 1e-9, a, q, C) / rho <= _rhs_or_inf(x, N)
+    calls = []
+    real = pullin.bounds.quad
+    monkeypatch.setattr(pullin.bounds, "quad",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    mems_ball_supnorm_bound(N, lam1)
+    assert calls == []
 
 
 def per_point_scan(f, grid):

@@ -410,8 +410,9 @@ def test_a_singular_tail_rises_at_every_default_grid_point(F, N):
                          ids=lambda v: getattr(v, "label", lambda: v)())
 def test_the_stable_run_ends_in_the_fold_cell_of_tight_shots(F, N):
     def tight(m):
-        R, slope, *_ = pullin.branch._shoot_lane(F, N, m, 1e-13)
-        return R * R, slope
+        shot = pullin.branch.shoot(F, N, m, 1e-13)
+        R = shot.first_zero
+        return R * R, shot.dlam_dm
 
     grid = pullin.default_m_grid(F, 25)
     b = solve_branch(ProblemSpec(N, F), grid)
@@ -450,6 +451,16 @@ def test_every_lane_of_a_dense_disc_grid_meets_tolerance(tol, lanes, N):
     lam, ref = _interval_branch(grid) if N == 1.0 else (_disc_lambda(grid), _disc_slope(grid))
     assert np.all(np.abs(got - lam) <= tol * np.maximum(1.0, lam))
     assert np.all(np.abs(slope - ref) <= tol * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("N", [1.0, 2.0])
+def test_the_default_grid_meets_its_closed_form_to_rounding_level(N):
+    # the 61-point grid at the default tol reads the interval and disc
+    # branches to 4.2e-15 and 6.1e-16, far inside tol·max(1, λ)
+    grid = pullin.default_m_grid(EXP, 61)
+    got = solve_branch(ProblemSpec(N, EXP), grid).lambda_values
+    lam = _interval_branch(grid)[0] if N == 1.0 else _disc_lambda(grid)
+    assert np.all(np.abs(got - lam) <= 1e-14 * np.maximum(1.0, lam))
 
 
 def test_profile_inside_seed_radius_follows_the_series():
@@ -540,13 +551,13 @@ def test_minimal_solution_in_the_fold_cell_takes_no_run_at_the_fold(
     b = mems_disc_branch
     last = b.stable_points()[-1]
     centers = []
-    real = pullin.branch._shoot_lane
+    real = pullin.branch.shoot
 
     def recording(F, N_eff, m, *args, **kwargs):
         centers.append(m)
         return real(F, N_eff, m, *args, **kwargs)
 
-    monkeypatch.setattr(pullin.branch, "_shoot_lane", recording)
+    monkeypatch.setattr(pullin.branch, "shoot", recording)
     for frac in (0.5, 1.0 - 1e-9):
         lam = last.lam + frac * (b.lambda_star - last.lam)
         centers.clear()
@@ -567,7 +578,7 @@ _MINIMAL_FRACTIONS = (1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9)
 @pytest.mark.parametrize("F, N", _MINIMAL_CASES, ids=lambda v: getattr(v, "label", lambda: v)())
 def test_minimal_solution_is_the_root_of_its_voltage(F, N, tol):
     def tight(m):
-        return pullin.branch._shoot_lane(F, N, m, 1e-13)[0] ** 2
+        return pullin.branch.shoot(F, N, m, 1e-13).first_zero ** 2
 
     prob = ProblemSpec(N, F)
     b = solve_branch(prob, tol=tol)

@@ -5,7 +5,7 @@ import logging
 import sys
 from pathlib import Path
 
-from pullin import bounds, branch, exponential, spectral
+from pullin import ProblemSpec, bounds, branch, exponential, solve_branch, spectral
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -49,3 +49,17 @@ def test_tracer_passes_array_objectives_through():
         tracer.uninstall()
     assert traced == untraced
     assert 0 < tracer.counts["optimize.objective_evals"] <= 60
+
+
+def test_the_tracer_counts_a_branch_as_its_one_trajectory_run():
+    # `_trajectory` runs through `branch.solve_ivp`, which the tracer
+    # patches: its main run is the one integrator call of a branch, and the
+    # reads between its recorded steps take none
+    tracer = tracing.Tracer(tracing.CapCounter()).install()
+    try:
+        b = solve_branch(ProblemSpec(2.0, exponential()), [0.5, 1.0, 1.5], 1e-8)
+    finally:
+        tracer.uninstall()
+    assert b.fold_found and abs(b.m_star - 1.3862943611) < 1e-9
+    assert tracer.counts["branch.integrator_calls"] == 1
+    assert tracer.counts["branch.rhs_evals"] > 0

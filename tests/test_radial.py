@@ -39,7 +39,8 @@ def test_one_lane_run_matches_its_lane_in_a_pair(monkeypatch, F, m, partner, N, 
     # holds m and its partner, read off the trajectory of the reduced problem
     tol = 1e-10
     sizes = _count_python_steps(monkeypatch)
-    R, slope, *_ = branch._shoot_lane(F, N, m, tol, alpha)
+    shot = branch.shoot(F, N, m, tol, alpha)
+    R, slope = shot.first_zero, shot.dlam_dm
     b = pullin.solve_branch(pullin.ProblemSpec(N, F, alpha), [0.5 * m, m, partner], tol)
     # neither run took a step of scipy's Python stepper
     assert sizes == []
@@ -115,7 +116,7 @@ def test_a_failing_run_raises_the_package_error(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NoCrossingError, match="step size"):
-            branch._shoot_lane(F, 2.0, 0.3, 1e-8)
+            branch.shoot(F, 2.0, 0.3, 1e-8)
         with pytest.raises(NoCrossingError, match="trajectory run failed.*step size"):
             pullin.solve_branch(pullin.ProblemSpec(2.0, F), [0.1, 0.2, 0.3], 1e-8)
         start = spectral._center_start(2.0, F, 0.3, 0.0, 1e-8)
@@ -143,7 +144,7 @@ def test_one_lane_runs_keep_no_objects_alive():
     F, nine = mems_inverse_power(2.0), np.linspace(0.2, 0.4, 9)
     prob = pullin.ProblemSpec(2.0, F)
     u = pullin.shoot(F, 2.0, 0.3)
-    runs = [(2000, lambda: branch._shoot_lane(F, 2.0, 0.3, 1e-6)),
+    runs = [(2000, lambda: branch.shoot(F, 2.0, 0.3, 1e-6)),
             (200, lambda: pullin.solve_branch(prob, nine, 1e-6)),
             (200, lambda: spectral.mu1(2.0, F, u.lam, u, 1e-4))]
     for count, run in runs:
@@ -154,7 +155,7 @@ def test_one_lane_runs_keep_no_objects_alive():
             run()
         gc.collect()
         assert len(gc.get_objects()) - before <= 50
-    assert math.isfinite(branch._shoot_lane(F, 2.0, 0.3, 1e-6)[0])
+    assert math.isfinite(branch.shoot(F, 2.0, 0.3, 1e-6).first_zero)
 
 
 FAMILIES = [exponential(), mems_inverse_power(2.0), power_growth(3.0)]
@@ -214,7 +215,7 @@ def test_a_tol_outside_the_unit_interval_is_refused_before_any_run(tol):
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
         radial.lane_seed(F, 2.0, 0.3, tol)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
-        radial.trajectory_seed(F, 2.0, tol, 0.1)
+        branch._trajectory(F, 2.0, np.array([0.1, 0.2]), tol)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
         pullin.shoot(F, 2.0, 0.3, tol=tol)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
