@@ -20,9 +20,11 @@ A branch needs no shot at all.  By the scaling symmetry of each family
 one solution w₀ with center value 0, so `solve_branch` reads λ and dλ/dm at
 every grid point, and the fold, off one run of w₀ in Emden-Fowler
 variables (`_trajectory`, `trajectory_rhs`), on scipy's compiled DOP853
-(Hairer-Nørsett-Wanner), all grid points in one array step.  The
-trajectory's seed, rtol rule and right-hand side live here, next to their
-only caller; `radial` holds what `shoot` and `spectral` share.
+(Hairer-Nørsett-Wanner), all grid points in one array step; the
+stability fills read the coefficients of their collocation off the same
+run (`_fill_stability`).  The trajectory's seed, rtol rule and right-hand
+side live here, next to their only caller; `radial` holds what `shoot`
+and `spectral` share.
 `minimal_solution` finds its center value on the branch's own run, and
 makes one shot there for the profile.
 
@@ -222,8 +224,10 @@ class Branch:
     estimate: either λ(m) climbs over the whole schedule (singular regimes
     where it rises monotonically toward its limit), or the schedule starts
     past the fold and no point is stable.  With a fold, the grid cell
-    [m_k, m_k+1] with k = n_stable - 1 holds it; `stability_skipped` counts the
-    points whose stability eigenvalue could not be bracketed (mu1 is None).
+    [m_k, m_k+1] with k = n_stable - 1 holds it.  `stability_skipped` counts
+    the points whose stability eigenvalue was not filled (mu1 is None): past
+    the potential guard of `spectral`, or where the collocation failed its
+    own checks (`spectral._principal_eigenvalue`).
     """
 
     problem: ProblemSpec
@@ -260,10 +264,11 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
     max(tol, 1e-6) * max(1, |μ₁|).
 
     The whole grid is read off one run of the Emden-Fowler trajectory
-    (`_trajectory`), in one array step.  The stable branch is the leading
-    run of grid points where dλ/dm > 0, and the fold is the brentq root of
-    dλ/dm on the same trajectory, in the grid cell that ends it, where
-    q = dℓ/d log ρ crosses 2/κ.  A schedule that starts with
+    (`_trajectory`), in one array step, and so are the coefficients of
+    every stability fill (`_fill_stability`).  The stable branch is the
+    leading run of grid points where dλ/dm > 0, and the fold is the brentq
+    root of dλ/dm on the same trajectory, in the grid cell that ends it,
+    where q = dℓ/d log ρ crosses 2/κ.  A schedule that starts with
     dλ/dm <= 0 starts past the fold: it has no stable point and no fold.
 
     Power-law problems are solved through the constant-profile reduction in
@@ -303,18 +308,45 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
 
     lam_core = lam_core.tolist()
     points = [BranchPoint(m, lam0 * tr.voltage_factor) for m, lam0 in zip(grid, lam_core)]
-    skipped = 0
-    if stability:
-        for p, lam0 in zip(points, lam_core):
-            try:
-                # mu1 reads only the center value of the point, and checks
-                # lam0, which is good to about tol, against its own R²
-                p.mu1 = spectral.mu1(tr.N_eff, F, lam0, p, max(tol, _STABILITY_TOL))
-            except BracketError:
-                skipped += 1
-
+    skipped = _fill_stability(points, F, tr.N_eff, levels, lam_core, point,
+                              max(tol, _STABILITY_TOL)) if stability else 0
     return Branch(problem, points, lam_star_core * tr.voltage_factor,
                   float(m_star), n_stable, skipped, _run=(tol, float(ts[0]), point))
+
+
+def _fill_stability(points: list[BranchPoint], F: Nonlinearity, N_eff: float,
+                    levels: np.ndarray, lams: list[float], point, tol: float) -> int:
+    """Fill μ₁ at each point (`spectral._principal_eigenvalue`, at the level
+    and core voltage of the point) from the branch's own run `point`, and
+    return the number of points it leaves empty, where the kernel raised
+    BracketError.
+
+    The kernel's coefficient q²/λ comes from `point` at each collocation
+    node, with q = q*/(1 + dλ/dm e^(σℓ)/(κλ)): the nodes of the first two
+    resolutions of every point in one array read, and a further
+    resolution, which few points need, one point at a time.
+    """
+    kappa, sigma = F.scaling_law()
+    lam1 = spectral._lambda1(N_eff)
+
+    def ratio(ell):
+        lam, slope = point(np.log(ell))
+        q = (2.0 / kappa) / (1.0 + slope * np.exp(sigma * ell) / (kappa * lam))
+        return q * q / lam
+
+    first = spectral._RESOLUTIONS[:2]
+    nodes = [spectral._nodes(n) for n in first]
+    table = ratio(np.outer(levels, np.concatenate(nodes)))
+    read = dict(zip(first, np.split(table, [len(nodes[0])], axis=1)))
+    skipped = 0
+    for i, (p, lam) in enumerate(zip(points, lams)):
+        def at(n, i=i):
+            return read[n][i] if n in read else ratio(levels[i] * spectral._nodes(n))
+        try:
+            p.mu1 = spectral._principal_eigenvalue(F, p.m, lam, lam1, tol, at)
+        except BracketError:
+            skipped += 1
+    return skipped
 
 
 def _trajectory(F: Nonlinearity, N_eff: float, levels: np.ndarray, tol: float):

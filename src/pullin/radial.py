@@ -12,22 +12,21 @@ linear mode z,
 in τ ∈ [τ₀, 1] with w = m(1 - τ²), so the first zero of w is the fixed
 endpoint τ = 1 and the radius r is an unknown.  At ν = 0, z = ∂w/∂m.  The
 removable singularity of (N-1)/r at r = 0 rules out starting at the
-center, so each run from the center starts at a small seed radius where
-the center series is still exact to the integrator tolerance (the right
-half-runs of `spectral` start from the edge values at τ = 1 and go back).
-`branch.shoot` and every eigen half-run of `spectral` are one-lane runs
-(`lane_seed`, `lane_rhs`); the Emden-Fowler trajectory of a whole branch
+center, so each run starts at a small seed radius where the center series
+is still exact to the integrator tolerance.  `branch.shoot` and the
+profile run of `spectral.mu1` are one-lane runs (`lane_seed`,
+`lane_rhs`); the Emden-Fowler trajectory of a whole branch
 (`branch._trajectory`) starts from the center series at m = 0.
 
 Every run goes through `solve_ivp`, which returns the result of scipy's,
 and runs on scipy's compiled DOP853 (Hairer-Nørsett-Wanner,
 *Solving ODEs I*, §II.10) with the method, step controller and RMS error
-norm of scipy's Python DOP853, over every row it is given (`spectral`
-scales the quadrature row of an eigen half-run out of that norm itself).
-A run records its accepted steps, and `StepReader` reads it at any point
-between them with one more DOP853 step from the recorded step below
-(`_dop853_step`), for one point or for an array of them at once: the
-levels of a branch, the root evaluations on it, and the profile of a shot.
+norm of scipy's Python DOP853, over every row it is given.  A run records
+its accepted steps, and `StepReader` reads it at any point between them
+with one more DOP853 step from the recorded step below (`_dop853_step`),
+for one point or for an array of them at once: the levels of a branch and
+its collocation nodes, the root evaluations on it, and the profile of a
+shot or of `mu1`'s run.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def lane_seed(F: Nonlinearity, N: float, m: float, tol: float,
 
 
 def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0,
-             nu: float = 0.0, weight: float = 0.0):
+             nu: float = 0.0):
     """Right-hand side d/dτ of the rows (r, w', z, z') of the one-lane run
     from the center value m, with d/dτ = (dr/dτ) d/dr and dr/dτ = -2mτ/w'.
 
@@ -131,16 +130,14 @@ def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0,
     [0, m], F and F' need no domain check (`F.derivative`).  It takes the
     rows as a sequence of floats, as a compiled run hands them over, since
     numpy would cost more in call overhead than the formula, or of arrays,
-    as a `StepReader` does, and returns a tuple.  With a nonzero `weight` a
-    fifth row carries `weight` times the weighted square integral
-    ∫ r^(N-1) z² dr of the linear mode.
+    as a `StepReader` does, and returns a tuple.
     """
     c = N - 1.0
     f0, f1 = F.derivative(0), F.derivative(1)
     m = float(m)
 
     def rhs(tau, y):
-        r, dw, z, dz = y[:4]
+        r, dw, z, dz = y
         w = m * (1.0 - tau * tau)
         dr = -2.0 * tau * m / dw
         f, fp = f0(w), f1(w) + nu
@@ -148,8 +145,7 @@ def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0,
             ra = r ** alpha
             f, fp = ra * f, ra * fp
         cr = c / r
-        rows = (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
-        return rows + (r ** c * z * z * dr * weight,) if weight else rows
+        return (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
 
     return rhs
 
@@ -203,14 +199,15 @@ def _dop853_step(fun, t, rows, h, rtol: float, atol: float):
 
 class StepReader:
     """The rows of a recorded run (`t`, `y`, as `solve_ivp` returns them) at
-    any t between its first and last recorded t, a float or an array.
+    any t up to its last recorded t, a float or an array.
 
     Each t is read with one DOP853 step (`_dop853_step` of `fun`) from the
     last recorded step below it, so its bits depend only on that step and
     on t, not on the other t read with it, given a `fun` whose bits do not
-    (`branch.trajectory_rhs` with `array`).  The last recorded t can fall
-    ulps short of the run's end, so a t past it is read from the step
-    before.
+    (`branch.trajectory_rhs` with `array`).  A t below the first recorded
+    t, such as a collocation node next to the center, is read with one
+    step back from it.  The last recorded t can fall ulps short of the
+    run's end, so a t past it is read from the step before.
     A read whose error norm exceeds `_READ_NORM_MAX` is redone by
     `rerun(t_span, rows)`, a compiled run from that recorded step to t.
     Returns the rows as a list: floats for a float t, else arrays of its
@@ -309,9 +306,8 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
     (`_CompiledDOP853`), with the result of scipy's `solve_ivp` (DOP853 and
     no other options).  `fun(t, rows)` gets the rows as a list of floats.
 
-    `y0` holds the rows (r, w', z, z') of a one-lane run, with the scaled
-    quadrature row of a `spectral` half-run after them, or the two rows of
-    `branch`'s trajectory; the error norm takes in every row.  `y` holds
+    `y0` holds the rows (r, w', z, z') of a one-lane run, or the two rows
+    of `branch`'s trajectory; the error norm takes in every row.  `y` holds
     the state at every accepted step, which a `StepReader` reads between
     them; `nfev` counts the evaluations of `fun`.
     """

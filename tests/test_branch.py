@@ -498,6 +498,48 @@ def test_branch_counts_skipped_stability_fills():
     assert solve_branch(ProblemSpec(2.0, MEMS), grid).stability_skipped == 0
 
 
+@pytest.mark.parametrize("F, N", [(EXP, 2.0), (MEMS, 5.0), (EXP, 10.0)],
+                         ids=["exp-2", "mems-5", "exp-10"])
+def test_the_branch_does_not_depend_on_stability(F, N):
+    # the fills read the branch's run and run nothing of their own
+    plain, filled = (solve_branch(ProblemSpec(N, F), stability=s) for s in (False, True))
+    assert [p.lam for p in filled.points] == [p.lam for p in plain.points]
+    assert filled.n_stable == plain.n_stable
+    assert filled.lambda_star == plain.lambda_star
+    assert filled.m_star == plain.m_star or (math.isnan(filled.m_star)
+                                             and math.isnan(plain.m_star))
+
+
+@pytest.mark.parametrize("F, N, grid, tol", [
+    (EXP, 3.0, None, pullin.branch.DEFAULT_TOL),
+    (MEMS, 5.0, pullin.branch.default_m_grid(MEMS, 61), 1e-8)], ids=["exp-3", "mems-5"])
+def test_mu1_is_positive_on_the_index_0_run_and_negative_past_the_fold(F, N, grid, tol):
+    # the index-0 run of the branch (`stable_points`) is exactly where the
+    # principal eigenvalue is positive
+    b = solve_branch(ProblemSpec(N, F), grid, tol, stability=True)
+    assert b.fold_found
+    assert all(p.mu1 > 0 for p in b.stable_points() if p.mu1 is not None)
+    past = [p.mu1 for p in b.points if p.m > b.m_star and p.mu1 is not None]
+    assert past and all(mu < 0 for mu in past)
+
+
+@pytest.mark.parametrize("F, N, alpha", [(EXP, 2.0, 0.0), (MEMS, 2.0, 0.0), (MEMS, 5.0, 0.0),
+                                         (power_growth(3.0), 3.0, 0.0), (MEMS, 3.0, 1.0)],
+                         ids=["exp-2", "mems-2", "mems-5", "power-3", "mems-3-alpha-1"])
+def test_a_fill_is_mu1_at_its_center_value(F, N, alpha):
+    # one kernel, two sources of coefficients: the branch's trajectory and
+    # the profile run of mu1 at the point's center value
+    tol = 1e-8
+    prob = ProblemSpec(N, F, alpha)
+    tr = prob.transform()
+    b = solve_branch(prob, pullin.branch.default_m_grid(F, 25), tol, stability=True)
+    filled = [p for p in b.points if p.mu1 is not None]
+    assert len(filled) >= 20
+    for p in filled:
+        ref = pullin.mu1(tr.N_eff, F, p.lam / tr.voltage_factor, p, max(tol, 1e-6))
+        assert abs(p.mu1 - ref) <= max(tol, 1e-6) * max(1.0, abs(ref)), p.m
+
+
 def test_power_growth_shot_emits_no_runtime_warning():
     # DOP853 trial stages past the zero probe w < -1, where a fractional
     # power of 1 + w is undefined

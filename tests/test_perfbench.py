@@ -63,3 +63,20 @@ def test_the_tracer_counts_a_branch_as_its_one_trajectory_run():
     assert b.fold_found and abs(b.m_star - 1.3862943611) < 1e-9
     assert tracer.counts["branch.integrator_calls"] == 1
     assert tracer.counts["branch.rhs_evals"] > 0
+
+
+def test_stability_fills_make_no_integrator_run():
+    # every fill reads the branch's one trajectory run: no further
+    # `branch.solve_ivp` run, no `spectral.solve_ivp` run, and at least one
+    # collocation solve per filled point
+    tracer = tracing.Tracer(tracing.CapCounter()).install()
+    try:
+        b = solve_branch(ProblemSpec(2.0, exponential()), [0.5, 1.0, 1.5], 1e-8,
+                         stability=True)
+    finally:
+        tracer.uninstall()
+    filled = sum(p.mu1 is not None for p in b.points)
+    assert filled == 3
+    assert tracer.counts["branch.integrator_calls"] == 1
+    assert not any(key.endswith("eigen_shots") for key in tracer.counts)
+    assert tracer.counts["spectral.eigen_solves"] >= filled

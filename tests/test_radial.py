@@ -8,7 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp.rk import RungeKutta
 
 import pullin
@@ -53,43 +52,17 @@ def test_one_lane_run_matches_its_lane_in_a_pair(monkeypatch, F, m, partner, N, 
     assert abs(slope - slope2) <= tol * max(1.0, abs(slope2))
 
 
-def test_a_quadrature_row_stays_out_of_the_error_norm(monkeypatch):
-    # the half-run's fifth row rides scaled, under √(4/5) of rtol and atol
-    F, m, nu, tol = mems_inverse_power(2.0), 0.5, -1.0, 1e-8
-    tau0, y0, *_ = radial.lane_seed(F, 2.0, m, tol, nu=nu)
-    sols = []
-    real = spectral.solve_ivp
-
-    def recording(*args, **kwargs):
-        sols.append(real(*args, **kwargs))
-        return sols[-1]
-
-    monkeypatch.setattr(spectral, "solve_ivp", recording)
-
-    def run(row):
-        return spectral._half_run(2.0, F, m, nu, (tau0, np.append(y0, row)), 1.0, tol)[1]
-
-    small_end, large_end = run(1e-9), run(1e60)
-    small, large = sols
-    assert small.success and large.success
-    # whatever the size of the row, it sets no step
-    assert np.array_equal(small.t, large.t)
-    assert np.array_equal(small.y[:4], large.y[:4])
-    assert small_end[:4] == large_end[:4]
-    # the same run on scipy's Python DOP853, unscaled, whose norm takes in
-    # all five rows: every row agrees to the tolerance
-    rhs = radial.lane_rhs(F, 2.0, m, nu=nu, weight=1.0)
-    python = scipy_solve_ivp(rhs, (tau0, 1.0), np.append(y0, 1e-9),
-                             method="DOP853", rtol=tol, atol=tol * 1e-2)
-    assert np.allclose(small_end, python.y[:, -1], rtol=10 * tol, atol=0.0)
-
-
 def test_a_plain_run_sets_its_steps_on_every_row():
     # a five-row run of `solve_ivp` is a plain run: its norm takes in the
-    # fifth row as it is, so a large one shortens the steps
+    # fifth row, here the integral ∫ r^(N-1) z² dr of the lane's linear
+    # mode, as it is, so a large one shortens the steps
     F, m, nu, tol = mems_inverse_power(2.0), 0.5, -1.0, 1e-8
     tau0, y0, *_ = radial.lane_seed(F, 2.0, m, tol, nu=nu)
-    rhs = radial.lane_rhs(F, 2.0, m, nu=nu, weight=1.0)
+    lane = radial.lane_rhs(F, 2.0, m, nu=nu)
+
+    def rhs(tau, y):
+        rows = lane(tau, y[:4])
+        return (*rows, y[0] * y[2] * y[2] * rows[0])
 
     def run(row):
         return radial.solve_ivp(rhs, (tau0, 1.0), np.append(y0, row), rtol=tol,
@@ -119,9 +92,8 @@ def test_a_failing_run_raises_the_package_error(monkeypatch):
             branch.shoot(F, 2.0, 0.3, 1e-8)
         with pytest.raises(NoCrossingError, match="trajectory run failed.*step size"):
             pullin.solve_branch(pullin.ProblemSpec(2.0, F), [0.1, 0.2, 0.3], 1e-8)
-        start = spectral._center_start(2.0, F, 0.3, 0.0, 1e-8)
-        with pytest.raises(BracketError, match="step size"):
-            spectral._half_run(2.0, F, 0.3, 0.0, start, 1.0, 1e-8)
+        with pytest.raises(BracketError, match="profile run failed.*step size"):
+            spectral.mu1(2.0, F, 0.72, pullin.BranchPoint(m=0.3, lam=0.72), 1e-8)
 
 
 @pytest.mark.parametrize("size", [4, 5])

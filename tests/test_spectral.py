@@ -4,7 +4,6 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import jn_zeros
 
 import pullin
 from pullin import (BracketError, DomainValidationError, exponential,
@@ -176,36 +175,47 @@ def test_mu1_reads_only_center_value_and_voltage():
     assert mu1(2.0, F, u.lam, coarse) == mu1(2.0, F, u.lam, u)
 
 
-def _left_run(F, m, nu, rtol):
-    # the left half-run at the shift ν all the way to τ = 1: (zeros, z(R))
-    start = pullin.spectral._center_start(2.0, F, m, nu, rtol)
-    zeros, (_, _, end, *_) = pullin.spectral._half_run(2.0, F, m, nu, start, 1.0, rtol)
-    return zeros, end
+def _record_runs(monkeypatch):
+    from pullin import spectral
+    runs = []
+    ivp = spectral.solve_ivp
+
+    def recording(*args, **kwargs):
+        runs.append(ivp(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(spectral, "solve_ivp", recording)
+    return runs
 
 
-@pytest.mark.parametrize("mu", [50.0, 2000.0, 20000.0])
-def test_eigen_shot_counts_every_zero(mu):
-    # N = 2 at small m: the potential λF'(u) ~ λ is far below mu, so
-    # psi ~ J0(sqrt(mu) r), whose zeros in (0, 1] are the Bessel zeros
-    # below sqrt(mu)
-    expected = int(np.sum(jn_zeros(0, 60) < math.sqrt(mu)))
-    for F in (exponential(), mems_inverse_power(2.0)):
-        for m in (1e-6, 1e-3):
-            lam = shoot(F, 2.0, m).lam
-            zeros, _ = _left_run(F, m, mu / lam, 1e-7)
-            assert zeros == expected
+def _record_resolutions(monkeypatch):
+    # mu1 reads the collocation nodes of each resolution once
+    from pullin import spectral
+    resolutions = []
+    nodes = spectral._nodes
+
+    def recording(n):
+        resolutions.append(n)
+        return nodes(n)
+
+    monkeypatch.setattr(spectral, "_nodes", recording)
+    return resolutions
 
 
 @pytest.mark.parametrize("F, m", [(mems_inverse_power(2.0), 0.2),
                                   (mems_inverse_power(2.0), 0.8),
                                   (exponential(), 1.0), (exponential(), 3.0)])
-def test_eigen_shot_at_zero_is_the_shot_tangent(F, m):
-    # at μ = 0 the eigen-shot is the tangent z = ∂w/∂m of the shot, so
-    # dλ/dm = 2R (-z(R)/w'(R)) gives z(R) on both sides of the fold
+def test_eigen_shot_at_zero_is_the_shot_tangent(monkeypatch, F, m):
+    # the one eigen-shot of mu1 is its profile run, the lane of the shot at
+    # ν = 0: its tangent z = ∂w/∂m gives dλ/dm = 2R (-z(R)/w'(R)) on both
+    # sides of the fold
     sr = shoot(F, 2.0, m)
-    dw = float(sr._rows(sr.first_zero)[1])
-    _, end = _left_run(F, m, 0.0, 1e-10)
-    assert end == pytest.approx(-dw * sr.dlam_dm / (2.0 * sr.first_zero), rel=1e-8)
+    runs = _record_runs(monkeypatch)
+    mu1(2.0, F, sr.lam, sr, tol=1e-9)
+    (run,) = runs
+    R, dw, z, _ = run.y[:, -1]
+    assert R == pytest.approx(sr.first_zero, rel=1e-9)
+    assert 2.0 * R * (-z / dw) == pytest.approx(sr.dlam_dm, rel=1e-8)
 
 
 def test_mu1_at_zero_center_value_is_the_shifted_laplacian():
@@ -246,38 +256,31 @@ def test_ball_eigenfunction_normalization_and_bessel_form(N):
         assert pair.at(r) == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
 
-def _count_half_runs(monkeypatch):
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_mu1_keeps_to_its_rayleigh_bracket(monkeypatch, tol):
+    # λ₁ - λF'(m) <= μ₁ <= λ₁ - λF'(0) holds for the collocated value, after
+    # one profile run and at most three resolutions; with λ₁ moved up by 1
+    # the bracket misses it, and mu1 refuses to return it
     from pullin import spectral
-    calls = []
-    half_run = spectral._half_run
-
-    def counted(*args, **kwargs):
-        calls.append(args[3])  # the shift ν of the run
-        return half_run(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "_half_run", counted)
-    return calls
-
-
-@pytest.mark.parametrize("tol, most", [(1e-6, 3), (1e-8, 3)])
-def test_mu1_starts_from_the_rayleigh_bracket(monkeypatch, tol, most):
-    # Newton steps from the upper Rayleigh bound λ₁ - λF'(0); each is two
-    # half-runs, after the one profile run
     F = mems_inverse_power(2.0)
     u = shoot(F, 2.0, 0.2).solution()
-    calls = _count_half_runs(monkeypatch)
-    assert mu1(2.0, F, u.lam, u, tol=tol) > 0
-    assert len(calls) <= 1 + 2 * most
+    runs, resolutions = _record_runs(monkeypatch), _record_resolutions(monkeypatch)
+    val = mu1(2.0, F, u.lam, u, tol=tol)
+    lam1 = lambda1_ball(2.0).eigenvalue
+    assert lam1 - u.lam * float(F.deriv(u.m)) < val < lam1 - u.lam * float(F.deriv(0.0))
+    assert len(runs) == 1 and len(resolutions) <= 3
+    monkeypatch.setattr(spectral, "_lambda1", lambda N: lam1 + 1.0)
+    with pytest.raises(BracketError, match="Rayleigh bracket"):
+        mu1(2.0, F, u.lam, u, tol=tol)
 
 
-def test_mu1_on_the_unstable_side_takes_few_newton_steps(monkeypatch):
-    # μ₁ ≈ -10.6: ψ(1; μ) grows like e^√|μ| below μ₁, the mismatch angle
-    # does not, so Newton needs few steps
+def test_mu1_on_the_unstable_side_takes_one_run_and_two_resolutions(monkeypatch):
+    # μ₁ ≈ -10.6: the collocations at 24 and 32 nodes already agree
     F = mems_inverse_power(2.0)
     u = shoot(F, 2.0, 0.6876).solution()
-    calls = _count_half_runs(monkeypatch)
+    runs, resolutions = _record_runs(monkeypatch), _record_resolutions(monkeypatch)
     assert mu1(2.0, F, u.lam, u, tol=1e-6) < 0
-    assert len(calls) <= 1 + 2 * 5
+    assert len(runs) == 1 and resolutions == [24, 32]
 
 
 @pytest.mark.parametrize("m", [17.34, 20.2])
