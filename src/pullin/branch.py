@@ -19,12 +19,9 @@ A branch needs no shot at all.  By the scaling symmetry of each family
 (`Nonlinearity.scaling_law`) every center value m is a level ℓ(m) on the
 one solution w₀ with center value 0, so `solve_branch` reads λ and dλ/dm at
 every grid point, and the fold, off one run of w₀ in Emden-Fowler
-variables (`_trajectory`, `trajectory_rhs`), on scipy's compiled DOP853
-(Hairer-Nørsett-Wanner), all grid points in one array step; the
-stability fills read the coefficients of their collocation off the same
-run (`_fill_stability`).  The trajectory's seed, rtol rule and right-hand
-side live here, next to their only caller; `radial` holds what `shoot`
-and `spectral` share.
+variables (`radial.trajectory`, through this module's `solve_ivp`), all
+grid points in one array step; the stability fills read the coefficients
+of their collocation off the same run (`spectral._fill_stability`).
 `minimal_solution` finds its center value on the branch's own run, and
 makes one shot there for the profile.
 
@@ -47,7 +44,7 @@ from .errors import (BeyondPullInError, BracketError, DomainValidationError,
                      NoCrossingError)
 from .nonlinearity import Nonlinearity
 from .powerlaw import TransformResult, dim_transform
-from .radial import StepReader, center_series, lane_rhs, lane_seed, series_value, solve_ivp
+from .radial import StepReader, lane_rhs, lane_seed, series_value, solve_ivp, trajectory
 
 DEFAULT_TOL = 1e-10
 # tolerance of each μ₁ that `solve_branch` fills (its own tol if larger),
@@ -56,19 +53,6 @@ _STABILITY_TOL = 1e-6
 # absolute and relative tolerance in t = log ℓ of the fold's brentq: a few
 # ulps, the least scipy's brentq takes
 _FOLD_XTOL = 4.0 * np.finfo(float).eps
-# the trajectory runs at rtol = tol * _TRAJECTORY_RTOL and atol 0.  Only a
-# relative control resolves the slopes of the singular tails: on the 50-point
-# exp N = 9, 10 and 12 grids they go down to 1.4e-29, 5.1e-32 and 3.6e-23,
-# and with atol = rtol/100 the last two or three of them came out as noise
-# between 2.6e-20 and 7.4e-16, with flipped signs (spurious folds) at N = 9
-# and 10.  At tol 1e-10 the 61-point exp N = 1 grid reads λ off its closed
-# form by 5.6e-14 at tol * 1e-3, 1.5e-14 at 3e-4 and 4.2e-15 at 1e-4, where
-# the lane grid this replaced read 1.6e-14; the main runs take 21-34% more
-# steps at 1e-4 than at 1e-3
-_TRAJECTORY_RTOL = 1e-4
-# below about 1e-15 the error estimate of a step is rounding noise: at
-# tol 1e-14 (rtol 1e-18) a step of the fold's brentq failed as too small
-_TRAJECTORY_RTOL_MIN = 1e-15
 
 
 @dataclass(frozen=True)
@@ -264,12 +248,13 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
     max(tol, 1e-6) * max(1, |μ₁|).
 
     The whole grid is read off one run of the Emden-Fowler trajectory
-    (`_trajectory`), in one array step, and so are the coefficients of
-    every stability fill (`_fill_stability`).  The stable branch is the
-    leading run of grid points where dλ/dm > 0, and the fold is the brentq
-    root of dλ/dm on the same trajectory, in the grid cell that ends it,
-    where q = dℓ/d log ρ crosses 2/κ.  A schedule that starts with
-    dλ/dm <= 0 starts past the fold: it has no stable point and no fold.
+    (`radial.trajectory`), in one array step, and so are the coefficients
+    of every stability fill (`spectral._fill_stability`).  The stable
+    branch is the leading run of grid points where dλ/dm > 0, and the fold
+    is the brentq root of dλ/dm on the same trajectory, in the grid cell
+    that ends it, where q = dℓ/d log ρ crosses 2/κ.  A schedule that
+    starts with dλ/dm <= 0 starts past the fold: it has no stable point
+    and no fold.
 
     Power-law problems are solved through the constant-profile reduction in
     the effective dimension and rescaled back, which preserves center values
@@ -284,15 +269,16 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
         grid = np.asarray(m_grid, dtype=float)
         if grid.ndim != 1 or len(grid) < 3:
             raise DomainValidationError("m_grid needs at least 3 points")
-        if np.any(np.diff(grid) <= 0):
-            raise DomainValidationError("m_grid must be strictly increasing")
-        if grid[0] <= 0 or grid[-1] >= F.endpoint:
+        # written so that a NaN, for which every comparison is False, fails
+        if not np.all((grid > 0) & (grid < F.endpoint)):
             raise DomainValidationError(
                 f"m_grid must lie inside (0, {F.endpoint})")
+        if not np.all(np.diff(grid) > 0):
+            raise DomainValidationError("m_grid must be strictly increasing")
 
     law = F.scaling_law()
     levels = law.level(grid)
-    point = _trajectory(F, tr.N_eff, levels, tol)
+    point = trajectory(F, tr.N_eff, levels, tol, solve_ivp)
     ts = np.log(levels)
     lam_core, slopes = point(ts)
     n_stable = int(np.logical_and.accumulate(slopes > 0.0).sum())
@@ -308,151 +294,10 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
 
     lam_core = lam_core.tolist()
     points = [BranchPoint(m, lam0 * tr.voltage_factor) for m, lam0 in zip(grid, lam_core)]
-    skipped = _fill_stability(points, F, tr.N_eff, levels, lam_core, point,
-                              max(tol, _STABILITY_TOL)) if stability else 0
+    skipped = spectral._fill_stability(points, F, tr.N_eff, levels, lam_core, point,
+                                       max(tol, _STABILITY_TOL)) if stability else 0
     return Branch(problem, points, lam_star_core * tr.voltage_factor,
                   float(m_star), n_stable, skipped, _run=(tol, float(ts[0]), point))
-
-
-def _fill_stability(points: list[BranchPoint], F: Nonlinearity, N_eff: float,
-                    levels: np.ndarray, lams: list[float], point, tol: float) -> int:
-    """Fill μ₁ at each point (`spectral._principal_eigenvalue`, at the level
-    and core voltage of the point) from the branch's own run `point`, and
-    return the number of points it leaves empty, where the kernel raised
-    BracketError.
-
-    The kernel's coefficient q²/λ comes from `point` at each collocation
-    node, with q = q*/(1 + dλ/dm e^(σℓ)/(κλ)): the nodes of the first two
-    resolutions of every point in one array read, and a further
-    resolution, which few points need, one point at a time.
-    """
-    kappa, sigma = F.scaling_law()
-    lam1 = spectral._lambda1(N_eff)
-
-    def ratio(ell):
-        lam, slope = point(np.log(ell))
-        q = (2.0 / kappa) / (1.0 + slope * np.exp(sigma * ell) / (kappa * lam))
-        return q * q / lam
-
-    first = spectral._RESOLUTIONS[:2]
-    nodes = [spectral._nodes(n) for n in first]
-    table = ratio(np.outer(levels, np.concatenate(nodes)))
-    read = dict(zip(first, np.split(table, [len(nodes[0])], axis=1)))
-    skipped = 0
-    for i, (p, lam) in enumerate(zip(points, lams)):
-        def at(n, i=i):
-            return read[n][i] if n in read else ratio(levels[i] * spectral._nodes(n))
-        try:
-            p.mu1 = spectral._principal_eigenvalue(F, p.m, lam, lam1, tol, at)
-        except BracketError:
-            skipped += 1
-    return skipped
-
-
-def _trajectory(F: Nonlinearity, N_eff: float, levels: np.ndarray, tol: float):
-    """t -> (λ, dλ/dm) at the level ℓ = e^t of the Emden-Fowler trajectory
-    of w₀, the solution with center value 0 (`Nonlinearity.scaling_law`),
-    for ℓ between the first and the last of the increasing `levels`; t is a
-    float, or an array read in one array step.
-
-    The trajectory is the curve (y, q) = (log λ, dℓ/da) over the level ℓ,
-    with a = log ρ on w₀.  Its rows are η = y - y₀ and u = log(q/q*) with
-    q* = 2/κ, so the fold dλ/dm = 0 is where u crosses 0.  y₀ is y* of the
-    singular point (y*, q*), e^y* = q*(N - 2 - σq*), where that is
-    positive, and 0 otherwise.  A tail that converges onto the singular
-    point keeps its relative accuracy under a pure relative error control
-    (atol 0, rtol = tol·1e-4, at least 1e-15), and u, unlike q - q*, keeps
-    the digits of q ~ ℓ near the center (with q - q*, step control near
-    the seed chases rounding noise: the inverse-square disc took 42,424 RHS
-    evaluations in its main run, against 2,958 with u).  At the level
-    ℓ = e^t, λ = e^(y₀ + η) and dλ/dm = λ (2 - κq)/q · dℓ/dm =
-    λ κ expm1(-u) e^(-σℓ).
-
-    The run starts from the third-order center series of w₀
-    (`radial.center_series` at m = 0) in s = ρ², at the s where the
-    series' last term falls to the run's rtol relative to its first, so the
-    remainder stays below rtol, or lower, at half of the first level, so
-    that every level read off lies above the start.  Every trajectory run
-    starts here, so tol is checked here.  One main run records its steps
-    from there to the last level; each t is then read with one step from
-    the last recorded step below it (`radial.StepReader`), so that its bits
-    depend only on that step and on t.
-    """
-    if not 0.0 < tol < 1.0:
-        raise DomainValidationError(f"tol must lie in (0, 1), got {tol}")
-    kappa, sigma = law = F.scaling_law()
-    q_star = 2.0 / kappa
-    c = N_eff - 2.0 - sigma * q_star
-    y0 = math.log(q_star * c) if c > 0.0 else 0.0
-    rtol = max(tol * _TRAJECTORY_RTOL, _TRAJECTORY_RTOL_MIN)
-    a, _ = center_series(F, N_eff, 2.0, 0.0)
-    a1, a2, a3 = a
-    s = min(math.sqrt(rtol * abs(a1 / a3)), 0.5 * float(levels[0]) / abs(a1))
-    drop = -series_value(a, 0.0, s)
-    level = law.drop_level(drop)
-    # q = dℓ/da = (dℓ/dd)·2s·dd/ds with dℓ/dd = 1/(1 - σd)
-    q = -2.0 * s * (a1 + s * (2.0 * a2 + 3.0 * s * a3)) / (1.0 - sigma * drop)
-    rows0 = np.array([math.log(s) - kappa * level - y0, math.log(0.5 * kappa * q)])
-    rhs = trajectory_rhs(F, N_eff)
-
-    def run(t_span, rows):
-        sol = solve_ivp(rhs, t_span, rows, rtol=rtol, atol=0.0)
-        if not sol.success:
-            raise NoCrossingError(
-                f"trajectory run failed (family {F.label()}, N_eff={N_eff}, "
-                f"log-levels [{t_span[0]}, {t_span[1]}]): {sol.message}")
-        return sol
-
-    read = StepReader(run((math.log(level), math.log(levels[-1])), rows0),
-                      trajectory_rhs(F, N_eff, array=True), rtol, 0.0, run)
-
-    def point(t):
-        eta, u = read(t)
-        lam = np.exp(y0 + eta)
-        return lam, lam * kappa * np.expm1(-u) * np.exp(-sigma * np.exp(t))
-
-    return point
-
-
-def trajectory_rhs(F: Nonlinearity, N: float, array: bool = False):
-    """Right-hand side d/dt of the trajectory rows (η, u) in t = log ℓ
-    (`_trajectory`), the equations of `Nonlinearity.scaling_law` with
-    d/dt = (ℓ/q) d/da:
-
-        dη/dt = -2 (ℓ/q) expm1(u),
-        du/dt = (ℓ/q)(2 - N + σq + e^y/q),
-
-    and about the singular point, with c = N - 2 - σq* > 0,
-
-        du/dt = (ℓ/q)(σq* expm1(u) + c expm1(η - u)),
-
-    which vanishes there without cancellation.  It takes the rows as a
-    sequence and returns a tuple.  On Python floats it runs on `math`; with
-    `array` on numpy's exp and expm1, which give a float the bits they give
-    it in an array of any size, so a `StepReader` reads a level to the same
-    bits alone or in a batch.
-    """
-    kappa, sigma = F.scaling_law()
-    q_star = 2.0 / kappa
-    exp, expm1 = (np.exp, np.expm1) if array else (math.exp, math.expm1)
-    c = N - 2.0 - sigma * q_star
-    if c > 0.0:
-        sq = sigma * q_star
-
-        def rhs(t, rows):
-            eta, u = rows
-            g, e = exp(t - u) / q_star, expm1(u)
-            return (-2.0 * g * e, g * (sq * e + c * expm1(eta - u)))
-    else:
-        b = 2.0 - N
-
-        def rhs(t, rows):
-            y, u = rows
-            q = q_star * exp(u)
-            g = exp(t) / q
-            return (-2.0 * g * expm1(u), g * (b + sigma * q + exp(y) / q))
-
-    return rhs
 
 
 def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
@@ -463,11 +308,11 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
     One table of the stable branch brackets the root: the grid points below
     the fold, then the fold (m*, λ*) that `solve_branch` refined, when the
     branch has one.  The center value is the brentq root of λ(t) - lam in
-    t = log ℓ on the Emden-Fowler trajectory (`_trajectory`) over the table
-    cell that holds lam, one step per evaluation, as for the fold.  It reads
-    the branch's own run when that ran at tol or tighter and the cell lies
-    within its grid; else it runs the cell.  One `shoot` there is the
-    answer, if it meets |λ(m) - lam| <= tol·lam.
+    t = log ℓ on the Emden-Fowler trajectory (`radial.trajectory`) over
+    the table cell that holds lam, one step per evaluation, as for the
+    fold.  It reads the branch's own run when that ran at tol or tighter
+    and the cell lies within its grid; else it runs the cell.  One `shoot`
+    there is the answer, if it meets |λ(m) - lam| <= tol·lam.
     """
     if branch.problem != problem:
         raise DomainValidationError("branch was computed for a different problem")
@@ -494,7 +339,7 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
     if branch._run is not None and branch._run[0] <= tol and t_lo >= branch._run[1]:
         point = branch._run[2]
     else:
-        point = _trajectory(F, tr.N_eff, levels, tol)
+        point = trajectory(F, tr.N_eff, levels, tol, solve_ivp)
     g = lambda t: float(point(t)[0]) - lam0
     # a reading of a table end can differ from the table in its last bits:
     # an end that reads lam0 or past it is the root

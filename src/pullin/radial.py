@@ -1,22 +1,24 @@
 """The radial integration core that `branch` and `spectral` share: the
-center series, the one-lane run in the profile variable, its runner on
-scipy's compiled DOP853, and the DOP853 step that reads a run between the
-steps it records.
+center series, the one-lane run in the profile variable, the
+Emden-Fowler trajectory of a whole branch, their runner on scipy's
+compiled DOP853, and the DOP853 step that reads a run between the steps it
+records.
 
 A one-lane run integrates, for one center value m, the profile w with its
-linear mode z,
+tangent z = ∂w/∂m,
 
-    w'' + (N-1)/r w' + r^α F(w) = 0,             w(0) = m,
-    z'' + (N-1)/r z' + r^α (ν + F'(w)) z = 0,    z(0) = 1,
+    w'' + (N-1)/r w' + r^α F(w) = 0,       w(0) = m,
+    z'' + (N-1)/r z' + r^α F'(w) z = 0,    z(0) = 1,
 
 in τ ∈ [τ₀, 1] with w = m(1 - τ²), so the first zero of w is the fixed
-endpoint τ = 1 and the radius r is an unknown.  At ν = 0, z = ∂w/∂m.  The
-removable singularity of (N-1)/r at r = 0 rules out starting at the
-center, so each run starts at a small seed radius where the center series
-is still exact to the integrator tolerance.  `branch.shoot` and the
-profile run of `spectral.mu1` are one-lane runs (`lane_seed`,
-`lane_rhs`); the Emden-Fowler trajectory of a whole branch
-(`branch._trajectory`) starts from the center series at m = 0.
+endpoint τ = 1 and the radius r is an unknown.  The removable singularity
+of (N-1)/r at r = 0 rules out starting at the center, so each run starts
+at a small seed radius where the center series is still exact to the
+integrator tolerance.  `branch.shoot` is a one-lane run (`lane_seed`,
+`lane_rhs`).  The trajectory (`trajectory`, `trajectory_rhs`) runs w₀,
+the solution with center value 0, in Emden-Fowler variables from its
+center series at m = 0; `branch` reads a whole branch and its fold off
+it, and `spectral` the coefficients of μ₁.
 
 Every run goes through `solve_ivp`, which returns the result of scipy's,
 and runs on scipy's compiled DOP853 (Hairer-Nørsett-Wanner,
@@ -26,7 +28,7 @@ its accepted steps, and `StepReader` reads it at any point between them
 with one more DOP853 step from the recorded step below (`_dop853_step`),
 for one point or for an array of them at once: the levels of a branch and
 its collocation nodes, the root evaluations on it, and the profile of a
-shot or of `mu1`'s run.
+shot.
 """
 
 from __future__ import annotations
@@ -39,26 +41,38 @@ from scipy.integrate import ode
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.ivp import OdeResult
 
-from .errors import DomainValidationError
+from .errors import DomainValidationError, NoCrossingError
 from .nonlinearity import Nonlinearity
 
 # steps allowed in one compiled run
 _MAX_STEPS = 100_000
+# the trajectory runs at rtol = tol * _TRAJECTORY_RTOL and atol 0.  Only a
+# relative control resolves the slopes of the singular tails: on the 50-point
+# exp N = 9, 10 and 12 grids they go down to 1.4e-29, 5.1e-32 and 3.6e-23,
+# and with atol = rtol/100 the last two or three of them came out as noise
+# between 2.6e-20 and 7.4e-16, with flipped signs (spurious folds) at N = 9
+# and 10.  At tol 1e-10 the 61-point exp N = 1 grid reads λ off its closed
+# form by 5.6e-14 at tol * 1e-3, 1.5e-14 at 3e-4 and 4.2e-15 at 1e-4, where
+# the lane grid this replaced read 1.6e-14; the main runs take 21-34% more
+# steps at 1e-4 than at 1e-3
+_TRAJECTORY_RTOL = 1e-4
+# below about 1e-15 the error estimate of a step is rounding noise: at
+# tol 1e-14 (rtol 1e-18) a step of the fold's brentq failed as too small
+_TRAJECTORY_RTOL_MIN = 1e-15
 
 
-def center_series(F: Nonlinearity, N: float, k: float, m: float, nu: float = 0.0):
+def center_series(F: Nonlinearity, N: float, k: float, m: float):
     """Coefficients of the regular solutions near the center in s = r^k:
     w = m + a1 s + a2 s² + a3 s³ of
 
         w'' + (N-1)/r w' + r^(k-2) F(w) = 0,   w(0) = m,
 
-    and y = 1 + b1 s + b2 s² + b3 s³ of the linear mode
+    and z = 1 + b1 s + b2 s² + b3 s³ of its tangent z = ∂w/∂m,
 
-        y'' + (N-1)/r y' + r^(k-2) (ν + F'(w)) y = 0,   y(0) = 1.
+        z'' + (N-1)/r z' + r^(k-2) F'(w) z = 0,   z(0) = 1.
 
-    With ν = 0, y is the tangent z = ∂w/∂m.  Matching powers of s gives
-    a_j = -[s^(j-1)] F(w) / (jk(jk+N-2)) and
-    b_j = -[s^(j-1)] (ν + F'(w)) y / (jk(jk+N-2)).
+    Matching powers of s gives a_j = -[s^(j-1)] F(w) / (jk(jk+N-2)) and
+    b_j = -[s^(j-1)] F'(w) z / (jk(jk+N-2)).
     Raises DomainValidationError when a coefficient overflows double range
     (for the exponential from m ≈ 236 on).
     """
@@ -70,10 +84,9 @@ def center_series(F: Nonlinearity, N: float, k: float, m: float, nu: float = 0.0
     a1 = -F0 / c1
     a2 = -F1 * a1 / c2
     a3 = -(F1 * a2 + 0.5 * F2 * a1 * a1) / c3
-    v0 = nu + F1  # the potential's value at the center
-    b1 = -v0 / c1
-    b2 = -(v0 * b1 + F2 * a1) / c2
-    b3 = -(v0 * b2 + F2 * (a2 + a1 * b1) + 0.5 * F3 * a1 * a1) / c3
+    b1 = -F1 / c1
+    b2 = -(F1 * b1 + F2 * a1) / c2
+    b3 = -(F1 * b2 + F2 * (a2 + a1 * b1) + 0.5 * F3 * a1 * a1) / c3
     if not all(map(math.isfinite, (a1, a2, a3, b1, b2, b3))):
         raise DomainValidationError(
             f"center series of {F.label()} overflows double range at m={m:g}")
@@ -93,8 +106,7 @@ def series_state(coeffs, base: float, s: float, k: float, eps: float):
             k * s / eps * (c1 + s * (2.0 * c2 + 3.0 * s * c3)))
 
 
-def lane_seed(F: Nonlinearity, N: float, m: float, tol: float,
-              alpha: float = 0.0, nu: float = 0.0):
+def lane_seed(F: Nonlinearity, N: float, m: float, tol: float, alpha: float = 0.0):
     """Start τ₀ and initial state (r, w', z, z') of the one-lane run from
     the center value m.
 
@@ -109,7 +121,7 @@ def lane_seed(F: Nonlinearity, N: float, m: float, tol: float,
         raise DomainValidationError(f"tol must lie in (0, 1), got {tol}")
     k = 2.0 + alpha
     m = float(m)
-    a, b = center_series(F, N, k, m, nu)
+    a, b = center_series(F, N, k, m)
     s = min((tol * m / abs(a[2])) ** (1.0 / 3.0),
             (tol / abs(b[2])) ** (1.0 / 3.0) if b[2] else math.inf,
             0.1 * m / abs(a[0]))
@@ -120,8 +132,7 @@ def lane_seed(F: Nonlinearity, N: float, m: float, tol: float,
     return tau0, y0, eps, a
 
 
-def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0,
-             nu: float = 0.0):
+def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0):
     """Right-hand side d/dτ of the rows (r, w', z, z') of the one-lane run
     from the center value m, with d/dτ = (dr/dτ) d/dr and dr/dτ = -2mτ/w'.
 
@@ -140,12 +151,121 @@ def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0,
         r, dw, z, dz = y
         w = m * (1.0 - tau * tau)
         dr = -2.0 * tau * m / dw
-        f, fp = f0(w), f1(w) + nu
+        f, fp = f0(w), f1(w)
         if alpha:
             ra = r ** alpha
             f, fp = ra * f, ra * fp
         cr = c / r
         return (dr, -(f + cr * dw) * dr, dz * dr, -(fp * z + cr * dz) * dr)
+
+    return rhs
+
+
+def trajectory(F: Nonlinearity, N: float, levels: np.ndarray, tol: float, solve):
+    """t -> (λ, dλ/dm) at the level ℓ = e^t of the Emden-Fowler trajectory
+    of w₀, the solution with center value 0 (`Nonlinearity.scaling_law`),
+    for ℓ between the first and the last of the increasing `levels`; t is a
+    float, or an array read in one array step.  Every run, the main one
+    and a read's rerun, goes through `solve`, the caller's own `solve_ivp`
+    (`branch.solve_ivp` or `spectral.solve_ivp`, looked up when it calls),
+    so that `perfbench` counts each run under the module that made it.
+
+    The trajectory is the curve (y, q) = (log λ, dℓ/da) over the level ℓ,
+    with a = log ρ on w₀.  Its rows are η = y - y₀ and u = log(q/q*) with
+    q* = 2/κ, so the fold dλ/dm = 0 is where u crosses 0.  y₀ is y* of the
+    singular point (y*, q*), e^y* = q*(N - 2 - σq*), where that is
+    positive, and 0 otherwise.  A tail that converges onto the singular
+    point keeps its relative accuracy under a pure relative error control
+    (atol 0, rtol = tol·1e-4, at least 1e-15), and u, unlike q - q*, keeps
+    the digits of q ~ ℓ near the center (with q - q*, step control near
+    the seed chases rounding noise: the inverse-square disc took 42,424 RHS
+    evaluations in its main run, against 2,958 with u).  At the level
+    ℓ = e^t, λ = e^(y₀ + η) and dλ/dm = λ (2 - κq)/q · dℓ/dm =
+    λ κ expm1(-u) e^(-σℓ).
+
+    The run starts from the third-order center series of w₀
+    (`center_series` at m = 0) in s = ρ², at the s where the series' last
+    term falls to the run's rtol relative to its first, so the remainder
+    stays below rtol, or lower, at half of the first level, so that every
+    level read off lies above the start.  Every trajectory run starts
+    here, so tol is checked here.  One main run records its steps from
+    there to the last level; each t is then read with one step from the
+    last recorded step below it (`StepReader`), so that its bits depend
+    only on that step and on t.  A failed run raises NoCrossingError.
+    """
+    if not 0.0 < tol < 1.0:
+        raise DomainValidationError(f"tol must lie in (0, 1), got {tol}")
+    kappa, sigma = law = F.scaling_law()
+    q_star = 2.0 / kappa
+    c = N - 2.0 - sigma * q_star
+    y0 = math.log(q_star * c) if c > 0.0 else 0.0
+    rtol = max(tol * _TRAJECTORY_RTOL, _TRAJECTORY_RTOL_MIN)
+    a, _ = center_series(F, N, 2.0, 0.0)
+    a1, a2, a3 = a
+    s = min(math.sqrt(rtol * abs(a1 / a3)), 0.5 * float(levels[0]) / abs(a1))
+    drop = -series_value(a, 0.0, s)
+    level = law.drop_level(drop)
+    # q = dℓ/da = (dℓ/dd)·2s·dd/ds with dℓ/dd = 1/(1 - σd)
+    q = -2.0 * s * (a1 + s * (2.0 * a2 + 3.0 * s * a3)) / (1.0 - sigma * drop)
+    rows0 = np.array([math.log(s) - kappa * level - y0, math.log(0.5 * kappa * q)])
+    rhs = trajectory_rhs(F, N)
+
+    def run(t_span, rows):
+        sol = solve(rhs, t_span, rows, rtol=rtol, atol=0.0)
+        if not sol.success:
+            raise NoCrossingError(
+                f"trajectory run failed (family {F.label()}, N_eff={N}, "
+                f"log-levels [{t_span[0]}, {t_span[1]}]): {sol.message}")
+        return sol
+
+    read = StepReader(run((math.log(level), math.log(levels[-1])), rows0),
+                      trajectory_rhs(F, N, array=True), rtol, 0.0, run)
+
+    def point(t):
+        eta, u = read(t)
+        lam = np.exp(y0 + eta)
+        return lam, lam * kappa * np.expm1(-u) * np.exp(-sigma * np.exp(t))
+
+    return point
+
+
+def trajectory_rhs(F: Nonlinearity, N: float, array: bool = False):
+    """Right-hand side d/dt of the trajectory rows (η, u) in t = log ℓ
+    (`trajectory`), the equations of `Nonlinearity.scaling_law` with
+    d/dt = (ℓ/q) d/da:
+
+        dη/dt = -2 (ℓ/q) expm1(u),
+        du/dt = (ℓ/q)(2 - N + σq + e^y/q),
+
+    and about the singular point, with c = N - 2 - σq* > 0,
+
+        du/dt = (ℓ/q)(σq* expm1(u) + c expm1(η - u)),
+
+    which vanishes there without cancellation.  It takes the rows as a
+    sequence and returns a tuple.  On Python floats it runs on `math`; with
+    `array` on numpy's exp and expm1, which give a float the bits they give
+    it in an array of any size, so a `StepReader` reads a level to the same
+    bits alone or in a batch.
+    """
+    kappa, sigma = F.scaling_law()
+    q_star = 2.0 / kappa
+    exp, expm1 = (np.exp, np.expm1) if array else (math.exp, math.expm1)
+    c = N - 2.0 - sigma * q_star
+    if c > 0.0:
+        sq = sigma * q_star
+
+        def rhs(t, rows):
+            eta, u = rows
+            g, e = exp(t - u) / q_star, expm1(u)
+            return (-2.0 * g * e, g * (sq * e + c * expm1(eta - u)))
+    else:
+        b = 2.0 - N
+
+        def rhs(t, rows):
+            y, u = rows
+            q = q_star * exp(u)
+            g = exp(t) / q
+            return (-2.0 * g * expm1(u), g * (b + sigma * q + exp(y) / q))
 
     return rhs
 
@@ -204,7 +324,7 @@ class StepReader:
     Each t is read with one DOP853 step (`_dop853_step` of `fun`) from the
     last recorded step below it, so its bits depend only on that step and
     on t, not on the other t read with it, given a `fun` whose bits do not
-    (`branch.trajectory_rhs` with `array`).  A t below the first recorded
+    (`trajectory_rhs` with `array`).  A t below the first recorded
     t, such as a collocation node next to the center, is read with one
     step back from it.  The last recorded t can fall ulps short of the
     run's end, so a t past it is read from the step before.
@@ -307,7 +427,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
     no other options).  `fun(t, rows)` gets the rows as a list of floats.
 
     `y0` holds the rows (r, w', z, z') of a one-lane run, or the two rows
-    of `branch`'s trajectory; the error norm takes in every row.  `y` holds
+    (η, u) of the trajectory; the error norm takes in every row.  `y` holds
     the state at every accepted step, which a `StepReader` reads between
     them; `nfev` counts the evaluations of `fun`.
     """

@@ -11,11 +11,12 @@ operator (Trefethen, *Spectral Methods in MATLAB*, 2000, ch. 7) in the
 level ℓ of the solution w₀ with center value 0: by the scaling symmetry of
 each family (`Nonlinearity.scaling_law`) the solution with center value m
 is w₀ up to the level ℓ(m), and the operator's coefficients are those of
-w₀'s Emden-Fowler trajectory, λ(ℓ) and q(ℓ) = dℓ/d log ρ.  A branch reads
-them off its own trajectory run (`branch.solve_branch`), and `mu1` off one
-profile run of the radial core (`pullin.radial`); both feed the same
-kernel (`_principal_eigenvalue`), one small dense eigen-solve per
-resolution.
+w₀'s Emden-Fowler trajectory (`radial.trajectory`), λ(ℓ) and
+q(ℓ) = dℓ/d log ρ.  A branch's fills read them off the branch's own
+trajectory run (`_fill_stability`), and `mu1` off one run of the same
+trajectory up to ℓ(m); both read q²/λ at the nodes the same way
+(`_coefficient`) and feed the same kernel (`_principal_eigenvalue`), one
+small dense eigen-solve per resolution.
 """
 
 from __future__ import annotations
@@ -30,20 +31,18 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import hyp0f1, jv
 
-from .errors import BracketError, DomainValidationError, QuadratureError
+from .errors import BracketError, DomainValidationError, NoCrossingError, QuadratureError
 from .geometry import volume_unit_ball
 from .nonlinearity import Nonlinearity
-from .radial import StepReader, lane_rhs, lane_seed, solve_ivp
+from .radial import solve_ivp, trajectory
 
 # `mu1` and the branch fills refuse a potential λF'(m) above this: no
 # independent reference for μ₁ exists past it yet
 _MAX_POTENTIAL = 2e5
-# the profile run of `mu1` runs at rtol = _PROFILE_RTOL * tol
-_PROFILE_RTOL = 0.1
 # relative widening of the Rayleigh bounds on μ₁, which meet as m -> 0
 _RAYLEIGH_MARGIN = 1e-6
-# `mu1` refuses a voltage that differs from R² of its own profile run by
-# more than this multiple of tol, relative
+# `mu1` refuses a voltage that differs from R² = λ(ℓ(m)) of its own
+# trajectory run by more than this multiple of tol, relative
 _LAM_MISMATCH = 1e3
 # the Chebyshev resolutions of the collocation, tried in turn until two in a
 # row agree
@@ -178,6 +177,44 @@ def _principal_eigenvalue(F: Nonlinearity, m: float, lam: float, lam1: float,
     return mu
 
 
+def _coefficient(point, law, ell):
+    """q²/λ at the levels ell (an array) of the trajectory `point`
+    (`radial.trajectory`), with q = q*/(1 + (dλ/dm) e^(σℓ)/(κλ)) from its
+    (λ, dλ/dm) and q* = 2/κ."""
+    kappa, sigma = law
+    lam, slope = point(np.log(ell))
+    q = (2.0 / kappa) / (1.0 + slope * np.exp(sigma * ell) / (kappa * lam))
+    return q * q / lam
+
+
+def _fill_stability(points: list, F: Nonlinearity, N_eff: float, levels: np.ndarray,
+                    lams: list[float], point, tol: float) -> int:
+    """Fill μ₁ of each branch point (`_principal_eigenvalue`, at the level
+    and core voltage of the point) from the branch's own trajectory run
+    `point`, and return the number of points it leaves empty, where the
+    kernel raised BracketError.
+
+    The kernel's coefficient q²/λ (`_coefficient`) is read at the nodes of
+    the first two resolutions of every point in one array read, and at a
+    further resolution, which few points need, one point at a time.
+    """
+    law = F.scaling_law()
+    lam1 = _lambda1(N_eff)
+    first = _RESOLUTIONS[:2]
+    nodes = [_nodes(n) for n in first]
+    table = _coefficient(point, law, np.outer(levels, np.concatenate(nodes)))
+    read = dict(zip(first, np.split(table, [len(nodes[0])], axis=1)))
+    skipped = 0
+    for i, (p, lam) in enumerate(zip(points, lams)):
+        def at(n, i=i):
+            return read[n][i] if n in read else _coefficient(point, law, levels[i] * _nodes(n))
+        try:
+            p.mu1 = _principal_eigenvalue(F, p.m, lam, lam1, tol, at)
+        except BracketError:
+            skipped += 1
+    return skipped
+
+
 def _first_bessel_zero(nu: float) -> float:
     """First positive zero j_{ν,1} of J_ν, for ν >= -1/2.
 
@@ -250,17 +287,19 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
     larger (`_principal_eigenvalue`).
 
     Reads only the center value `u.m` of the solution (a `RadialSolution`,
-    a `ShootResult` or a `BranchPoint`).  One profile run W of the radial
-    core from `u.m` gives the radius R of its first zero, so λ = R²; `lam`
-    must be that voltage, and DomainValidationError is raised when it
+    a `ShootResult` or a `BranchPoint`).  One run of the Emden-Fowler
+    trajectory (`radial.trajectory`, through this module's `solve_ivp`) up
+    to the level L = ℓ(m) gives the voltage R² = λ(L) of center value m;
+    `lam` must be that voltage, and DomainValidationError is raised when it
     differs from R² by more than `_LAM_MISMATCH` * tol relative.  Positive
     on the stable branch, zero at the fold, negative beyond it.  The
     coefficients of the collocation (`_principal_eigenvalue`) are read off
-    that run: the level ℓ = L - ℓ(W) of w₀, and
-    q²/λ = (W′/(1 + σW))² e^(-κℓ(W)).  BracketError is raised past the
-    potential guard, before the run, and when the collocation fails its
-    checks.  The only solution with m = 0 is u ≡ 0 at λ = 0, whose μ₁ is
-    λ₁; with m = 0, a voltage other than 0 is refused.
+    the same run, q²/λ at the levels L·`_nodes(n)` (`_coefficient`), as the
+    fills of `branch.solve_branch` read them off the branch's run.
+    BracketError is raised past the potential guard, before the run, when
+    the run fails, and when the collocation fails its checks.  The only
+    solution with m = 0 is u ≡ 0 at λ = 0, whose μ₁ is λ₁; with m = 0, a
+    voltage other than 0 is refused.
     """
     if not 1.0 <= N < math.inf:
         raise DomainValidationError(f"dimension must be finite and >= 1, got {N}")
@@ -277,30 +316,16 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
     if lam == 0.0:
         raise DomainValidationError(f"no solution at voltage 0 has center value {m}")
     _potential(F, m, lam)
-    rtol = _PROFILE_RTOL * tol
-    tau0, y0, _, _ = lane_seed(F, N, m, rtol)
-    rhs = lane_rhs(F, N, m)
-
-    def run(t_span, rows):
-        sol = solve_ivp(rhs, t_span, rows, rtol=rtol, atol=rtol * 1e-2)
-        if not sol.success:
-            raise BracketError(f"profile run failed at m={m}: {sol.message}")
-        return sol
-
-    sol = run((tau0, 1.0), y0)
-    R2 = float(sol.y[0, -1]) ** 2
-    if abs(lam - R2) > _LAM_MISMATCH * tol * R2:
-        raise DomainValidationError(
-            f"voltage {lam} is not that of center value {m}, whose profile "
-            f"gives R² = {R2:.12g}")
-    read = StepReader(sol, rhs, rtol, rtol * 1e-2, run)
-    kappa, sigma = law = F.scaling_law()
+    law = F.scaling_law()
     L = float(law.level(m))
-
-    def ratio(n):
-        ell = L * _nodes(n)
-        w = law.center_value(L - ell)
-        dw = read(np.sqrt(1.0 - w / m))[1]
-        return (dw / (1.0 + sigma * w)) ** 2 * np.exp(-kappa * (L - ell))
-
-    return _principal_eigenvalue(F, m, R2, lam1, tol, ratio)
+    try:
+        point = trajectory(F, N, np.array([L]), tol, solve_ivp)
+        R2 = float(point(math.log(L))[0])
+        if abs(lam - R2) > _LAM_MISMATCH * tol * R2:
+            raise DomainValidationError(
+                f"voltage {lam} is not that of center value {m}, whose trajectory "
+                f"gives R² = {R2:.12g}")
+        return _principal_eigenvalue(F, m, R2, lam1, tol,
+                                     lambda n: _coefficient(point, law, L * _nodes(n)))
+    except NoCrossingError as exc:
+        raise BracketError(f"profile run failed at m={m}: {exc}") from exc

@@ -310,7 +310,7 @@ def _grid_points(F, N, grid, tol=pullin.branch.DEFAULT_TOL):
     """(λ, dλ/dm) at every center value of `grid`, read off the trajectory
     that `solve_branch` runs."""
     levels = F.scaling_law().level(np.asarray(grid, dtype=float))
-    point = pullin.branch._trajectory(F, N, levels, tol)
+    point = pullin.radial.trajectory(F, N, levels, tol, pullin.radial.solve_ivp)
     lam, slope = zip(*map(point, np.log(levels)))
     return np.array(lam), np.array(slope)
 
@@ -527,8 +527,8 @@ def test_mu1_is_positive_on_the_index_0_run_and_negative_past_the_fold(F, N, gri
                                          (power_growth(3.0), 3.0, 0.0), (MEMS, 3.0, 1.0)],
                          ids=["exp-2", "mems-2", "mems-5", "power-3", "mems-3-alpha-1"])
 def test_a_fill_is_mu1_at_its_center_value(F, N, alpha):
-    # one kernel, two sources of coefficients: the branch's trajectory and
-    # the profile run of mu1 at the point's center value
+    # one kernel and one source of coefficients, read off two runs: the
+    # branch's trajectory and mu1's own trajectory run up to the point's level
     tol = 1e-8
     prob = ProblemSpec(N, F, alpha)
     tr = prob.transform()
@@ -674,6 +674,9 @@ def test_refusals_print_the_branch_voltage_in_full():
     ([0.1, 0.3, 0.2], "strictly increasing"),
     ([0.0, 0.1, 0.2], "inside"),
     ([0.1, 0.5, 1.0], "inside"),
+    ([math.nan, 0.2, 0.3], "inside"),
+    ([0.1, math.nan, 0.3], "inside"),
+    ([0.1, 0.2, math.nan], "inside"),
 ])
 def test_solve_branch_refuses_a_malformed_schedule(grid, rule):
     with pytest.raises(DomainValidationError, match=rule):

@@ -47,18 +47,19 @@ def test_one_lane_run_matches_its_lane_in_a_pair(monkeypatch, F, m, partner, N, 
     assert abs(lam1 - lam2) <= tol * max(1.0, lam2)
     tr = pullin.dim_transform(N, alpha)
     levels = F.scaling_law().level(np.array([m, partner]))
-    _, slope2 = branch._trajectory(F, tr.N_eff, levels, tol)(math.log(levels[0]))
+    point = radial.trajectory(F, tr.N_eff, levels, tol, radial.solve_ivp)
+    _, slope2 = point(math.log(levels[0]))
     slope2 *= tr.voltage_factor
     assert abs(slope - slope2) <= tol * max(1.0, abs(slope2))
 
 
 def test_a_plain_run_sets_its_steps_on_every_row():
     # a five-row run of `solve_ivp` is a plain run: its norm takes in the
-    # fifth row, here the integral ∫ r^(N-1) z² dr of the lane's linear
-    # mode, as it is, so a large one shortens the steps
-    F, m, nu, tol = mems_inverse_power(2.0), 0.5, -1.0, 1e-8
-    tau0, y0, *_ = radial.lane_seed(F, 2.0, m, tol, nu=nu)
-    lane = radial.lane_rhs(F, 2.0, m, nu=nu)
+    # fifth row, here the integral ∫ r^(N-1) z² dr of the lane's tangent,
+    # as it is, so a large one shortens the steps
+    F, m, tol = mems_inverse_power(2.0), 0.5, 1e-8
+    tau0, y0, *_ = radial.lane_seed(F, 2.0, m, tol)
+    lane = radial.lane_rhs(F, 2.0, m)
 
     def rhs(tau, y):
         rows = lane(tau, y[:4])
@@ -84,8 +85,7 @@ def _blowup(*_, **__):
 def test_a_failing_run_raises_the_package_error(monkeypatch):
     F = mems_inverse_power(2.0)
     monkeypatch.setattr(branch, "lane_rhs", _blowup)
-    monkeypatch.setattr(branch, "trajectory_rhs", _blowup)
-    monkeypatch.setattr(spectral, "lane_rhs", _blowup)
+    monkeypatch.setattr(radial, "trajectory_rhs", _blowup)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NoCrossingError, match="step size"):
@@ -133,16 +133,15 @@ def test_one_lane_runs_keep_no_objects_alive():
 FAMILIES = [exponential(), mems_inverse_power(2.0), power_growth(3.0)]
 
 
-@pytest.mark.parametrize("nu", [0.0, -3.5])
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 @pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.label())
-def test_the_lane_that_sets_the_start_has_its_one_lane_seed(F, alpha, nu):
+def test_the_lane_that_sets_the_start_has_its_one_lane_seed(F, alpha):
     # each one-lane run starts where its center series' remainder rule puts
     # it, with the state of the series there
     tol, k = 1e-10, 2.0 + alpha
     for m in branch.default_m_grid(F, 61):
-        tau0, y0, eps, a = radial.lane_seed(F, 2.5, m, tol, alpha, nu)
-        a_ref, b = radial.center_series(F, 2.5, k, m, nu)
+        tau0, y0, eps, a = radial.lane_seed(F, 2.5, m, tol, alpha)
+        a_ref, b = radial.center_series(F, 2.5, k, m)
         assert a == a_ref
         s = eps ** k
         # the last terms of w and z stay below tol (w relative to m), and
@@ -156,16 +155,15 @@ def test_the_lane_that_sets_the_start_has_its_one_lane_seed(F, alpha, nu):
                                    rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("nu", [0.0, -3.5])
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 @pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.label())
-def test_a_lane_of_the_rhs_is_its_one_lane_rhs(F, alpha, nu):
+def test_a_lane_of_the_rhs_is_its_one_lane_rhs(F, alpha):
     # the scalar right-hand side of a lane against its equations on arrays,
     # with the domain-checked F and F'
     N, ms = 2.5, branch.default_m_grid(F, 61)
-    states = [radial.lane_seed(F, N, m, 1e-10, alpha, nu)[:2] for m in ms]
+    states = [radial.lane_seed(F, N, m, 1e-10, alpha)[:2] for m in ms]
     for tau in (None, 0.5, 0.9):
-        rows = np.array([radial.lane_rhs(F, N, m, alpha, nu)(tau0 if tau is None else tau, y0)
+        rows = np.array([radial.lane_rhs(F, N, m, alpha)(tau0 if tau is None else tau, y0)
                          for m, (tau0, y0) in zip(ms, states)]).T
         taus = np.array([tau0 if tau is None else tau for tau0, _ in states])
         r, dw, z, dz = np.array([y0 for _, y0 in states]).T
@@ -173,7 +171,7 @@ def test_a_lane_of_the_rhs_is_its_one_lane_rhs(F, alpha, nu):
         dr = -2.0 * taus * ms / dw
         weight = r ** alpha
         terms = ((dr,), (weight * F.value(w) * dr, (N - 1.0) / r * dw * dr), (dz * dr,),
-                 (weight * (F.deriv(w) + nu) * z * dr, (N - 1.0) / r * dz * dr))
+                 (weight * F.deriv(w) * z * dr, (N - 1.0) / r * dz * dr))
         # C `pow` of a float and numpy's vectorized power may differ in the
         # last bit (F, F' and r^α), and the two terms of a row may cancel
         for row, sign, parts in zip(rows, (1.0, -1.0, 1.0, -1.0), terms):
@@ -187,7 +185,7 @@ def test_a_tol_outside_the_unit_interval_is_refused_before_any_run(tol):
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
         radial.lane_seed(F, 2.0, 0.3, tol)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
-        branch._trajectory(F, 2.0, np.array([0.1, 0.2]), tol)
+        radial.trajectory(F, 2.0, np.array([0.1, 0.2]), tol, radial.solve_ivp)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
         pullin.shoot(F, 2.0, 0.3, tol=tol)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
@@ -208,7 +206,7 @@ def test_the_center_series_refuses_a_center_value_outside_the_domain():
 def _levels(F, N, n, tol):
     """The log-levels of the n-point default grid and their reader."""
     levels = F.scaling_law().level(branch.default_m_grid(F, n))
-    return np.log(levels), branch._trajectory(F, N, levels, tol)
+    return np.log(levels), radial.trajectory(F, N, levels, tol, radial.solve_ivp)
 
 
 @pytest.mark.parametrize("F, N", [(exponential(), 3.0), (mems_inverse_power(2.0), 2.0),

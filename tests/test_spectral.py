@@ -205,17 +205,26 @@ def _record_resolutions(monkeypatch):
 @pytest.mark.parametrize("F, m", [(mems_inverse_power(2.0), 0.2),
                                   (mems_inverse_power(2.0), 0.8),
                                   (exponential(), 1.0), (exponential(), 3.0)])
-def test_eigen_shot_at_zero_is_the_shot_tangent(monkeypatch, F, m):
-    # the one eigen-shot of mu1 is its profile run, the lane of the shot at
-    # ν = 0: its tangent z = ∂w/∂m gives dλ/dm = 2R (-z(R)/w'(R)) on both
-    # sides of the fold
+def test_mu1_reads_the_shot_voltage_off_its_one_trajectory_run(monkeypatch, F, m):
+    # the one run of mu1 is the two-row Emden-Fowler trajectory up to ℓ(m),
+    # and the voltage it hands the collocation, read there, is the shot's R²
+    # on both sides of the fold
+    from pullin import spectral
     sr = shoot(F, 2.0, m)
-    runs = _record_runs(monkeypatch)
-    mu1(2.0, F, sr.lam, sr, tol=1e-9)
+    runs, voltages = _record_runs(monkeypatch), []
+    kernel = spectral._principal_eigenvalue
+
+    def recording(F, m, lam, *args):
+        voltages.append(lam)
+        return kernel(F, m, lam, *args)
+
+    monkeypatch.setattr(spectral, "_principal_eigenvalue", recording)
+    tol = 1e-9
+    mu1(2.0, F, sr.lam, sr, tol=tol)
     (run,) = runs
-    R, dw, z, _ = run.y[:, -1]
-    assert R == pytest.approx(sr.first_zero, rel=1e-9)
-    assert 2.0 * R * (-z / dw) == pytest.approx(sr.dlam_dm, rel=1e-8)
+    assert run.y.shape[0] == 2
+    (lam,) = voltages
+    assert abs(lam - sr.lam) <= tol * sr.lam
 
 
 def test_mu1_at_zero_center_value_is_the_shifted_laplacian():
