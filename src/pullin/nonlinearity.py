@@ -62,6 +62,16 @@ class ScalingLaw(NamedTuple):
         """ℓ of the drop d = -w₀ along w₀: d, log(1+d) or -log(1-d)."""
         return drop if not self.sigma else -math.log1p(-self.sigma * drop) / self.sigma
 
+    def singular_point(self, N: float):
+        """(q*, c, trace, disc) of the singular point (y*, q*) of the equations
+        of `Nonlinearity.scaling_law` in dimension N: q* = 2/κ, c = N - 2 - σq*
+        (e^(y*) = q*c where c > 0), and the trace σq* - c and discriminant
+        trace² - 8c of its Jacobian, whose determinant is 2c."""
+        q_star = 2.0 / self.kappa
+        c = N - 2.0 - self.sigma * q_star
+        trace = self.sigma * q_star - c
+        return q_star, c, trace, trace * trace - 8.0 * c
+
 
 @dataclass(frozen=True)
 class Nonlinearity:

@@ -9,10 +9,13 @@ distance is invariant under the reduction; voltages pick up the factor
 (1+α/2)².  In dimension 2 the reduction fixes N(α) = 2 for every α, which is
 why the disc pull-in distance does not depend on the weight exponent.
 
-Above the critical effective dimensions the extremal solutions are explicit
-and singular, and both the extremal profile and its voltage derivative have
-closed forms.  Those feed two-sided pointwise envelopes for the minimal
-solutions near pull-in.
+Both regimes are read off the singular point of the family's Emden-Fowler
+trajectory (`ScalingLaw.singular_point`): the folds spiral into it where its
+Jacobian is a spiral (Joseph-Lundgren 1973), and the singular solution is
+the extremal where it lies in H¹ and is semi-stable under Hardy's
+inequality (Brezis-Vázquez 1997).  Above the critical effective dimensions
+that extremal is explicit, and its profile and voltage derivative feed
+two-sided pointwise envelopes for the minimal solutions near pull-in.
 """
 
 from __future__ import annotations
@@ -68,22 +71,20 @@ def alpha_critical_mems(N: float) -> float:
 
 
 def classify_regularity(F: Nonlinearity, N: float, alpha: float = 0.0) -> Regularity:
-    """Classical (bounded extremal) versus singular regime.
-
-    Inverse-square family: classical iff N(α) < (14 + 4·sqrt(6))/3, i.e.
-    N <= 7 or α above the critical exponent.  Exponential family: classical
-    iff N(α) < 10.  Power family (1+u)^p: singular iff N(α) > 10 and p is at
-    least the Joseph-Lundgren exponent 1 + 4/(N(α) - 4 - 2·sqrt(N(α) - 1)).
+    """Classical (bounded extremal) versus singular regime: singular iff
+    N(α) > 2, c > 0, trace < 0 and disc >= 0 at the singular point in N(α)
+    (`ScalingLaw.singular_point`).  N > 2 is where a Hardy inequality holds,
+    c > 0 where u_s exists, and trace < 0 puts u_s in H¹ (p > (N+2)/(N-2)
+    for (1+u)^p).  disc >= 0 is its Hardy semi-stability: (N-2)(N-10) >= 0
+    for e^u, 9N² - 84N + 100 >= 0 for the inverse square, p at least the
+    Joseph-Lundgren exponent for (1+u)^p.  The inverse square needs N > 2:
+    at 4/3 < N <= (14 - 4·sqrt(6))/3 its J is a stable node, yet it folds.
     """
     N_eff = dim_transform(N, alpha).N_eff
     if F.family is Family.MEMS_INVERSE_POWER:
         require_mems_default(F, "regularity classification")
-        singular = N_eff >= MEMS_CRITICAL_DIMENSION
-    elif F.family is Family.POWER_GROWTH:
-        singular = (N_eff > REGULAR_CRITICAL_DIMENSION
-                    and F.p >= 1.0 + 4.0 / (N_eff - 4.0 - 2.0 * math.sqrt(N_eff - 1.0)))
-    else:
-        singular = N_eff >= REGULAR_CRITICAL_DIMENSION
+    _, c, trace, disc = F.scaling_law().singular_point(N_eff)
+    singular = N_eff > 2.0 and c > 0.0 and trace < 0.0 and disc >= 0.0
     return Regularity.SINGULAR if singular else Regularity.CLASSICAL
 
 
@@ -193,27 +194,17 @@ class RateProfile:
 
 
 def extremal_voltage_rate(F: Nonlinearity, N: float) -> RateProfile:
-    """Closed-form v* for the explicit singular extremals (α = 0).
-
-    Exponential: N >= 10, decay (N-2)/2 - sqrt(N²-12N+20)/2, amplitude
-    1/(2N-4).  Inverse-square: N >= (14+4·sqrt(6))/3, decay
-    (N-2)/2 - sqrt(9N²-84N+100)/6, amplitude 3/(6N-8)."""
-    if F.family is Family.EXPONENTIAL:
-        disc = N * N - 12.0 * N + 20.0
-        if N < REGULAR_CRITICAL_DIMENSION or disc < 0:
-            raise DomainValidationError(
-                f"exponential voltage rate needs N >= 10, got {N}")
-        decay = (N - 2.0) / 2.0 - math.sqrt(disc) / 2.0
-        return RateProfile(F, N, 1.0 / (2.0 * N - 4.0), decay, 0.0)
-    if F.family is Family.MEMS_INVERSE_POWER:
-        require_mems_default(F, "voltage rate profile")
-        disc = 9.0 * N * N - 84.0 * N + 100.0
-        if N < MEMS_CRITICAL_DIMENSION or disc < 0:
-            raise DomainValidationError(
-                f"inverse-square voltage rate needs N >= {MEMS_CRITICAL_DIMENSION:.4f}, got {N}")
-        decay = (N - 2.0) / 2.0 - math.sqrt(disc) / 6.0
-        return RateProfile(F, N, 3.0 / (6.0 * N - 8.0), decay, 2.0 / 3.0)
-    raise DomainValidationError(f"no voltage rate profile for family {F.label()}")
+    """Closed-form v* for the explicit singular extremals (α = 0), from the
+    singular point (`ScalingLaw.singular_point`): amplitude 1/(2c), decay
+    (c + σq* - sqrt(disc))/2 and source power -σq* (0.0, not -0.0, for e^u).
+    That is 1/(2N-4), (N-2)/2 - sqrt(N²-12N+20)/2 and 0 for e^u, and
+    3/(6N-8), (N-2)/2 - sqrt(9N²-84N+100)/6 and 2/3 for the inverse square."""
+    if F.family is Family.POWER_GROWTH or classify_regularity(F, N) is Regularity.CLASSICAL:
+        raise DomainValidationError(f"no voltage rate profile for {F.label()} at N={N}")
+    law = F.scaling_law()
+    q_star, c, _, disc = law.singular_point(N)
+    sq = law.sigma * q_star
+    return RateProfile(F, N, 1.0 / (2.0 * c), (c + sq - math.sqrt(disc)) / 2.0, 0.0 - sq)
 
 
 @dataclass(frozen=True)

@@ -173,14 +173,14 @@ def trajectory(F: Nonlinearity, N: float, levels: np.ndarray, tol: float, solve)
     The trajectory is the curve (y, q) = (log λ, dℓ/da) over the level ℓ,
     with a = log ρ on w₀.  Its rows are η = y - y₀ and u = log(q/q*) with
     q* = 2/κ, so the fold dλ/dm = 0 is where u crosses 0.  y₀ is y* of the
-    singular point (y*, q*), e^y* = q*(N - 2 - σq*), where that is
-    positive, and 0 otherwise.  A tail that converges onto the singular
-    point keeps its relative accuracy under a pure relative error control
-    (atol 0, rtol = tol·1e-4, at least 1e-15), and u, unlike q - q*, keeps
-    the digits of q ~ ℓ near the center (with q - q*, step control near
-    the seed chases rounding noise: the inverse-square disc took 42,424 RHS
-    evaluations in its main run, against 2,958 with u).  At the level
-    ℓ = e^t, λ = e^(y₀ + η) and dλ/dm = λ (2 - κq)/q · dℓ/dm =
+    singular point (y*, q*), e^y* = q*(N - 2 - σq*) where that is positive
+    (`ScalingLaw.singular_point`), and 0 otherwise.  A tail that converges
+    onto the singular point keeps its relative accuracy under a pure
+    relative error control (atol 0, rtol = tol·1e-4, at least 1e-15), and u,
+    unlike q - q*, keeps the digits of q ~ ℓ near the center (with q - q*,
+    step control near the seed chases rounding noise: the inverse-square
+    disc took 42,424 RHS evaluations in its main run, against 2,958 with u).
+    At the level ℓ = e^t, λ = e^(y₀ + η) and dλ/dm = λ (2 - κq)/q · dℓ/dm =
     λ κ expm1(-u) e^(-σℓ).
 
     The run starts from the third-order center series of w₀
@@ -196,8 +196,7 @@ def trajectory(F: Nonlinearity, N: float, levels: np.ndarray, tol: float, solve)
     if not 0.0 < tol < 1.0:
         raise DomainValidationError(f"tol must lie in (0, 1), got {tol}")
     kappa, sigma = law = F.scaling_law()
-    q_star = 2.0 / kappa
-    c = N - 2.0 - sigma * q_star
+    q_star, c, _, _ = law.singular_point(N)
     y0 = math.log(q_star * c) if c > 0.0 else 0.0
     rtol = max(tol * _TRAJECTORY_RTOL, _TRAJECTORY_RTOL_MIN)
     a, _ = center_series(F, N, 2.0, 0.0)
@@ -247,19 +246,18 @@ def trajectory_rhs(F: Nonlinearity, N: float, array: bool = False):
     it in an array of any size, so a `StepReader` reads a level to the same
     bits alone or in a batch.
     """
-    kappa, sigma = F.scaling_law()
-    q_star = 2.0 / kappa
+    law = F.scaling_law()
+    q_star, c, _, _ = law.singular_point(N)
     exp, expm1 = (np.exp, np.expm1) if array else (math.exp, math.expm1)
-    c = N - 2.0 - sigma * q_star
     if c > 0.0:
-        sq = sigma * q_star
+        sq = law.sigma * q_star
 
         def rhs(t, rows):
             eta, u = rows
             g, e = exp(t - u) / q_star, expm1(u)
             return (-2.0 * g * e, g * (sq * e + c * expm1(eta - u)))
     else:
-        b = 2.0 - N
+        b, sigma = 2.0 - N, law.sigma
 
         def rhs(t, rows):
             y, u = rows

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pullin import (DomainValidationError, MEMS_CRITICAL_DIMENSION,
-                    ProblemSpec, Regularity, alpha_critical_mems,
+                    REGULAR_CRITICAL_DIMENSION, ProblemSpec, Regularity, alpha_critical_mems,
                     asymptotic_envelopes, classify_regularity, default_m_grid,
                     dim_transform, exponential, mems_inverse_power,
                     power_growth, singular_extremal, solve_branch)
@@ -92,6 +94,22 @@ def test_power_family_regularity_matches_the_fold(N, p):
     assert (classify_regularity(F, N) is Regularity.CLASSICAL) is folds
 
 
+# the regime matches the fold on both sides of each threshold, and at the
+# inverse-square dimensions 4/3 < N <= (14 - 4 sqrt 6)/3, where the singular
+# point is a stable node (disc >= 0) and yet the branch folds: only the
+# rule's N > 2 makes those classical
+@pytest.mark.parametrize("F, N", [(EXP, 9.5), (EXP, 10.5), (MEMS, 7.5), (MEMS, 8.5),
+                                  (MEMS, 1.37), (MEMS, 1.40)],
+                         ids=["exp-9.5", "exp-10.5", "mems-7.5", "mems-8.5", "mems-1.37",
+                              "mems-1.40"])
+def test_regularity_matches_the_fold_near_every_threshold(F, N):
+    folds = solve_branch(ProblemSpec(N, F), default_m_grid(F, 200)).fold_found
+    assert (classify_regularity(F, N) is Regularity.CLASSICAL) is folds
+    if N < 2.0:
+        _, c, trace, disc = F.scaling_law().singular_point(N)
+        assert c > 0.0 and trace < 0.0 and disc >= 0.0
+
+
 def test_classification_requires_inverse_square():
     with pytest.raises(DomainValidationError):
         classify_regularity(mems_inverse_power(3.0), 8.0)
@@ -155,8 +173,39 @@ def test_voltage_rate_dimension_thresholds():
         extremal_voltage_rate(EXP, 9.99)
     with pytest.raises(DomainValidationError):
         extremal_voltage_rate(MEMS, 7.9)
+    for F in (EXP, MEMS):
+        for N in (math.nan, math.inf):
+            with pytest.raises(DomainValidationError):
+                extremal_voltage_rate(F, N)
     with pytest.raises(DomainValidationError, match="no voltage rate profile"):
         extremal_voltage_rate(power_growth(2.0), 12.0)
+
+
+def test_the_singular_point_meets_the_closed_forms():
+    # λ_s = e^(y*) = q*c in N(α), times the voltage factor, is the explicit
+    # singular extremal's λ* = 2N - 4 or (2 + α)(3N + α - 4)/9
+    a8, a9 = alpha_critical_mems(8.0), alpha_critical_mems(9.0)
+    for F, N, alpha in ((EXP, 10.0, 0.0), (EXP, 12.0, 0.0), (MEMS, 8.0, 0.0),
+                        (MEMS, 8.0, a8 / 2.0), (MEMS, 9.0, a9 / 2.0), (MEMS, 12.0, 1.0)):
+        tr = dim_transform(N, alpha)
+        q_star, c, _, _ = F.scaling_law().singular_point(tr.N_eff)
+        assert q_star * c * tr.voltage_factor == pytest.approx(
+            singular_extremal(F, N, alpha).lambda_star, rel=1e-14, abs=0.0)
+    # the discriminant vanishes at the critical dimensions, which are singular
+    assert EXP.scaling_law().singular_point(REGULAR_CRITICAL_DIMENSION)[3] == 0.0
+    assert MEMS.scaling_law().singular_point(MEMS_CRITICAL_DIMENSION)[3] == 0.0
+    # the rate's decay and amplitude are the paper's closed forms
+    for F, N in ((MEMS, 8.0), (MEMS, 9.0), (MEMS, 10.0), (EXP, 10.0), (EXP, 11.0), (EXP, 12.0)):
+        rate = extremal_voltage_rate(F, N)
+        if F is EXP:
+            decay = (N - 2.0) / 2.0 - math.sqrt(N * N - 12.0 * N + 20.0) / 2.0
+            amplitude, source_power = 1.0 / (2.0 * N - 4.0), 0.0
+        else:
+            decay = (N - 2.0) / 2.0 - math.sqrt(9.0 * N * N - 84.0 * N + 100.0) / 6.0
+            amplitude, source_power = 3.0 / (6.0 * N - 8.0), 2.0 / 3.0
+        assert rate.decay == pytest.approx(decay, rel=1e-14, abs=0.0)
+        assert rate.amplitude == pytest.approx(amplitude, rel=1e-14, abs=0.0)
+        assert rate.source_power == source_power
 
 
 def test_envelope_ordering_and_limits():

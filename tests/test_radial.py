@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate._ivp.rk import RungeKutta
+from scipy.optimize import brentq
 
 import pullin
 from pullin import (BracketError, NoCrossingError, exponential, mems_inverse_power,
@@ -291,3 +292,33 @@ def test_a_rejected_read_is_redone_as_a_compiled_run(monkeypatch):
     lam4, slope4 = point(t)
     assert abs(lam3 - lam4) <= tol * max(1.0, lam4)
     assert abs(slope3 - slope4) <= tol * max(1.0, abs(slope4))
+
+
+@pytest.mark.parametrize("F, N, top", [(exponential(), 3.0, 100.0), (exponential(), 5.0, 35.0),
+                                       (mems_inverse_power(2.0), 3.0, 15.0),
+                                       (mems_inverse_power(2.0), 5.0, 8.0),
+                                       (power_growth(3.0), 8.0, 12.0)],
+                         ids=["exp-3", "exp-5", "mems-3", "mems-5", "power3-8"])
+def test_the_folds_spiral_into_the_singular_point_at_the_rate_of_its_jacobian(F, N, top):
+    # below the Joseph-Lundgren dimension J is a spiral, with eigenvalues
+    # (trace ± i sqrt(-disc))/2: successive folds lie half a turn apart in
+    # a = log ρ, so their distances |λ_k - λ_s| shrink by
+    # exp(π trace / sqrt(-disc)), which has no closed form in N.  The top
+    # level reaches |λ_k - λ_s| ≈ 1e-10 λ_s; folds closer than 1e-9 λ_s
+    # are left out, since their distances near the rounding of λ
+    q_star, c, trace, disc = F.scaling_law().singular_point(N)
+    assert c > 0.0 and disc < 0.0
+    lam_s, rate = q_star * c, math.exp(math.pi * trace / math.sqrt(-disc))
+    levels = np.geomspace(1e-2, top, 2000)
+    point = radial.trajectory(F, N, levels, 1e-12, radial.solve_ivp)
+    ts = np.log(levels)
+    slope = point(ts)[1]
+    distances = []
+    for i in np.flatnonzero(np.sign(slope[:-1]) != np.sign(slope[1:])):
+        t = brentq(lambda s: point(s)[1], ts[i], ts[i + 1], xtol=1e-15, rtol=1e-15)
+        distances.append(abs(point(t)[0] - lam_s))
+    assert min(distances) < 1e-10 * lam_s
+    kept = np.array([d for d in distances if d > 1e-9 * lam_s])
+    ratios = kept[1:] / kept[:-1]
+    assert len(ratios) >= 3
+    assert abs(ratios[-1] / rate - 1.0) < 1e-6
