@@ -211,7 +211,8 @@ class Branch:
     [m_k, m_k+1] with k = n_stable - 1 holds it.  `stability_skipped` counts
     the points whose stability eigenvalue was not filled (mu1 is None): past
     the potential guard of `spectral`, or where the collocation failed its
-    own checks (`spectral._principal_eigenvalue`).
+    own checks (`spectral._principal_eigenvalue`).  `_run` keeps the tol and
+    trajectory reader of the branch's run, which `minimal_solution` reuses.
     """
 
     problem: ProblemSpec
@@ -220,8 +221,6 @@ class Branch:
     m_star: float
     n_stable: int
     stability_skipped: int = 0
-    # (tol, first log-level, reader t -> (λ, dλ/dm)) of the run behind the
-    # branch, which `minimal_solution` reads again
     _run: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
@@ -278,7 +277,7 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
 
     law = F.scaling_law()
     levels = law.level(grid)
-    point = trajectory(F, tr.N_eff, levels, tol, solve_ivp)
+    point = trajectory(F, tr.N_eff, float(levels[-1]), tol, solve_ivp)
     ts = np.log(levels)
     lam_core, slopes = point(ts)
     n_stable = int(np.logical_and.accumulate(slopes > 0.0).sum())
@@ -297,22 +296,21 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
     skipped = spectral._fill_stability(points, F, tr.N_eff, levels, lam_core, point,
                                        max(tol, _STABILITY_TOL)) if stability else 0
     return Branch(problem, points, lam_star_core * tr.voltage_factor,
-                  float(m_star), n_stable, skipped, _run=(tol, float(ts[0]), point))
+                  float(m_star), n_stable, skipped, _run=(tol, point))
 
 
-def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
-                     tol: float = DEFAULT_TOL) -> RadialSolution:
+def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch) -> RadialSolution:
     """Stable-branch solution at voltage lam: the smallest center value with
     λ(m) = lam.
 
     One table of the stable branch brackets the root: the grid points below
     the fold, then the fold (m*, λ*) that `solve_branch` refined, when the
     branch has one.  The center value is the brentq root of λ(t) - lam in
-    t = log ℓ on the Emden-Fowler trajectory (`radial.trajectory`) over
-    the table cell that holds lam, one step per evaluation, as for the
-    fold.  It reads the branch's own run when that ran at tol or tighter
-    and the cell lies within its grid; else it runs the cell.  One `shoot`
-    there is the answer, if it meets |λ(m) - lam| <= tol·lam.
+    t = log ℓ on the branch's own Emden-Fowler trajectory run
+    (`radial.trajectory`) over the table cell that holds lam, one step per
+    evaluation, as for the fold, or its center series below its seed.  One
+    `shoot` there, at the branch's tol, is the answer, if it meets
+    |λ(m) - lam| <= tol·lam.
     """
     if branch.problem != problem:
         raise DomainValidationError("branch was computed for a different problem")
@@ -331,15 +329,11 @@ def minimal_solution(problem: ProblemSpec, lam: float, branch: Branch,
         raise BeyondPullInError(f"voltage {lam} not bracketed by the stable branch")
     # F >= 1, so u >= λ(1 - r²)/(2N), the torsion function: m >= λ/(2N), and
     # λ(m) < 2N·m.  So λ - lam0 changes sign on the cell however low its
-    # lower end, and the trajectory's seed lies below it.
+    # lower end.
     m_lo = max(table[j - 1][0] if j else 0.0, lam0 / (2.0 * tr.N_eff))
     law = F.scaling_law()
-    levels = law.level(np.array([m_lo, table[j][0]]))
-    t_lo, t_hi = np.log(levels).tolist()
-    if branch._run is not None and branch._run[0] <= tol and t_lo >= branch._run[1]:
-        point = branch._run[2]
-    else:
-        point = trajectory(F, tr.N_eff, levels, tol, solve_ivp)
+    t_lo, t_hi = np.log(law.level(np.array([m_lo, table[j][0]]))).tolist()
+    tol, point = branch._run
     g = lambda t: float(point(t)[0]) - lam0
     # a reading of a table end can differ from the table in its last bits:
     # an end that reads lam0 or past it is the root

@@ -294,7 +294,7 @@ def cmd_asymptotics(args):
     prob = branch.ProblemSpec(args.N, F, 0.0)
     grid = branch.default_m_grid(F, args.m_points)
     b = branch.solve_branch(prob, grid, tol=args.tol)
-    u = branch.minimal_solution(prob, args.lam, b, tol=args.tol)
+    u = branch.minimal_solution(prob, args.lam, b)
     r = np.geomspace(0.01, 1.0, 100)
     lower, upper, uvals = env.lower(r), env.upper(r), u.at(r)
     result = {

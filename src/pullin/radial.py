@@ -161,14 +161,14 @@ def lane_rhs(F: Nonlinearity, N: float, m: float, alpha: float = 0.0):
     return rhs
 
 
-def trajectory(F: Nonlinearity, N: float, levels: np.ndarray, tol: float, solve):
-    """t -> (λ, dλ/dm) at the level ℓ = e^t of the Emden-Fowler trajectory
-    of w₀, the solution with center value 0 (`Nonlinearity.scaling_law`),
-    for ℓ between the first and the last of the increasing `levels`; t is a
-    float, or an array read in one array step.  Every run, the main one
-    and a read's rerun, goes through `solve`, the caller's own `solve_ivp`
-    (`branch.solve_ivp` or `spectral.solve_ivp`, looked up when it calls),
-    so that `perfbench` counts each run under the module that made it.
+def trajectory(F: Nonlinearity, N: float, top: float, tol: float, solve):
+    """t -> (λ, dλ/dm) at the level ℓ = e^t in (0, top] of the Emden-Fowler
+    trajectory of w₀, the solution with center value 0
+    (`Nonlinearity.scaling_law`); t is a float, or an array read in one
+    array step.  Every run goes through `solve`, the caller's own
+    `solve_ivp` (`branch.solve_ivp` or `spectral.solve_ivp`, looked up when
+    it calls), so that `perfbench` counts each run under the module that
+    made it.
 
     The trajectory is the curve (y, q) = (log λ, dℓ/da) over the level ℓ,
     with a = log ρ on w₀.  Its rows are η = y - y₀ and u = log(q/q*) with
@@ -177,21 +177,20 @@ def trajectory(F: Nonlinearity, N: float, levels: np.ndarray, tol: float, solve)
     (`ScalingLaw.singular_point`), and 0 otherwise.  A tail that converges
     onto the singular point keeps its relative accuracy under a pure
     relative error control (atol 0, rtol = tol·1e-4, at least 1e-15), and u,
-    unlike q - q*, keeps the digits of q ~ ℓ near the center (with q - q*,
-    step control near the seed chases rounding noise: the inverse-square
-    disc took 42,424 RHS evaluations in its main run, against 2,958 with u).
+    unlike q - q*, keeps the digits of q ~ ℓ near the center, where step
+    control on q - q* chased rounding noise.
     At the level ℓ = e^t, λ = e^(y₀ + η) and dλ/dm = λ (2 - κq)/q · dℓ/dm =
     λ κ expm1(-u) e^(-σℓ).
 
-    The run starts from the third-order center series of w₀
-    (`center_series` at m = 0) in s = ρ², at the s where the series' last
-    term falls to the run's rtol relative to its first, so the remainder
-    stays below rtol, or lower, at half of the first level, so that every
-    level read off lies above the start.  Every trajectory run starts
-    here, so tol is checked here.  One main run records its steps from
-    there to the last level; each t is then read with one step from the
-    last recorded step below it (`StepReader`), so that its bits depend
-    only on that step and on t.  A failed run raises NoCrossingError.
+    The run starts on the third-order center series of w₀ (`center_series`
+    at m = 0) in s = ρ², at the seed s where the series' last term falls to
+    the run's rtol relative to its first; tol is checked here.  A level at
+    or below the seed is read off that series, its drop d = (1 - e^(-σℓ))/σ
+    (d = ℓ for σ = 0) inverted in s by Newton steps, as `ShootResult.profile`
+    reads its own; a top there makes no run.  Above it, one main run records
+    its steps up to the top, and each t is read with one step from the last
+    recorded step below it (`StepReader`), so that its bits depend only on
+    that step and on t.  A failed run raises NoCrossingError.
     """
     if not 0.0 < tol < 1.0:
         raise DomainValidationError(f"tol must lie in (0, 1), got {tol}")
@@ -199,29 +198,48 @@ def trajectory(F: Nonlinearity, N: float, levels: np.ndarray, tol: float, solve)
     q_star, c, _, _ = law.singular_point(N)
     y0 = math.log(q_star * c) if c > 0.0 else 0.0
     rtol = max(tol * _TRAJECTORY_RTOL, _TRAJECTORY_RTOL_MIN)
-    a, _ = center_series(F, N, 2.0, 0.0)
-    a1, a2, a3 = a
-    s = min(math.sqrt(rtol * abs(a1 / a3)), 0.5 * float(levels[0]) / abs(a1))
+    a1, a2, a3 = a = center_series(F, N, 2.0, 0.0)[0]
+
+    def series(s, drop, level):
+        # (η, u) at s, with q = dℓ/da = (dℓ/dd)·2s·dd/ds, dℓ/dd = 1/(1 - σd)
+        q = -2.0 * s * (a1 + s * (2.0 * a2 + 3.0 * s * a3)) / (1.0 - sigma * drop)
+        return np.log(s) - kappa * level - y0, np.log(0.5 * kappa * q)
+
+    def below(t):
+        level = np.exp(t)
+        drop = -np.expm1(-sigma * level) / sigma if sigma else level
+        s = drop / -a1
+        for _ in range(4):
+            s = s - series_value(a, drop, s) / (a1 + s * (2.0 * a2 + 3.0 * s * a3))
+        return series(s, drop, level)
+
+    s = math.sqrt(rtol * abs(a1 / a3))
     drop = -series_value(a, 0.0, s)
     level = law.drop_level(drop)
-    # q = dℓ/da = (dℓ/dd)·2s·dd/ds with dℓ/dd = 1/(1 - σd)
-    q = -2.0 * s * (a1 + s * (2.0 * a2 + 3.0 * s * a3)) / (1.0 - sigma * drop)
-    rows0 = np.array([math.log(s) - kappa * level - y0, math.log(0.5 * kappa * q)])
-    rhs = trajectory_rhs(F, N)
+    t_seed = math.log(level)
 
     def run(t_span, rows):
-        sol = solve(rhs, t_span, rows, rtol=rtol, atol=0.0)
+        sol = solve(trajectory_rhs(F, N), t_span, rows, rtol=rtol, atol=0.0)
         if not sol.success:
             raise NoCrossingError(
                 f"trajectory run failed (family {F.label()}, N_eff={N}, "
                 f"log-levels [{t_span[0]}, {t_span[1]}]): {sol.message}")
         return sol
 
-    read = StepReader(run((math.log(level), math.log(levels[-1])), rows0),
-                      trajectory_rhs(F, N, array=True), rtol, 0.0, run)
+    read = below
+    if math.log(top) > t_seed:
+        read = StepReader(run((t_seed, math.log(top)), np.array(series(s, drop, level))),
+                          trajectory_rhs(F, N, array=True), rtol, 0.0, run)
 
     def point(t):
-        eta, u = read(t)
+        if isinstance(t, float):
+            eta, u = below(t) if t <= t_seed else read(t)
+        else:
+            low = np.asarray(t) <= t_seed
+            eta, u = read(np.maximum(t, t_seed))
+            if low.any():
+                eta_s, u_s = below(np.minimum(t, t_seed))
+                eta, u = np.where(low, eta_s, eta), np.where(low, u_s, u)
         lam = np.exp(y0 + eta)
         return lam, lam * kappa * np.expm1(-u) * np.exp(-sigma * np.exp(t))
 
@@ -277,7 +295,7 @@ _WEIGHTS, _ERROR5, _ERROR3 = ([(j, float(e)) for j, e in enumerate(v) if e]
                               for v in (dop853_coefficients.B, dop853_coefficients.E5,
                                         dop853_coefficients.E3))
 # a read whose error norm exceeds this, a step the compiled code would have
-# rejected, is redone as a compiled run
+# rejected, or is NaN, is redone as a compiled run
 _READ_NORM_MAX = 1.0
 
 
@@ -317,17 +335,15 @@ def _dop853_step(fun, t, rows, h, rtol: float, atol: float):
 
 class StepReader:
     """The rows of a recorded run (`t`, `y`, as `solve_ivp` returns them) at
-    any t up to its last recorded t, a float or an array.
+    any t from its first recorded t to its last, a float or an array.
 
     Each t is read with one DOP853 step (`_dop853_step` of `fun`) from the
     last recorded step below it, so its bits depend only on that step and
     on t, not on the other t read with it, given a `fun` whose bits do not
-    (`trajectory_rhs` with `array`).  A t below the first recorded
-    t, such as a collocation node next to the center, is read with one
-    step back from it.  The last recorded t can fall ulps short of the
-    run's end, so a t past it is read from the step before.
-    A read whose error norm exceeds `_READ_NORM_MAX` is redone by
-    `rerun(t_span, rows)`, a compiled run from that recorded step to t.
+    (`trajectory_rhs` with `array`).  The last recorded t can fall ulps
+    short of the run's end, so a t past it is read from the step before.
+    A read whose error norm is not <= `_READ_NORM_MAX`, NaN included, is
+    redone by `rerun(t_span, rows)`, a compiled run from that step to t.
     Returns the rows as a list: floats for a float t, else arrays of its
     shape.
     """
@@ -345,10 +361,10 @@ class StepReader:
             t, start, rows, k = float(t[0]), float(start[0]), rows[:, 0].tolist(), int(k[0])
         new, norm = _dop853_step(self.fun, start, list(rows), t - start, self.rtol, self.atol)
         if not shape:
-            if norm > _READ_NORM_MAX:
+            if not norm <= _READ_NORM_MAX:
                 new = self.rerun((start, t), self.y[:, k]).y[:, -1].tolist()
             return new
-        for i in np.flatnonzero(norm > _READ_NORM_MAX):
+        for i in np.flatnonzero(~(norm <= _READ_NORM_MAX)):
             end = self.rerun((start[i], t[i]), self.y[:, k[i]]).y[:, -1]
             for row, value in zip(new, end):
                 row[i] = value

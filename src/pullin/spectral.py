@@ -287,15 +287,15 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
     larger (`_principal_eigenvalue`).
 
     Reads only the center value `u.m` of the solution (a `RadialSolution`,
-    a `ShootResult` or a `BranchPoint`).  One run of the Emden-Fowler
-    trajectory (`radial.trajectory`, through this module's `solve_ivp`) up
-    to the level L = ℓ(m) gives the voltage R² = λ(L) of center value m;
-    `lam` must be that voltage, and DomainValidationError is raised when it
-    differs from R² by more than `_LAM_MISMATCH` * tol relative.  Positive
-    on the stable branch, zero at the fold, negative beyond it.  The
-    coefficients of the collocation (`_principal_eigenvalue`) are read off
-    the same run, q²/λ at the levels L·`_nodes(n)` (`_coefficient`), as the
-    fills of `branch.solve_branch` read them off the branch's run.
+    a `ShootResult` or a `BranchPoint`).  The Emden-Fowler trajectory
+    (`radial.trajectory`, through this module's `solve_ivp`) up to the
+    level L = ℓ(m), at most one run, gives the voltage R² = λ(L) of center
+    value m; `lam` must be that voltage, and DomainValidationError is
+    raised when it differs from R² by more than `_LAM_MISMATCH` * tol
+    relative.  Positive on the stable branch, zero at the fold, negative
+    beyond it.  The coefficients of the collocation, q²/λ at the levels
+    L·`_nodes(n)` (`_coefficient`), are read off the same trajectory, below
+    its seed off its center series, as the branch fills read theirs.
     BracketError is raised past the potential guard, before the run, when
     the run fails, and when the collocation fails its checks.  The only
     solution with m = 0 is u ≡ 0 at λ = 0, whose μ₁ is λ₁; with m = 0, a
@@ -319,7 +319,7 @@ def mu1(N: float, F: Nonlinearity, lam: float, u, tol: float = 1e-8) -> float:
     law = F.scaling_law()
     L = float(law.level(m))
     try:
-        point = trajectory(F, N, np.array([L]), tol, solve_ivp)
+        point = trajectory(F, N, L, tol, solve_ivp)
         R2 = float(point(math.log(L))[0])
         if abs(lam - R2) > _LAM_MISMATCH * tol * R2:
             raise DomainValidationError(

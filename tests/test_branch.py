@@ -310,7 +310,7 @@ def _grid_points(F, N, grid, tol=pullin.branch.DEFAULT_TOL):
     """(λ, dλ/dm) at every center value of `grid`, read off the trajectory
     that `solve_branch` runs."""
     levels = F.scaling_law().level(np.asarray(grid, dtype=float))
-    point = pullin.radial.trajectory(F, N, levels, tol, pullin.radial.solve_ivp)
+    point = pullin.radial.trajectory(F, N, levels[-1], tol, pullin.radial.solve_ivp)
     lam, slope = zip(*map(point, np.log(levels)))
     return np.array(lam), np.array(slope)
 
@@ -568,23 +568,17 @@ def test_minimal_solution_takes_few_shots(monkeypatch, mems_disc_branch):
     monkeypatch.setattr(pullin.branch, "solve_ivp", recording)
     prob = ProblemSpec(2.0, MEMS)
     loose = solve_branch(prob, tol=1e-6)
-    # the branch's own run at its tol or a looser one: no trajectory run,
-    # one four-row compiled shot of the answer
-    for lam, b, tol in ((0.2, mems_disc_branch, 1e-10), (0.5, mems_disc_branch, 1e-10),
-                        (0.7, mems_disc_branch, 1e-10), (0.5, mems_disc_branch, 1e-6),
-                        (0.5, loose, 1e-6)):
-        runs.clear()
-        u = minimal_solution(prob, lam, b, tol)
-        assert abs(u.lam - lam) <= tol * lam
-        assert runs == [4]
-    # a voltage below the first grid point, or a branch at a looser tol, runs
-    # the cell: one trajectory run of two rows, then the shot
+    # every voltage, below the first grid point too, reads the branch's own
+    # run (or its center series): no trajectory run, one four-row compiled
+    # shot of the answer, which meets the branch's own tol
     assert mems_disc_branch.points[0].lam > 1e-4
-    for lam, b in ((1e-4, mems_disc_branch), (0.5, loose)):
+    for lam, b, tol in ((1e-4, mems_disc_branch, 1e-10), (0.2, mems_disc_branch, 1e-10),
+                        (0.5, mems_disc_branch, 1e-10), (0.7, mems_disc_branch, 1e-10),
+                        (1e-4, loose, 1e-6), (0.5, loose, 1e-6)):
         runs.clear()
         u = minimal_solution(prob, lam, b)
-        assert u.lam == pytest.approx(lam, rel=1e-10)
-        assert runs == [2, 4]
+        assert abs(u.lam - lam) <= tol * lam
+        assert runs == [4]
 
 
 def test_minimal_solution_in_the_fold_cell_takes_no_run_at_the_fold(
@@ -626,7 +620,7 @@ def test_minimal_solution_is_the_root_of_its_voltage(F, N, tol):
     b = solve_branch(prob, tol=tol)
     for frac in _MINIMAL_FRACTIONS:
         lam = frac * b.lambda_star
-        u = minimal_solution(prob, lam, b, tol)
+        u = minimal_solution(prob, lam, b)
         assert abs(u.lam - lam) <= tol * lam
         # 1e-9 below λ* the root is too flat for the tight shots' own error
         if tol == 1e-10 and frac < 1.0 - 1e-9:
@@ -636,7 +630,7 @@ def test_minimal_solution_is_the_root_of_its_voltage(F, N, tol):
             assert abs(u.m - m_ref) <= 1e-10 * max(1.0, m_ref)
     # a voltage one ulp below λ* still has its solution
     lam = math.nextafter(b.lambda_star, 0.0)
-    assert abs(minimal_solution(prob, lam, b, tol).lam - lam) <= tol * lam
+    assert abs(minimal_solution(prob, lam, b).lam - lam) <= tol * lam
 
 
 def test_a_grid_that_ends_a_few_ulps_past_its_last_step_reads_its_end():

@@ -321,6 +321,16 @@ def test_readme_stability_example_keeps_its_eigenvalues(capsys):
             assert abs(p["mu1"] - ref) <= 1e-6 * max(1.0, abs(ref)), p["m"]
 
 
+def test_stability_fills_next_to_the_center_are_all_filled(capsys):
+    # the fills of the lowest levels read collocation nodes below the
+    # trajectory's seed, off its center series, with no run
+    code, out, _ = run_cli(capsys, "branch", "--family", "exp", "--N", "12", "--m-min", "1e-6",
+                           "--m-max", "1", "--m-points", "25", "--tol", "1e-6", "--stability")
+    assert code == 0
+    points = json.loads(out)["result"]["points"]
+    assert len(points) == 25 and all(p["mu1"] is not None for p in points)
+
+
 @pytest.mark.parametrize("argv", [
     ["constants", "--table", "exp", "--N", "nan"],
     ["constants", "--table", "mems", "--N", "nan"],

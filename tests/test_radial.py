@@ -8,6 +8,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
+from scipy.integrate import ode
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.rk import RungeKutta
 from scipy.optimize import brentq
 
@@ -48,7 +51,7 @@ def test_one_lane_run_matches_its_lane_in_a_pair(monkeypatch, F, m, partner, N, 
     assert abs(lam1 - lam2) <= tol * max(1.0, lam2)
     tr = pullin.dim_transform(N, alpha)
     levels = F.scaling_law().level(np.array([m, partner]))
-    point = radial.trajectory(F, tr.N_eff, levels, tol, radial.solve_ivp)
+    point = radial.trajectory(F, tr.N_eff, levels[-1], tol, radial.solve_ivp)
     _, slope2 = point(math.log(levels[0]))
     slope2 *= tr.voltage_factor
     assert abs(slope - slope2) <= tol * max(1.0, abs(slope2))
@@ -186,7 +189,7 @@ def test_a_tol_outside_the_unit_interval_is_refused_before_any_run(tol):
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
         radial.lane_seed(F, 2.0, 0.3, tol)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
-        radial.trajectory(F, 2.0, np.array([0.1, 0.2]), tol, radial.solve_ivp)
+        radial.trajectory(F, 2.0, 0.2, tol, radial.solve_ivp)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
         pullin.shoot(F, 2.0, 0.3, tol=tol)
     with pytest.raises(pullin.DomainValidationError, match="tol must lie in"):
@@ -207,7 +210,7 @@ def test_the_center_series_refuses_a_center_value_outside_the_domain():
 def _levels(F, N, n, tol):
     """The log-levels of the n-point default grid and their reader."""
     levels = F.scaling_law().level(branch.default_m_grid(F, n))
-    return np.log(levels), radial.trajectory(F, N, levels, tol, radial.solve_ivp)
+    return np.log(levels), radial.trajectory(F, N, levels[-1], tol, radial.solve_ivp)
 
 
 @pytest.mark.parametrize("F, N", [(exponential(), 3.0), (mems_inverse_power(2.0), 2.0),
@@ -310,7 +313,7 @@ def test_the_folds_spiral_into_the_singular_point_at_the_rate_of_its_jacobian(F,
     assert c > 0.0 and disc < 0.0
     lam_s, rate = q_star * c, math.exp(math.pi * trace / math.sqrt(-disc))
     levels = np.geomspace(1e-2, top, 2000)
-    point = radial.trajectory(F, N, levels, 1e-12, radial.solve_ivp)
+    point = radial.trajectory(F, N, levels[-1], 1e-12, radial.solve_ivp)
     ts = np.log(levels)
     slope = point(ts)[1]
     distances = []
@@ -322,3 +325,104 @@ def test_the_folds_spiral_into_the_singular_point_at_the_rate_of_its_jacobian(F,
     ratios = kept[1:] / kept[:-1]
     assert len(ratios) >= 3
     assert abs(ratios[-1] / rate - 1.0) < 1e-6
+
+
+def test_a_read_whose_error_norm_is_nan_is_redone_as_a_compiled_run():
+    # a recorded run of y' = -y, read through a right-hand side that returns
+    # NaN from t = 1.5 on: the read at 1.5 has a NaN norm, which no
+    # comparison with the threshold rejects, so it is redone
+    def decay(t, y):
+        return (-y[0],)
+
+    def poisoned(t, y):
+        return (np.where(np.asarray(t) >= 1.5 - 1e-9, np.nan, -y[0]),)
+
+    runs = []
+
+    def rerun(t_span, rows):
+        runs.append(t_span)
+        return radial.solve_ivp(decay, t_span, rows, rtol=1e-10, atol=1e-12)
+
+    read = radial.StepReader(radial.solve_ivp(decay, (0.0, 3.0), [1.0], rtol=1e-10, atol=1e-12),
+                             poisoned, 1e-10, 1e-12, rerun)
+    (y,) = read(1.5)
+    assert len(runs) == 1 and runs[0][1] == 1.5
+    assert y == pytest.approx(math.exp(-1.5), rel=1e-9)
+    runs.clear()
+    (y,) = read(np.array([0.5, 1.5]))
+    assert len(runs) == 1 and runs[0][1] == 1.5
+    assert y == pytest.approx(np.exp([-0.5, -1.5]), rel=1e-9)
+
+
+def test_the_scipy_internals_the_compiled_runner_reads_are_there():
+    # `_CompiledDOP853` reads the integrator's iwork[16] as nfev and rebinds
+    # its `_solout`; `_dop853_step` reads the tableau of
+    # `dop853_coefficients`.  None of them is public, so they are pinned here
+    version = f"scipy {scipy.__version__}"
+    calls = []
+
+    def rotation(t, y):
+        calls.append(t)
+        return (-y[1], y[0])
+
+    sol = radial.solve_ivp(rotation, (0.0, 5.0), [1.0, 0.0], rtol=1e-10, atol=1e-11)
+    assert sol.success, version
+    # 206 calls on scipy 1.17.1
+    assert sol.nfev == len(calls), f"{version}: iwork[16] is not the count of RHS calls"
+    c = dop853_coefficients
+    n = c.N_STAGES
+    assert n == 12, f"{version}: the DOP853 tableau has {n} stages, not 12"
+    assert len(c.C) >= n and c.A.shape[0] >= n and c.A.shape[1] >= n - 1, \
+        f"{version}: C {c.C.shape} and A {c.A.shape} do not hold stages 2-12"
+    assert c.B.shape == (n,), f"{version}: B has shape {c.B.shape}, not ({n},)"
+    for name, e in (("E5", c.E5), ("E3", c.E3)):
+        assert e.ndim == 1 and len(e) >= n and not np.any(e[n:]), \
+            f"{version}: {name} of shape {e.shape} weighs more than the 12 stages"
+    integrator = ode(rotation).set_integrator("dop853")._integrator
+    assert hasattr(integrator, "_solout"), f"{version}: the dop853 integrator has no _solout"
+
+
+def _record_step_lengths(monkeypatch):
+    lengths = []
+    real = radial._dop853_step
+
+    def recording(fun, t, rows, h, *args):
+        lengths.extend(np.ravel(h).tolist())
+        return real(fun, t, rows, h, *args)
+
+    monkeypatch.setattr(radial, "_dop853_step", recording)
+    return lengths
+
+
+# center values whose levels lie below the trajectory's seed at every tol
+# here, read off its center series
+_BELOW_SEED = np.array([1e-12, 1e-10, 1e-9, 1e-8, 1e-7])
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_a_level_below_the_seed_reads_the_center_series(monkeypatch, tol):
+    lengths = _record_step_lengths(monkeypatch)
+    F = exponential()
+    # the exp disc: λ = 8a/(1 + a)² with a = e^(m/2) - 1
+    lam = radial.trajectory(F, 2.0, 1.0, tol, radial.solve_ivp)(np.log(_BELOW_SEED))[0]
+    a = np.expm1(_BELOW_SEED / 2.0)
+    assert np.all(np.abs(lam / (8.0 * a / (1.0 + a) ** 2) - 1.0) <= 1e-13)
+    for F, N in ((exponential(), 10.0), (exponential(), 12.0),
+                 (mems_inverse_power(2.0), 9.0), (power_growth(3.0), 3.0)):
+        law = F.scaling_law()
+        point = radial.trajectory(F, N, float(law.level(0.5)), tol, radial.solve_ivp)
+        ts = np.log(law.level(_BELOW_SEED))
+        lam, slope = point(ts)
+        for t, m, lam_i, slope_i in zip(ts.tolist(), _BELOW_SEED, lam, slope):
+            shot = branch.shoot(F, N, m, 1e-13)
+            assert abs(lam_i / shot.lam - 1.0) <= 1e-10
+            assert abs(slope_i / shot.dlam_dm - 1.0) <= 1e-10
+            # a float read takes the same series
+            assert point(t) == (lam_i, slope_i)
+    # a minimal solution 1e-12 λ* up, whose brentq reads mostly the series
+    prob = pullin.ProblemSpec(10.0, exponential())
+    b = pullin.solve_branch(prob, tol=tol)
+    lam = 1e-12 * b.lambda_star
+    assert abs(pullin.minimal_solution(prob, lam, b).lam - lam) <= tol * lam
+    # no read steps back from a recorded step
+    assert len(lengths) > 0 and min(lengths) >= 0.0

@@ -227,6 +227,31 @@ def test_mu1_reads_the_shot_voltage_off_its_one_trajectory_run(monkeypatch, F, m
     assert abs(lam - sr.lam) <= tol * sr.lam
 
 
+def test_mu1_next_to_the_center_meets_its_tol(monkeypatch):
+    # at exp N = 12, m = 1e-6, collocation nodes lie below the trajectory's
+    # seed and are read off its center series
+    from pullin import radial
+    F = exponential()
+    sr = shoot(F, 12.0, 1e-6)
+    ref = mu1(12.0, F, sr.lam, sr, tol=1e-11)
+    lengths = []
+    real = radial._dop853_step
+
+    def recording(fun, t, rows, h, *args):
+        lengths.extend(np.ravel(h).tolist())
+        return real(fun, t, rows, h, *args)
+
+    monkeypatch.setattr(radial, "_dop853_step", recording)
+    for tol in (1e-6, 1e-8, 1e-10):
+        assert abs(mu1(12.0, F, sr.lam, sr, tol=tol) - ref) <= tol * max(1.0, abs(ref))
+    assert len(lengths) > 0 and min(lengths) >= 0.0
+    # a level at or below the seed makes no run at all
+    runs = _record_runs(monkeypatch)
+    sr = shoot(F, 12.0, 1e-10)
+    assert mu1(12.0, F, sr.lam, sr) == pytest.approx(lambda1_ball(12.0).eigenvalue, rel=1e-8)
+    assert runs == []
+
+
 def test_mu1_at_zero_center_value_is_the_shifted_laplacian():
     # the only solution with center value 0 is u ≡ 0 at λ = 0, where the
     # linearized operator is the Laplacian itself; a voltage > 0 has none
