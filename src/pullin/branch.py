@@ -210,9 +210,11 @@ class Branch:
     past the fold and no point is stable.  With a fold, the grid cell
     [m_k, m_k+1] with k = n_stable - 1 holds it.  `stability_skipped` counts
     the points whose stability eigenvalue was not filled (mu1 is None): past
-    the potential guard of `spectral`, or where the collocation failed its
-    own checks (`spectral._principal_eigenvalue`).  `_run` keeps the tol and
-    trajectory reader of the branch's run, which `minimal_solution` reuses.
+    the potential guard of `spectral`, where the collocation failed its
+    own checks (`spectral._principal_eigenvalue`), or where a read of the
+    branch's run for that point failed (NoCrossingError from a compiled
+    rerun).  `_run` keeps the tol and trajectory reader of the branch's
+    run, which `minimal_solution` reuses.
     """
 
     problem: ProblemSpec
@@ -253,7 +255,9 @@ def solve_branch(problem: ProblemSpec, m_grid: Optional[Sequence[float]] = None,
     is the brentq root of dλ/dm on the same trajectory, in the grid cell
     that ends it, where q = dℓ/d log ρ crosses 2/κ.  A schedule that
     starts with dλ/dm <= 0 starts past the fold: it has no stable point
-    and no fold.
+    and no fold.  A fill that fails (its collocation's checks, or a failed
+    read of the run for its point) leaves that μ₁ None and is counted in
+    `Branch.stability_skipped`; the other points keep theirs.
 
     Power-law problems are solved through the constant-profile reduction in
     the effective dimension and rescaled back, which preserves center values

@@ -192,25 +192,31 @@ def _fill_stability(points: list, F: Nonlinearity, N_eff: float, levels: np.ndar
     """Fill μ₁ of each branch point (`_principal_eigenvalue`, at the level
     and core voltage of the point) from the branch's own trajectory run
     `point`, and return the number of points it leaves empty, where the
-    kernel raised BracketError.
+    kernel raised BracketError or a read of the run raised NoCrossingError
+    (a failed compiled rerun).
 
     The kernel's coefficient q²/λ (`_coefficient`) is read at the nodes of
     the first two resolutions of every point in one array read, and at a
-    further resolution, which few points need, one point at a time.
+    further resolution, which few points need, one point at a time.  If the
+    array read raises, every point reads its own nodes, which gives the same
+    bits (`radial.StepReader`), so a failed read empties its point only.
     """
     law = F.scaling_law()
     lam1 = _lambda1(N_eff)
     first = _RESOLUTIONS[:2]
     nodes = [_nodes(n) for n in first]
-    table = _coefficient(point, law, np.outer(levels, np.concatenate(nodes)))
-    read = dict(zip(first, np.split(table, [len(nodes[0])], axis=1)))
+    try:
+        table = _coefficient(point, law, np.outer(levels, np.concatenate(nodes)))
+        read = dict(zip(first, np.split(table, [len(nodes[0])], axis=1)))
+    except NoCrossingError:
+        read = {}
     skipped = 0
     for i, (p, lam) in enumerate(zip(points, lams)):
         def at(n, i=i):
             return read[n][i] if n in read else _coefficient(point, law, levels[i] * _nodes(n))
         try:
             p.mu1 = _principal_eigenvalue(F, p.m, lam, lam1, tol, at)
-        except BracketError:
+        except (BracketError, NoCrossingError):
             skipped += 1
     return skipped
 

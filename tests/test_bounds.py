@@ -351,7 +351,7 @@ def test_radial_ball_bound_values_and_oracle():
         rep = mems_ball_supnorm_bound(float(N))
         m = rep.value
         ref = _radial_root_oracle(rep.optimizer, float(N), (m - 1e-7, m + 1e-7))
-        assert m == pytest.approx(ref, abs=1e-9)
+        assert m == pytest.approx(ref, abs=1e-14)
 
 
 def test_radial_ball_bound_degenerates_in_high_dimension():
@@ -485,7 +485,7 @@ def test_radial_root_in_dimension_7_against_mpmath():
         ref = float(mpmath.findroot(residual, (mpmath.mpf("0.9999"), mpmath.mpf("0.99999")),
                                     solver="anderson"))
     assert ref == pytest.approx(0.9999583885, abs=1e-10)
-    assert _mems_radial_root(t, N, lam1) == pytest.approx(ref, abs=1e-9)
+    assert _mems_radial_root(t, N, lam1) == pytest.approx(ref, abs=1e-12)
 
 
 # the constant scans: one array call per grid, the parent's per-point scan as
@@ -554,6 +554,30 @@ def test_radial_ball_bound_costs_its_grid_plus_20_roots(monkeypatch, N):
     assert 1 <= len(array_calls) <= 12
 
 
+@pytest.mark.parametrize("N", range(1, 8))
+def test_a_polish_root_costs_at_most_8_integrals(monkeypatch, N):
+    # the polish's roots step by the scan's rule on floats: both ends and
+    # at most 6 Illinois steps
+    per_root = []
+    root = pullin.bounds._mems_radial_root
+    integral = pullin.bounds._log_radial_integral
+
+    def counted_root(*args):
+        per_root.append(0)
+        return root(*args)
+
+    def counted_integral(c, *args):
+        if np.ndim(c) == 0 and per_root:
+            per_root[-1] += 1
+        return integral(c, *args)
+
+    monkeypatch.setattr(pullin.bounds, "_mems_radial_root", counted_root)
+    monkeypatch.setattr(pullin.bounds, "_log_radial_integral", counted_integral)
+    mems_ball_supnorm_bound(float(N))
+    assert max(per_root) <= 8
+    assert sum(n > 0 for n in per_root) >= 5  # the polish's roots
+
+
 def _root_or_inf(t, N, lam1):
     try:
         return _mems_radial_root(t, N, lam1)
@@ -585,7 +609,7 @@ def test_radial_scan_matches_the_scalar_root_at_each_grid_point(N):
     for special in (0.0, 1.0, math.inf):
         assert np.array_equal(scan == special, ref == special)
     inner = (0.0 < ref) & (ref < 1.0)
-    assert np.allclose(scan[inner], ref[inner], rtol=0.0, atol=1e-10)
+    assert np.all(np.abs(scan[inner] - ref[inner]) <= 2.0 * np.spacing(ref[inner]))
 
 
 def test_radial_scan_root_in_dimension_7_against_mpmath():
@@ -641,7 +665,7 @@ def test_a_failed_quadrature_reads_inf_at_its_scan_point_only(monkeypatch):
     assert np.all(np.isinf(bad[on_quad]))
     assert np.array_equal(bad[~on_quad], good[~on_quad])
     # at λ₁ itself the bound takes no quadrature at all
-    assert format(mems_ball_supnorm_bound(N, lam1).value, ".12g") == "0.935147284024"
+    assert format(mems_ball_supnorm_bound(N, lam1).value, ".12g") == "0.935147284028"
 
 
 @pytest.mark.parametrize("N", range(3, 12))
@@ -732,8 +756,8 @@ PRINTED_CONSTANTS = {
     "power": ["3.08393512003", "3.69832270934", "5.07143972619", "8.49691433184",
               "23.0234503876", "nan", "nan"],
 }
-PRINTED_BALL_BOUNDS = ["0.52155878461", "0.620172322168", "0.779150601034",
-                       "0.85698709055", "0.935147284024", "0.98795381682",
+PRINTED_BALL_BOUNDS = ["0.52155878462", "0.620172322168", "0.779150601034",
+                       "0.856987090546", "0.935147284028", "0.987953816839",
                        "0.999958388525"]
 
 

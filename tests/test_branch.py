@@ -498,6 +498,36 @@ def test_branch_counts_skipped_stability_fills():
     assert solve_branch(ProblemSpec(2.0, MEMS), grid).stability_skipped == 0
 
 
+def test_a_failed_read_skips_its_own_fill_only(monkeypatch):
+    # a read of the branch's run that raises NoCrossingError (a failed
+    # compiled rerun) at the nodes of grid point k empties that fill only:
+    # the others read their own nodes and keep the bits of the batched read
+    grid = np.geomspace(0.05, 3.0, 9)
+    problem, k = ProblemSpec(2.0, EXP), 4
+    ref = solve_branch(problem, grid, stability=True)
+    assert ref.points[k].mu1 is not None
+    levels = EXP.scaling_law().level(grid)
+    bad = np.concatenate([np.log(levels[k] * pullin.spectral._nodes(n))
+                          for n in pullin.spectral._RESOLUTIONS])
+    real = pullin.branch.trajectory
+
+    def faulty(*args):
+        point = real(*args)
+
+        def read(t):
+            if np.isin(np.asarray(t), bad).any():
+                raise pullin.NoCrossingError("injected failure")
+            return point(t)
+        return read
+
+    monkeypatch.setattr(pullin.branch, "trajectory", faulty)
+    b = solve_branch(problem, grid, stability=True)
+    assert b.points[k].mu1 is None
+    assert b.stability_skipped == ref.stability_skipped + 1
+    assert [p.mu1 for i, p in enumerate(b.points) if i != k] == \
+        [p.mu1 for i, p in enumerate(ref.points) if i != k]
+
+
 @pytest.mark.parametrize("F, N", [(EXP, 2.0), (MEMS, 5.0), (EXP, 10.0)],
                          ids=["exp-2", "mems-5", "exp-10"])
 def test_the_branch_does_not_depend_on_stability(F, N):
